@@ -156,10 +156,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_impute(args) -> int:
     cfg = resolve_config(args)
+    lam1, lam2, lam3 = effective_lambdas(cfg)
+    pcfg = PenaltyConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, rank=cfg.rank,
+                         max_iter=cfg.max_iter, tol=cfg.tol, rng_seed=cfg.seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     video = vio.read_video(cfg.input)
-    lam1, lam2, lam3 = effective_lambdas(cfg)
     aux_raw = None
     if lam3 > 0:
         grid = SphericalGrid.from_shape(video.dims.m, video.dims.n)
@@ -167,8 +169,6 @@ def cmd_impute(args) -> int:
         vio.write_frames(out / "auxiliary.vmc", aux_raw.frames)
     transformed, aux_t, params = fit_transform(video, aux_raw, cfg.boxcox_lambda,
                                                cfg.boxcox_offset)
-    pcfg = PenaltyConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, rank=cfg.rank,
-                         max_iter=cfg.max_iter, tol=cfg.tol, rng_seed=cfg.seed)
     imputed, state = solve(transformed, aux_t, pcfg)
     frames_out, clamped = invert(imputed.frames, params)
     if cfg.keep_observed:

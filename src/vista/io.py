@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .video import AuxiliaryVideo, MaskedVideo
+from .video import MaskedVideo
 
 _MAGIC = b"VMC1"
 _HEADER = struct.Struct("<4sIIII")
@@ -68,10 +68,6 @@ def read_frames(path) -> np.ndarray:
     if not video.masks.all():
         raise ValueError(f"{path}: expected a fully observed video")
     return np.array(video.frames)
-
-
-def read_auxiliary(path) -> AuxiliaryVideo:
-    return AuxiliaryVideo(read_frames(path))
 
 
 def write_mask(path, mask: np.ndarray) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .video import FactorSequence, MaskedVideo, PenaltyConfig, fill_in
 
@@ -46,12 +45,6 @@ class SolverState:
     update_history: list = field(default_factory=list)
     factor_history: list = field(default_factory=list)
 
-    @property
-    def last_changes(self) -> np.ndarray:
-        if not self.change_history:
-            raise ValueError("no sweep has been run yet")
-        return self.change_history[-1]
-
 
 @dataclass
 class ImputedVideo:
@@ -65,8 +58,13 @@ class ImputedVideo:
         self.effective_ranks = np.asarray(self.effective_ranks, dtype=int)
 
 
-def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig) -> float:
-    """Evaluate the four-term objective at the given factors."""
+def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig,
+              products: np.ndarray = None) -> float:
+    """Evaluate the four-term objective at the given factors.
+
+    ``products``, when given, must hold ``factors.products()``; the sweep
+    passes its cache so that no product is formed twice.
+    """
     if cfg.lambda3 > 0 and aux is None:
         raise ValueError("lambda3 > 0 requires an auxiliary video")
     if aux is not None:
@@ -75,7 +73,7 @@ def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConf
     total = 0.0
     prev_product = None
     for t in range(video.dims.T):
-        product = left[t] @ right[t].T
+        product = left[t] @ right[t].T if products is None else products[t]
         resid = video.masks[t] * (video.frames[t] - product)
         total += 0.5 * float(np.sum(resid * resid))
         total += 0.5 * cfg.lambda1 * float(np.sum(left[t] ** 2) + np.sum(right[t] ** 2))
@@ -89,6 +87,18 @@ def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConf
     return total
 
 
+def _label(t: int, products, video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
+    # products[s] is frame s's current imputation, for s = t and its neighbors.
+    label = np.where(video.masks[t], video.frames[t], products[t])
+    if cfg.lambda2 != 0.0:
+        for s in (t - 1, t + 1):
+            if 0 <= s < video.dims.T:
+                label += cfg.lambda2 * products[s]
+    if cfg.lambda3 != 0.0:
+        label += cfg.lambda3 * aux.frames[t]
+    return label
+
+
 def weighted_label(t: int, left: np.ndarray, right: np.ndarray,
                    video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Composite regression target for updating frame t's factors.
@@ -99,41 +109,30 @@ def weighted_label(t: int, left: np.ndarray, right: np.ndarray,
     hold already-updated factors for earlier frames and pre-update factors
     for later ones, which is exactly what the cyclic scheme requires.
     """
-    T = left.shape[0]
-    label = fill_in(video.frames[t], video.masks[t], left[t], right[t])
-    if cfg.lambda2 != 0.0:
-        if t > 0:
-            label = label + cfg.lambda2 * (left[t - 1] @ right[t - 1].T)
-        if t < T - 1:
-            label = label + cfg.lambda2 * (left[t + 1] @ right[t + 1].T)
-    if cfg.lambda3 != 0.0:
-        label = label + cfg.lambda3 * aux.frames[t]
-    return label
+    window = range(max(t - 1, 0), min(t + 2, left.shape[0]))
+    return _label(t, {s: left[s] @ right[s].T for s in window}, video, aux, cfg)
 
 
-def _gram_system(basis: np.ndarray, t: int, T: int, cfg: PenaltyConfig):
+def _ridge_solve(label: np.ndarray, basis: np.ndarray, t: int, T: int,
+                 cfg: PenaltyConfig) -> np.ndarray:
     # Shared r-by-r SPD system: (1 + lambda2*(#neighbors) + lambda3) B'B + lambda1 I.
     weight = 1.0 + cfg.lambda2 * (int(t > 0) + int(t < T - 1)) + cfg.lambda3
     gram = weight * (basis.T @ basis) + cfg.lambda1 * np.eye(basis.shape[1])
-    return cho_factor(gram, lower=False)
+    return np.linalg.solve(gram, (label @ basis).T).T
 
 
 def update_left(t: int, left: np.ndarray, right: np.ndarray,
                 video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the left factor."""
-    T = left.shape[0]
     label = weighted_label(t, left, right, video, aux, cfg)
-    system = _gram_system(right[t], t, T, cfg)
-    return cho_solve(system, (label @ right[t]).T).T
+    return _ridge_solve(label, right[t], t, left.shape[0], cfg)
 
 
 def update_right(t: int, left: np.ndarray, right: np.ndarray,
                  video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the right factor."""
-    T = left.shape[0]
     label = weighted_label(t, left, right, video, aux, cfg)
-    system = _gram_system(left[t], t, T, cfg)
-    return cho_solve(system, (label.T @ left[t]).T).T
+    return _ridge_solve(label.T, left[t], t, left.shape[0], cfg)
 
 
 def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
@@ -147,42 +146,43 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
     factor update (expensive; meant for descent diagnostics on small
     problems), with ``record_phases`` only after each half-cycle, and with
     ``record_factors`` a snapshot of the factors is kept per sweep.
+
+    One (T, m, n) cache holds every frame's current product. Each update
+    reads its fill-in and its neighbors from the cache and then refreshes
+    its own entry, so the cache always matches the factors; the change
+    statistic and the objective are taken from it.
     """
     factors = state.factors
     left, right = factors.left, factors.right
     T = video.dims.T
+    cache = factors.products()
     if not state.objective_history:
-        state.objective_history.append(objective(video, aux, factors, cfg))
+        state.objective_history.append(objective(video, aux, factors, cfg, products=cache))
     if record_factors and not state.factor_history:
         state.factor_history.append(factors.copy())
 
-    prev_products = factors.products()
+    start = cache.copy()
+    start_norms = np.maximum(np.sum(start * start, axis=(1, 2)), _TINY)
     updates = [] if record_updates else None
-
-    for t in range(T):
-        left[t] = update_left(t, left, right, video, aux, cfg)
+    phases = []
+    # The right-factor update is the left-factor update of the transposed frame.
+    for solved, basis, flip in ((left, right, False), (right, left, True)):
+        for t in range(T):
+            label = _label(t, cache, video, aux, cfg)
+            solved[t] = _ridge_solve(label.T if flip else label, basis[t], t, T, cfg)
+            np.matmul(left[t], right[t].T, out=cache[t])
+            if record_updates:
+                updates.append(objective(video, aux, factors, cfg, products=cache))
         if record_updates:
-            updates.append(objective(video, aux, factors, cfg))
-    after_left = None
-    if record_updates:
-        after_left = updates[-1]
-    elif record_phases:
-        after_left = objective(video, aux, factors, cfg)
+            phases.append(updates[-1])
+        elif record_phases or flip:
+            phases.append(objective(video, aux, factors, cfg, products=cache))
 
-    for t in range(T):
-        right[t] = update_right(t, left, right, video, aux, cfg)
-        if record_updates:
-            updates.append(objective(video, aux, factors, cfg))
-    after_right = updates[-1] if record_updates else objective(video, aux, factors, cfg)
-
-    new_products = factors.products()
-    delta = new_products - prev_products
-    numerator = np.sum(delta * delta, axis=(1, 2))
-    denominator = np.maximum(np.sum(prev_products * prev_products, axis=(1, 2)), _TINY)
-    state.change_history.append(numerator / denominator)
-    state.objective_history.append(after_right)
+    delta = np.subtract(cache, start, out=start)
+    state.change_history.append(np.sum(delta * delta, axis=(1, 2)) / start_norms)
+    state.objective_history.append(phases[-1])
     if record_phases or record_updates:
-        state.phase_history.append((after_left, after_right))
+        state.phase_history.append(tuple(phases))
     if record_updates:
         state.update_history.append(updates)
     if record_factors:

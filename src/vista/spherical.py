@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .video import AuxiliaryVideo, MaskedVideo
 
@@ -72,7 +71,6 @@ class ShModel:
 
     l_max: int
     coeffs: np.ndarray
-    tikhonov_v: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
@@ -83,8 +81,6 @@ class ShModel:
                 f"expected {coeff_count(self.l_max)} coefficients, got {coeffs.shape}")
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
-        if self.tikhonov_v < 0:
-            raise ValueError("tikhonov_v must be non-negative")
         object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, l: int, m: int) -> float:
@@ -156,24 +152,46 @@ def basis_matrix(grid: SphericalGrid, l_max: int) -> np.ndarray:
 def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
               l_max: int, v: float) -> ShModel:
     """Ridge least-squares fit of the observed pixels of one frame."""
-    design = basis_matrix(grid, l_max)
-    return _fit_with_design(design, frame, mask, l_max, v)
-
-
-def _fit_with_design(design: np.ndarray, frame: np.ndarray, mask: np.ndarray,
-                     l_max: int, v: float) -> ShModel:
     frame = np.asarray(frame, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if frame.shape != mask.shape:
         raise ValueError(f"frame shape {frame.shape} does not match mask shape {mask.shape}")
-    flat = mask.ravel()
-    if not flat.any():
+    if not mask.any():
         raise ValueError("cannot fit a frame with zero observed pixels")
-    rows = design[flat]
-    targets = frame.ravel()[flat]
-    gram = rows.T @ rows + v * np.eye(rows.shape[1])
-    coeffs = cho_solve(cho_factor(gram, lower=False), rows.T @ targets)
-    return ShModel(l_max=l_max, coeffs=coeffs, tikhonov_v=v)
+    design = basis_matrix(grid, l_max)
+    coeffs = _fit_frames(design, np.where(mask, frame, 0.0)[None], mask[None], v)
+    return ShModel(l_max=l_max, coeffs=coeffs[0])
+
+
+def _fit_frames(design: np.ndarray, frames: np.ndarray, masks: np.ndarray,
+                v: float) -> np.ndarray:
+    """Ridge coefficients of T masked frames at once, as a (T, K) array.
+
+    ``frames`` must be 0 at missing pixels. The Gram of the full design is
+    formed once; each frame subtracts the Gram of its missing rows, or forms
+    the Gram of its observed rows when those are fewer.
+    """
+    full_gram = design.T @ design
+    flat = masks.reshape(len(masks), -1)
+    grams = np.empty((len(flat),) + full_gram.shape)
+    for t, observed in enumerate(flat):
+        missing = np.flatnonzero(~observed)
+        if 2 * missing.size <= observed.size:
+            rows = design[missing]
+            grams[t] = full_gram - rows.T @ rows
+        else:
+            rows = design[observed]
+            grams[t] = rows.T @ rows
+    grams += v * np.eye(design.shape[1])
+    # The Cholesky factorization only checks definiteness: a fit with fewer
+    # independent observed pixels than coefficients and no ridge must fail
+    # rather than return an arbitrary solution.
+    try:
+        np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"spherical-harmonics fit is singular: {exc}") from exc
+    rhs = frames.reshape(len(flat), -1) @ design
+    return np.linalg.solve(grams, rhs[..., None])[..., 0]
 
 
 def render(model: ShModel, grid: SphericalGrid, clamp_negative: bool = True) -> np.ndarray:
@@ -193,8 +211,6 @@ def build_auxiliary(video: MaskedVideo, grid: SphericalGrid = None,
     if grid.shape != (m, n):
         raise ValueError(f"grid shape {grid.shape} does not match video frames ({m}, {n})")
     design = basis_matrix(grid, l_max)
-    frames = np.empty((T, m, n))
-    for t in range(T):
-        model = _fit_with_design(design, video.frames[t], video.masks[t], l_max, v)
-        frames[t] = np.maximum((design @ model.coeffs).reshape(m, n), 0.0)
-    return AuxiliaryVideo(frames)
+    coeffs = _fit_frames(design, video.frames, video.masks, v)
+    frames = (coeffs @ design.T).reshape(T, m, n)
+    return AuxiliaryVideo(np.maximum(frames, 0.0, out=frames))

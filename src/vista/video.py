@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -156,7 +157,7 @@ class FactorSequence:
 
     def products(self) -> np.ndarray:
         """All per-frame products as one (T, m, n) array."""
-        return np.einsum("tmr,tnr->tmn", self.left, self.right)
+        return np.matmul(self.left, np.swapaxes(self.right, 1, 2))
 
     def copy(self) -> "FactorSequence":
         return FactorSequence(self.left.copy(), self.right.copy())
@@ -180,6 +181,10 @@ class PenaltyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "lambda3", "tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vista import cli
 from vista import io as vio
 from vista.cli import MODELS, PROFILES, effective_lambdas, main, resolve_config
 from vista.missingness import default_bbox, perimeter_path
@@ -225,3 +230,25 @@ def test_gridsearch_stage_order_and_planted_optimum(tmp_path, truth_file):
         rows = list(csv.reader(handle))
     stage1 = [float(r[4]) for r in rows[1:] if r[0] == "lambda1"]
     np.testing.assert_allclose(stage1, scores, rtol=1e-12)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool, and
+    # the two pools contend on the solver's small calls.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, vista.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.strip() == "[]"
+
+
+def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the configuration check")
+
+    monkeypatch.setattr(cli, "build_auxiliary", unreachable)
+    monkeypatch.setattr(cli, "solve", unreachable)
+    with pytest.raises(ValueError, match="lambda1 must be finite"):
+        main(["impute", "--input", str(truth_file), "--output-dir", str(tmp_path / "out"),
+              "--lambda1", "nan"])
+    assert not (tmp_path / "out").exists()

@@ -218,6 +218,19 @@ def test_sweep_objective_strictly_decreases_from_random_init(rng):
     assert all(np.all(changes >= 0) for changes in state.change_history)
 
 
+def test_sweep_objective_matches_recomputation_from_factors(rng):
+    # The sweep takes its objective from a product cache; a stale cache entry
+    # would make the recorded value drift from the factors'.
+    video = random_video(rng, 7, 9, 5)
+    aux = random_aux(rng, video)
+    cfg = PenaltyConfig(lambda1=0.6, lambda2=0.3, lambda3=0.1, rank=3, rng_seed=4)
+    state = make_state(init_factors(7, 9, 5, 3, 4))
+    for _ in range(4):
+        sweep(state, video, aux, cfg)
+        recomputed = objective(video, aux, state.factors, cfg)
+        assert state.objective_history[-1] == pytest.approx(recomputed, rel=1e-12)
+
+
 def test_sweep_update_chain_is_non_increasing(rng):
     video = random_video(rng, 6, 7, 3)
     aux = random_aux(rng, video)

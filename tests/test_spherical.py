@@ -103,6 +103,31 @@ def test_fit_with_mask_uses_only_observed_pixels(rng):
     assert np.linalg.norm(model.coeffs - coeffs) / np.linalg.norm(coeffs) < 1e-8
 
 
+@pytest.mark.parametrize("missing", [0.2, 0.8])
+def test_fit_matches_ridge_on_observed_rows(rng, missing):
+    # Covers both ways the Gram is formed: full minus missing rows, and
+    # observed rows alone when more than half of the pixels are missing.
+    grid = SphericalGrid.from_shape(18, 30)
+    frame = rng.normal(size=(18, 30))
+    mask = rng.random((18, 30)) > missing
+    rows = basis_matrix(grid, 4)[mask.ravel()]
+    gram = rows.T @ rows + 0.3 * np.eye(rows.shape[1])
+    expected = np.linalg.solve(gram, rows.T @ frame[mask])
+    model = fit_frame(frame, mask, grid, 4, 0.3)
+    np.testing.assert_allclose(model.coeffs, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_unregularized_fit_with_too_few_pixels_is_singular(rng):
+    grid = SphericalGrid.from_shape(6, 8)
+    frames = 1.0 + rng.random((2, 6, 8))
+    masks = np.ones((2, 6, 8), bool)
+    masks[1].ravel()[10:] = False  # 10 observed pixels, 25 coefficients at l_max 4
+    with pytest.raises(np.linalg.LinAlgError):
+        fit_frame(frames[1], masks[1], grid, 4, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        build_auxiliary(MaskedVideo(frames, masks), grid, l_max=4, v=0.0)
+
+
 def test_ridge_monotone_shrinkage(rng):
     grid = SphericalGrid.from_shape(18, 24)
     frame = rng.normal(size=(18, 24))

@@ -143,6 +143,15 @@ def test_penalty_config_validation():
     PenaltyConfig(lambda1=0.0)  # allowed for evaluating objectives; solver rejects it
 
 
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_penalty_config_rejects_non_finite_values(name, value):
+    # NaN slips past a plain `< 0` check because every comparison with it is False.
+    kwargs = {"lambda1": 0.9, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PenaltyConfig(**kwargs)
+
+
 def test_random_video_helper_respects_invariants(rng):
     video = random_video(rng, 6, 7, 3)
     assert video.masks.reshape(3, -1).sum(axis=1).min() >= 1
