@@ -11,36 +11,47 @@ import numpy as np
 Z95 = 1.959963984540054
 
 
+def _gather(truth, imputed, eval_mask) -> tuple:
+    """The evaluation pixels of truth and imputation, after the shape and empty-mask checks."""
+    truth = np.asarray(truth, dtype=float)
+    imputed = np.asarray(imputed, dtype=float)
+    eval_mask = np.asarray(eval_mask, dtype=bool)
+    if truth.shape != imputed.shape or truth.shape != eval_mask.shape:
+        raise ValueError("truth, imputation, and mask shapes must match")
+    pixels = np.flatnonzero(eval_mask)
+    if not pixels.size:
+        raise ValueError("evaluation mask is empty")
+    return truth.take(pixels), imputed.take(pixels)
+
+
+def _truth_norm(truth_values: np.ndarray):
+    denom = np.linalg.norm(truth_values)
+    if denom == 0.0:
+        raise ValueError("truth is zero on the evaluation mask")
+    return denom
+
+
+def _scores(truth_values: np.ndarray, imputed_values: np.ndarray, truth_norm) -> tuple:
+    """(RSE in percent, MSE) of gathered evaluation pixels, both from one residual."""
+    diff = imputed_values - truth_values
+    return 100.0 * float(np.linalg.norm(diff) / truth_norm), float(np.mean(diff * diff))
+
+
 def rse(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> float:
     """Relative squared error on the evaluation pixels, in percent.
 
     Frobenius norm of the masked residual over the Frobenius norm of the
     masked truth, times 100.
     """
-    truth = np.asarray(truth, dtype=float)
-    imputed = np.asarray(imputed, dtype=float)
-    eval_mask = np.asarray(eval_mask, dtype=bool)
-    if truth.shape != imputed.shape or truth.shape != eval_mask.shape:
-        raise ValueError("truth, imputation, and mask shapes must match")
-    if not eval_mask.any():
-        raise ValueError("evaluation mask is empty")
-    denom = np.linalg.norm(truth[eval_mask])
-    if denom == 0.0:
-        raise ValueError("truth is zero on the evaluation mask")
-    return 100.0 * float(np.linalg.norm(imputed[eval_mask] - truth[eval_mask]) / denom)
+    truth_values, imputed_values = _gather(truth, imputed, eval_mask)
+    return _scores(truth_values, imputed_values, _truth_norm(truth_values))[0]
 
 
 def mse(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> float:
     """Mean squared residual over the evaluation pixels."""
-    truth = np.asarray(truth, dtype=float)
-    imputed = np.asarray(imputed, dtype=float)
-    eval_mask = np.asarray(eval_mask, dtype=bool)
-    if truth.shape != imputed.shape or truth.shape != eval_mask.shape:
-        raise ValueError("truth, imputation, and mask shapes must match")
-    if not eval_mask.any():
-        raise ValueError("evaluation mask is empty")
-    diff = imputed[eval_mask] - truth[eval_mask]
-    return float(np.mean(diff * diff))
+    truth_values, imputed_values = _gather(truth, imputed, eval_mask)
+    # The MSE needs no truth norm (and allows zero truth); the RSE is dropped.
+    return _scores(truth_values, imputed_values, 1.0)[1]
 
 
 def margin_confidence(margins: np.ndarray) -> tuple:
@@ -85,17 +96,31 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray,
     eval_masks = np.asarray(eval_masks, dtype=bool)
     if truth.shape != eval_masks.shape:
         raise ValueError("truth and evaluation masks must share one shape")
-    T = truth.shape[0]
-    report = EvalReport(models=list(results), baseline=baseline, full_model=full_model)
+    models = {}
     for name, frames in results.items():
         frames = np.asarray(frames, dtype=float)
         if frames.shape != truth.shape:
             raise ValueError(f"model {name!r} frames have shape {frames.shape}, "
                              f"expected {truth.shape}")
-        report.frame_rse[name] = np.array(
-            [rse(truth[t], frames[t], eval_masks[t]) for t in range(T)])
-        report.frame_mse[name] = np.array(
-            [mse(truth[t], frames[t], eval_masks[t]) for t in range(T)])
+        models[name] = frames
+    report = EvalReport(models=list(results), baseline=baseline, full_model=full_model)
+    T = truth.shape[0]
+    for name in models:
+        report.frame_rse[name] = np.empty(T)
+        report.frame_mse[name] = np.empty(T)
+    # One pass over the frames: each frame's evaluation pixels are located
+    # once and the truth there is scored against every model. Flat indices
+    # gather faster than a boolean mask, in the same order.
+    for t in range(T):
+        pixels = np.flatnonzero(eval_masks[t])
+        if not pixels.size:
+            raise ValueError(f"evaluation mask is empty at frame {t}")
+        truth_values = truth[t].take(pixels)
+        truth_norm = _truth_norm(truth_values)
+        for name, frames in models.items():
+            report.frame_rse[name][t], report.frame_mse[name][t] = _scores(
+                truth_values, frames[t].take(pixels), truth_norm)
+    for name in models:
         report.mean_rse[name] = float(report.frame_rse[name].mean())
         report.mean_mse[name] = float(report.frame_mse[name].mean())
     if baseline in results:

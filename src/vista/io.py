@@ -27,15 +27,19 @@ _MAGIC = b"VMC1"
 _HEADER = struct.Struct("<4sIIII")
 
 
-def write_video(path, video: MaskedVideo) -> None:
-    payload = np.where(video.masks, video.frames, np.nan)
-    m, n, T = video.dims
+def _write_payload(path, array: np.ndarray) -> None:
+    "Write the header and then the (T, m, n) array's buffer, with no intermediate bytes copy."
+    T, m, n = array.shape
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, m, n, T, 0))
-        handle.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        handle.write(np.ascontiguousarray(array, dtype="<f8").data)
 
 
-def read_video(path) -> MaskedVideo:
+def _read_payload(path) -> np.ndarray:
+    """Check the header and read the payload into one preallocated (T, m, n) array.
+
+    The length is checked by reading, not by ``fstat``, so pipes work too.
+    """
     with open(path, "rb") as handle:
         header = handle.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -49,25 +53,46 @@ def read_video(path) -> MaskedVideo:
         if min(m, n, T) < 1:
             raise ValueError(f"{path}: dimensions must be positive, got ({m}, {n}, {T})")
         expected = 8 * m * n * T
-        data = handle.read()
-    if len(data) != expected:
+        try:
+            payload = np.empty((T, m, n), dtype="<f8")
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"{path}: payload for dims ({m}, {n}, {T}) needs {expected} "
+                             f"bytes, more than can be allocated") from exc
+        got = handle.readinto(payload)
+        if got == expected:
+            got += len(handle.read())
+    if got != expected:
         raise ValueError(f"{path}: payload for dims ({m}, {n}, {T}) needs {expected} bytes, "
-                         f"got {len(data)}")
-    frames = np.frombuffer(data, dtype="<f8").astype(float).reshape(T, m, n)
-    return MaskedVideo.from_dense(frames)
+                         f"got {got}")
+    return payload.astype(float, copy=False)  # native byte order; no copy on little-endian hosts
+
+
+def write_video(path, video: MaskedVideo) -> None:
+    _write_payload(path, np.where(video.masks, video.frames, np.nan))
+
+
+def read_video(path) -> MaskedVideo:
+    return MaskedVideo.from_dense(_read_payload(path))
 
 
 def write_frames(path, frames: np.ndarray) -> None:
     "Write a fully observed (T, m, n) array."
-    write_video(path, MaskedVideo.fully_observed(frames))
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 3:
+        raise ValueError(f"frames must be a (T, m, n) array, got ndim={frames.ndim}")
+    if min(frames.shape) < 1:
+        raise ValueError(f"all dimensions must be positive, got {frames.shape}")
+    if not np.isfinite(frames).all():
+        raise ValueError("observed entries must be finite")
+    _write_payload(path, frames)
 
 
 def read_frames(path) -> np.ndarray:
     "Read a video that must be fully observed; returns the (T, m, n) array."
-    video = read_video(path)
-    if not video.masks.all():
-        raise ValueError(f"{path}: expected a fully observed video")
-    return np.array(video.frames)
+    frames = _read_payload(path)
+    if not np.isfinite(frames).all():
+        raise ValueError(f"{path}: expected a fully observed video with finite values")
+    return frames
 
 
 def write_mask(path, mask: np.ndarray) -> None:
@@ -76,10 +101,11 @@ def write_mask(path, mask: np.ndarray) -> None:
 
 
 def read_mask(path) -> np.ndarray:
-    values = read_frames(path)
-    if not np.isin(values, (0.0, 1.0)).all():
+    values = _read_payload(path)
+    mask = values == 1.0
+    if not (mask | (values == 0.0)).all():
         raise ValueError(f"{path}: mask file must contain only 0 and 1")
-    return values.astype(bool)
+    return mask
 
 
 def write_csv_video(path, video: MaskedVideo) -> None:

@@ -10,6 +10,7 @@ at index l*(l+1) + m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,7 @@ def basis_matrix(grid: SphericalGrid, l_max: int) -> np.ndarray:
 def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
               l_max: int, v: float) -> ShModel:
     """Ridge least-squares fit of the observed pixels of one frame."""
+    _check_ridge(v)
     frame = np.asarray(frame, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if frame.shape != mask.shape:
@@ -161,6 +163,11 @@ def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
     design = basis_matrix(grid, l_max)
     coeffs = _fit_frames(design, np.where(mask, frame, 0.0)[None], mask[None], v)
     return ShModel(l_max=l_max, coeffs=coeffs[0])
+
+
+def _check_ridge(v: float) -> None:
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"ridge weight v must be finite and non-negative, got {v!r}")
 
 
 def _fit_frames(design: np.ndarray, frames: np.ndarray, masks: np.ndarray,
@@ -205,6 +212,7 @@ def render(model: ShModel, grid: SphericalGrid, clamp_negative: bool = True) -> 
 def build_auxiliary(video: MaskedVideo, grid: SphericalGrid = None,
                     l_max: int = 11, v: float = 0.1) -> AuxiliaryVideo:
     """Per-frame fit-and-render of a masked video into a smooth auxiliary video."""
+    _check_ridge(v)
     m, n, T = video.dims
     if grid is None:
         grid = SphericalGrid.from_shape(m, n)

@@ -9,6 +9,7 @@ all three steps and clamps values that fall outside the invertible domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,14 @@ class TransformParams:
             raise ValueError("std must be positive")
 
 
+def _check_exponent(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
+
+
 def boxcox(values, lam: float):
     """Power transform of strictly positive values; natural log at lam = 0."""
+    _check_exponent(lam)
     array = np.asarray(values, dtype=float)
     bad = np.flatnonzero(~(array > 0))
     if bad.size:
@@ -65,6 +72,7 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     TransformParams). The same (mean, std) standardizes both datasets, so
     their values stay directly comparable inside the solver.
     """
+    _check_exponent(lam)
     if aux is not None:
         aux.check_matches(video)
     shifted = video.frames[video.masks] + offset
@@ -136,9 +144,5 @@ def suggest_boxcox_lambda(values, grid=None) -> float:
 
 
 def _first_bad_pixel(video: MaskedVideo, offset: float):
-    for t in range(video.dims.T):
-        mask = video.masks[t]
-        bad = np.argwhere(mask & ~(video.frames[t] + offset > 0))
-        if bad.size:
-            return t, int(bad[0][0]), int(bad[0][1])
-    raise AssertionError("no offending pixel found")
+    t, i, j = np.argwhere(video.masks & ~(video.frames + offset > 0))[0]
+    return int(t), int(i), int(j)

@@ -57,7 +57,7 @@ class MaskedVideo:
     """
 
     def __init__(self, frames, masks):
-        frames = np.array(frames, dtype=float)
+        frames = np.asarray(frames, dtype=float)
         masks = np.array(masks, dtype=bool)
         if frames.ndim != 3:
             raise ValueError(f"frames must be a (T, m, n) array, got ndim={frames.ndim}")
@@ -69,9 +69,11 @@ class MaskedVideo:
         empty = np.flatnonzero(observed_per_frame == 0)
         if empty.size:
             raise ValueError(f"frame {empty[0]} has no observed entries")
-        if not np.isfinite(frames[masks]).all():
-            raise ValueError("observed entries must be finite")
+        # np.where makes the owned copy; missing entries are 0 there, so the
+        # finiteness check covers exactly the observed ones.
         self.frames = np.where(masks, frames, 0.0)
+        if not np.isfinite(self.frames).all():
+            raise ValueError("observed entries must be finite")
         self.masks = masks
         self.frames.flags.writeable = False
         self.masks.flags.writeable = False

@@ -106,6 +106,24 @@ def test_compare_models_permutation_consistent(rng):
         assert fwd.better_than_baseline[name] == rev.better_than_baseline[name]
 
 
+def test_compare_models_frames_equal_rse_and_mse_exactly(rng):
+    truth, masks = make_inputs(rng)
+    results = {name: truth + rng.normal(size=truth.shape, scale=0.1 * (k + 1))
+               for k, name in enumerate(("soft", "ts", "sh", "full"))}
+    report = compare_models(results, truth, masks)
+    for name, frames in results.items():
+        for t in range(truth.shape[0]):
+            assert report.frame_rse[name][t] == rse(truth[t], frames[t], masks[t])
+            assert report.frame_mse[name][t] == mse(truth[t], frames[t], masks[t])
+
+
+def test_compare_models_rejects_empty_evaluation_frame(rng):
+    truth, masks = make_inputs(rng)
+    masks[2] = False
+    with pytest.raises(ValueError, match="evaluation mask is empty"):
+        compare_models({"soft": truth, "full": truth}, truth, masks)
+
+
 def test_compare_models_rejects_shape_mismatch(rng):
     truth, masks = make_inputs(rng)
     with pytest.raises(ValueError):

@@ -1,5 +1,12 @@
+import os
+import re
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vista import io as vio
 from vista.video import MaskedVideo
@@ -106,3 +113,101 @@ def test_manifest_round_trip(tmp_path):
     path.write_text("noequals\n")
     with pytest.raises(ValueError, match="key=value"):
         vio.read_manifest(path)
+
+
+# Finite doubles of every kind, with -0.0 and subnormals drawn explicitly.
+_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+)
+_shapes = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype="<f8").view("<u8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_binary_round_trip_is_bit_exact(tmp_path_factory, data):
+    shape = data.draw(_shapes)
+    frames = data.draw(hnp.arrays(np.float64, shape, elements=_values))
+    masks = data.draw(hnp.arrays(np.bool_, shape))
+    masks[:, 0, 0] = True
+    video = MaskedVideo(frames, masks)
+    path = tmp_path_factory.mktemp("rt") / "video.vmc"
+    vio.write_video(path, video)
+    back = vio.read_video(path)
+    np.testing.assert_array_equal(back.masks, video.masks)
+    np.testing.assert_array_equal(_bits(back.frames), _bits(video.frames))
+
+    vio.write_frames(path, frames)
+    np.testing.assert_array_equal(_bits(vio.read_frames(path)), _bits(frames))
+
+
+def test_every_truncation_is_rejected_naming_the_path(tmp_path, rng):
+    path = tmp_path / "cut.vmc"
+    vio.write_video(path, random_video(rng, 2, 3, 2))
+    data = path.read_bytes()
+    for length in range(len(data)):
+        path.write_bytes(data[:length])
+        for reader in (vio.read_video, vio.read_frames, vio.read_mask):
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                reader(path)
+
+
+@pytest.mark.parametrize("extra", [1, 8, 100])
+def test_trailing_bytes_are_rejected(tmp_path, rng, extra):
+    path = tmp_path / "long.vmc"
+    vio.write_video(path, random_video(rng, 3, 4, 2))
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    with pytest.raises(ValueError, match=f"192 bytes, got {192 + extra}"):
+        vio.read_video(path)
+
+
+def test_read_rejects_unallocatable_dims(tmp_path):
+    path = tmp_path / "huge.vmc"
+    path.write_bytes(b"VMC1" + (2**32 - 1).to_bytes(4, "little") * 3 + b"\x00" * 12)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        vio.read_video(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_a_pipe(tmp_path, rng):
+    # A pipe reports size 0, so the payload length must be checked by reading.
+    video = random_video(rng, 4, 5, 3)
+    vio.write_video(tmp_path / "video.vmc", video)
+    data = (tmp_path / "video.vmc").read_bytes()
+    fifo = tmp_path / "pipe.vmc"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as handle:
+            handle.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    back = vio.read_video(fifo)
+    writer.join()
+    np.testing.assert_array_equal(back.masks, video.masks)
+    np.testing.assert_array_equal(back.frames, video.frames)
+
+
+def test_read_frames_rejects_infinite_payload(tmp_path):
+    path = tmp_path / "inf.vmc"
+    path.write_bytes(b"VMC1" + (1).to_bytes(4, "little") * 3 + b"\x00" * 4
+                     + np.array([np.inf], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="finite"):
+        vio.read_frames(path)
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        vio.read_mask(path)
+
+
+def test_write_frames_rejects_non_finite_and_bad_shapes(tmp_path):
+    path = tmp_path / "bad.vmc"
+    with pytest.raises(ValueError, match="finite"):
+        vio.write_frames(path, np.full((1, 2, 2), np.nan))
+    with pytest.raises(ValueError, match="ndim=2"):
+        vio.write_frames(path, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="positive"):
+        vio.write_frames(path, np.zeros((0, 2, 2)))

@@ -128,6 +128,17 @@ def test_unregularized_fit_with_too_few_pixels_is_singular(rng):
         build_auxiliary(MaskedVideo(frames, masks), grid, l_max=4, v=0.0)
 
 
+@pytest.mark.parametrize("v", [np.nan, np.inf, -0.5])
+def test_bad_ridge_weight_is_rejected_by_name(rng, v):
+    grid = SphericalGrid.from_shape(6, 8)
+    frames = 1.0 + rng.random((2, 6, 8))
+    masks = np.ones((2, 6, 8), bool)
+    with pytest.raises(ValueError, match=f"ridge weight v .* got {v!r}"):
+        fit_frame(frames[0], masks[0], grid, 2, v)
+    with pytest.raises(ValueError, match=f"ridge weight v .* got {v!r}"):
+        build_auxiliary(MaskedVideo(frames, masks), grid, l_max=2, v=v)
+
+
 def test_ridge_monotone_shrinkage(rng):
     grid = SphericalGrid.from_shape(18, 24)
     frame = rng.normal(size=(18, 24))

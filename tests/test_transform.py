@@ -72,6 +72,15 @@ def test_fit_transform_names_offending_pixel():
         fit_transform(video, None, 0.5)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_non_finite_exponent_is_rejected_by_name(lam):
+    video = MaskedVideo.fully_observed(1.0 + np.arange(18.0).reshape(2, 3, 3))
+    with pytest.raises(ValueError, match=f"exponent must be finite, got {lam!r}"):
+        fit_transform(video, None, lam)
+    with pytest.raises(ValueError, match=f"exponent must be finite, got {lam!r}"):
+        boxcox([1.0, 2.0], lam)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0])
 def test_round_trip_identity(rng, lam):
     video = random_video(rng, 7, 8, 3, positive=True)

@@ -155,3 +155,19 @@ def test_penalty_config_rejects_non_finite_values(name, value):
 def test_random_video_helper_respects_invariants(rng):
     video = random_video(rng, 6, 7, 3)
     assert video.masks.reshape(3, -1).sum(axis=1).min() >= 1
+
+
+def test_masked_video_neither_aliases_nor_freezes_caller_arrays(rng):
+    frames = rng.normal(size=(3, 4, 5))
+    masks = rng.random((3, 4, 5)) > 0.5
+    masks[:, 0, 0] = True
+    frames_before, masks_before = frames.copy(), masks.copy()
+    video = MaskedVideo(frames, masks)
+    assert frames.flags.writeable and masks.flags.writeable
+    np.testing.assert_array_equal(frames, frames_before)
+    np.testing.assert_array_equal(masks, masks_before)
+    stored_frames, stored_masks = video.frames.copy(), video.masks.copy()
+    frames += 1.0
+    masks[...] = True
+    np.testing.assert_array_equal(video.frames, stored_frames)
+    np.testing.assert_array_equal(video.masks, stored_masks)
