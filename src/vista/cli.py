@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import io as vio
 from .evaluation import compare_models, rse, write_frame_metrics, write_margins, write_summary
-from .missingness import MissingnessSpec, default_bbox, generate, holdout
+from .missingness import MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import solve
 from .spherical import SphericalGrid, build_auxiliary
 from .transform import fit_transform, invert
@@ -123,24 +123,29 @@ def _finish_manifest(path, entries: dict) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
+    # Reject a bad fraction before creating the output directory or reading.
+    spec = None
+    if cfg.holdout is not None:
+        check_fraction(cfg.holdout, "holdout fraction")
+    elif cfg.pattern is None:
+        raise ValueError("simulate needs --pattern or --holdout")
+    else:
+        spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
+                               patch_size=cfg.patch_size, rng_seed=cfg.seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = _config_entries(cfg)
-    if cfg.holdout is not None:
+    if spec is None:
         video = vio.read_video(cfg.input)
         train, test = holdout(video, cfg.holdout, cfg.seed)
         vio.write_video(out / "masked.vmc", train)
         vio.write_mask(out / "test_mask.vmc", test)
         entries["result_test_pixels"] = str(int(test.sum()))
     else:
-        if cfg.pattern is None:
-            raise ValueError("simulate needs --pattern or --holdout")
         if cfg.pattern.endswith("patch") and cfg.patch_size not in PRESET_PATCH_SIZES:
             print(f"warning: patch size {cfg.patch_size} is not one of the presets "
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)
         frames = vio.read_frames(cfg.input)
-        spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
-                               patch_size=cfg.patch_size, rng_seed=cfg.seed)
         dropped, centers = generate(spec, (frames.shape[1], frames.shape[2], frames.shape[0]))
         vio.write_video(out / "masked.vmc", MaskedVideo(frames, ~dropped))
         vio.write_mask(out / "test_mask.vmc", dropped)
@@ -233,13 +238,14 @@ def _parse_grid(text: str) -> list:
 
 def cmd_gridsearch(args) -> int:
     cfg = resolve_config(args)
+    frac = cfg.holdout if cfg.holdout is not None else 0.2
+    check_fraction(frac, "holdout fraction")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid1 = _parse_grid(args.lambda1_grid)
     grid2 = _parse_grid(args.lambda2_grid)
     grid3 = _parse_grid(args.lambda3_grid)
     video = vio.read_video(cfg.input)
-    frac = cfg.holdout if cfg.holdout is not None else 0.2
     train, test = holdout(video, frac, cfg.seed)
     aux_raw = None
     if any(v > 0 for v in grid3):

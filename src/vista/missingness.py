@@ -27,6 +27,12 @@ from .video import MaskedVideo
 PATTERNS = ("random", "temporal", "random-patch", "temporal-patch")
 
 
+def check_fraction(value: float, name: str) -> None:
+    """Raise unless ``value`` lies strictly inside (0, 1); NaN is rejected."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class MissingnessSpec:
     pattern: str
@@ -39,8 +45,7 @@ class MissingnessSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError("fraction must lie strictly inside (0, 1)")
+        check_fraction(self.fraction, "fraction")
         if self.patch_size < 1:
             raise ValueError("patch_size must be at least 1")
         if self.shift < 1:
@@ -152,8 +157,7 @@ def holdout(video: MaskedVideo, fraction: float, seed) -> tuple:
     Returns (train MaskedVideo, test masks); train and test partition the
     observed set of every frame exactly.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie strictly inside (0, 1)")
+    check_fraction(fraction, "holdout fraction")
     m, n, T = video.dims
     rng = np.random.default_rng(seed)
     test = np.zeros((T, m, n), dtype=bool)

@@ -34,6 +34,9 @@ class SolverState:
     squared relative change of the imputation products over sweep k+1.
     The optional histories are only populated when the corresponding
     ``record_*`` flag is passed to :func:`sweep` or :func:`solve`.
+    ``workspace`` holds two (T, m, n) buffers that :func:`sweep` refills
+    every sweep, so that no sweep allocates them afresh; it carries no
+    information from one sweep to the next.
     """
 
     factors: FactorSequence
@@ -44,6 +47,7 @@ class SolverState:
     phase_history: list = field(default_factory=list)
     update_history: list = field(default_factory=list)
     factor_history: list = field(default_factory=list)
+    workspace: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -63,40 +67,31 @@ def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConf
     """Evaluate the four-term objective at the given factors.
 
     ``products``, when given, must hold ``factors.products()``; the sweep
-    passes its cache so that no product is formed twice.
+    passes its cache so that no product is formed twice. Each residual is
+    formed exactly, as a difference in one reused (m, n) buffer.
     """
     if cfg.lambda3 > 0 and aux is None:
         raise ValueError("lambda3 > 0 requires an auxiliary video")
     if aux is not None:
         aux.check_matches(video)
     left, right = factors.left, factors.right
-    total = 0.0
+    buffer = np.empty(video.frames.shape[1:])
+    flat = buffer.reshape(-1)
+    total = 0.5 * cfg.lambda1 * float(np.vdot(left, left) + np.vdot(right, right))
     prev_product = None
     for t in range(video.dims.T):
         product = left[t] @ right[t].T if products is None else products[t]
-        resid = video.masks[t] * (video.frames[t] - product)
-        total += 0.5 * float(np.sum(resid * resid))
-        total += 0.5 * cfg.lambda1 * float(np.sum(left[t] ** 2) + np.sum(right[t] ** 2))
+        np.subtract(video.frames[t], product, out=buffer)
+        np.multiply(buffer, video.masks[t], out=buffer)
+        total += 0.5 * float(flat @ flat)
         if t > 0 and cfg.lambda2 != 0.0:
-            diff = product - prev_product
-            total += 0.5 * cfg.lambda2 * float(np.sum(diff * diff))
+            np.subtract(product, prev_product, out=buffer)
+            total += 0.5 * cfg.lambda2 * float(flat @ flat)
         if cfg.lambda3 != 0.0:
-            diff = aux.frames[t] - product
-            total += 0.5 * cfg.lambda3 * float(np.sum(diff * diff))
+            np.subtract(aux.frames[t], product, out=buffer)
+            total += 0.5 * cfg.lambda3 * float(flat @ flat)
         prev_product = product
     return total
-
-
-def _label(t: int, products, video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
-    # products[s] is frame s's current imputation, for s = t and its neighbors.
-    label = np.where(video.masks[t], video.frames[t], products[t])
-    if cfg.lambda2 != 0.0:
-        for s in (t - 1, t + 1):
-            if 0 <= s < video.dims.T:
-                label += cfg.lambda2 * products[s]
-    if cfg.lambda3 != 0.0:
-        label += cfg.lambda3 * aux.frames[t]
-    return label
 
 
 def weighted_label(t: int, left: np.ndarray, right: np.ndarray,
@@ -108,31 +103,53 @@ def weighted_label(t: int, left: np.ndarray, right: np.ndarray,
     values currently stored in ``left``/``right``. Mid-sweep those arrays
     hold already-updated factors for earlier frames and pre-update factors
     for later ones, which is exactly what the cyclic scheme requires.
+
+    The updates never form this m-by-n label; it is the explicit reference
+    for the right-hand side they build from r-by-r Grams.
     """
-    window = range(max(t - 1, 0), min(t + 2, left.shape[0]))
-    return _label(t, {s: left[s] @ right[s].T for s in window}, video, aux, cfg)
+    label = fill_in(video.frames[t], video.masks[t], left[t], right[t])
+    if cfg.lambda2 != 0.0:
+        for s in (t - 1, t + 1):
+            if 0 <= s < left.shape[0]:
+                label += cfg.lambda2 * (left[s] @ right[s].T)
+    if cfg.lambda3 != 0.0:
+        label += cfg.lambda3 * aux.frames[t]
+    return label
 
 
-def _ridge_solve(label: np.ndarray, basis: np.ndarray, t: int, T: int,
-                 cfg: PenaltyConfig) -> np.ndarray:
-    # Shared r-by-r SPD system: (1 + lambda2*(#neighbors) + lambda3) B'B + lambda1 I.
+def _update(t: int, solved: np.ndarray, basis: np.ndarray, filled: np.ndarray,
+            aux, cfg: PenaltyConfig, flip: bool) -> np.ndarray:
+    # Minimizer of frame t's majorized surrogate in solved[t], basis fixed:
+    # (weight B'B + lambda1 I) X' = (label B)'. The right-factor update is the
+    # left-factor update of the transposed frame (flip). The label is never
+    # formed: each lambda2 neighbor s contributes solved[s] (basis[s]' B),
+    # which is its product applied to B through an r-by-r Gram.
+    b = basis[t]
+    T = solved.shape[0]
+    rhs = (filled.T if flip else filled) @ b
+    if cfg.lambda3 != 0.0:
+        rhs += cfg.lambda3 * ((aux.frames[t].T if flip else aux.frames[t]) @ b)
+    if cfg.lambda2 != 0.0:
+        for s in (t - 1, t + 1):
+            if 0 <= s < T:
+                rhs += cfg.lambda2 * (solved[s] @ (basis[s].T @ b))
     weight = 1.0 + cfg.lambda2 * (int(t > 0) + int(t < T - 1)) + cfg.lambda3
-    gram = weight * (basis.T @ basis) + cfg.lambda1 * np.eye(basis.shape[1])
-    return np.linalg.solve(gram, (label @ basis).T).T
+    gram = weight * (b.T @ b) + cfg.lambda1 * np.eye(b.shape[1])
+    return np.linalg.solve(gram, rhs.T).T
 
 
 def update_left(t: int, left: np.ndarray, right: np.ndarray,
                 video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the left factor."""
-    label = weighted_label(t, left, right, video, aux, cfg)
-    return _ridge_solve(label, right[t], t, left.shape[0], cfg)
+    filled = fill_in(video.frames[t], video.masks[t], left[t], right[t])
+    return _update(t, left, right, filled, aux, cfg, flip=False)
 
 
 def update_right(t: int, left: np.ndarray, right: np.ndarray,
                  video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the right factor."""
-    label = weighted_label(t, left, right, video, aux, cfg)
-    return _ridge_solve(label.T, left[t], t, left.shape[0], cfg)
+    filled = fill_in(video.frames[t], video.masks[t], left[t], right[t])
+    return _update(t, right, left, filled, aux, cfg, flip=True)
 
 
 def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
@@ -148,28 +165,30 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
     ``record_factors`` a snapshot of the factors is kept per sweep.
 
     One (T, m, n) cache holds every frame's current product. Each update
-    reads its fill-in and its neighbors from the cache and then refreshes
-    its own entry, so the cache always matches the factors; the change
+    overwrites its own entry with the fill-in, solves, and then refreshes
+    the entry, so the cache matches the factors between updates; the change
     statistic and the objective are taken from it.
     """
     factors = state.factors
     left, right = factors.left, factors.right
     T = video.dims.T
-    cache = factors.products()
+    if state.workspace is None or state.workspace[0].shape != video.frames.shape:
+        state.workspace = (np.empty(video.frames.shape), np.empty(video.frames.shape))
+    cache, start = state.workspace
+    np.matmul(left, np.swapaxes(right, 1, 2), out=cache)
     if not state.objective_history:
         state.objective_history.append(objective(video, aux, factors, cfg, products=cache))
     if record_factors and not state.factor_history:
         state.factor_history.append(factors.copy())
 
-    start = cache.copy()
-    start_norms = np.maximum(np.sum(start * start, axis=(1, 2)), _TINY)
+    np.copyto(start, cache)
+    start_norms = np.maximum(np.einsum("tij,tij->t", start, start), _TINY)
     updates = [] if record_updates else None
     phases = []
-    # The right-factor update is the left-factor update of the transposed frame.
     for solved, basis, flip in ((left, right, False), (right, left, True)):
         for t in range(T):
-            label = _label(t, cache, video, aux, cfg)
-            solved[t] = _ridge_solve(label.T if flip else label, basis[t], t, T, cfg)
+            np.putmask(cache[t], video.masks[t], video.frames[t])
+            solved[t] = _update(t, solved, basis, cache[t], aux, cfg, flip)
             np.matmul(left[t], right[t].T, out=cache[t])
             if record_updates:
                 updates.append(objective(video, aux, factors, cfg, products=cache))
@@ -179,7 +198,7 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
             phases.append(objective(video, aux, factors, cfg, products=cache))
 
     delta = np.subtract(cache, start, out=start)
-    state.change_history.append(np.sum(delta * delta, axis=(1, 2)) / start_norms)
+    state.change_history.append(np.einsum("tij,tij->t", delta, delta) / start_norms)
     state.objective_history.append(phases[-1])
     if record_phases or record_updates:
         state.phase_history.append(tuple(phases))
@@ -198,25 +217,27 @@ def check_convergence(state: SolverState, tol: float) -> bool:
     return bool(np.max(state.change_history[-1]) < tol)
 
 
+def _check_rank(rank: int, m: int, n: int) -> None:
+    if rank > min(m, n):
+        raise ValueError(f"rank {rank} exceeds min(m, n) = {min(m, n)}")
+
+
 def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> ImputedVideo:
     """Terminal spectral cleanup of the factored imputation.
 
     Per frame: fill in the frame with the factor product, project it onto
-    the product's right singular vectors, then soft-threshold the singular
-    values of the projection by ``shrinkage``. The effective rank is the
-    number of singular values that survive.
+    the column space of the right factor (an orthonormal basis from its QR,
+    which spans the product's row space whenever the left factor has full
+    column rank), then soft-threshold the singular values of the projection
+    by ``shrinkage``. The effective rank is the number of singular values
+    that survive. The rank may not exceed min(m, n).
     """
     m, n, T = factors.dims
-    rank = min(factors.rank, m, n)
+    _check_rank(factors.rank, m, n)
     frames = np.empty((T, m, n))
     effective = np.empty(T, dtype=int)
     for t in range(T):
-        product = factors.product(t)
-        try:
-            _, _, vt = np.linalg.svd(product, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"SVD of factor product failed on frame {t}: {exc}") from exc
-        right_basis = vt[:rank].T
+        right_basis, _ = np.linalg.qr(factors.right[t])
         filled = fill_in(video.frames[t], video.masks[t], factors.left[t], factors.right[t])
         projected = filled @ right_basis
         try:
@@ -236,8 +257,7 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
 
 def init_factors(m: int, n: int, T: int, rank: int, seed) -> FactorSequence:
     """Seeded start: per-frame orthonormal-column factor pairs (QR of Gaussians)."""
-    if rank > min(m, n):
-        raise ValueError(f"rank {rank} exceeds min(m, n) = {min(m, n)}")
+    _check_rank(rank, m, n)
     rng = np.random.default_rng(seed)
     left = np.empty((T, m, rank))
     right = np.empty((T, n, rank))
@@ -280,6 +300,8 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
         factors = init_factors(m, n, T, cfg.rank, cfg.rng_seed)
     elif factors.dims != video.dims:
         raise ValueError(f"factor dims {factors.dims} do not match video dims {video.dims}")
+    else:
+        _check_rank(factors.rank, m, n)
     state = SolverState(factors=factors.copy())
     state.objective_history.append(objective(video, aux, state.factors, cfg))
     for _ in range(cfg.max_iter):
@@ -288,4 +310,5 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
         if check_convergence(state, cfg.tol):
             state.converged = True
             break
+    state.workspace = None
     return finalize(state.factors, video, cfg.lambda1), state

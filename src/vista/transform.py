@@ -26,8 +26,11 @@ class TransformParams:
     fitted_on: str
 
     def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError("std must be positive")
+        # An overflowed fit (std = inf) would map every pixel to 0.
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        if not (math.isfinite(self.std) and self.std > 0):
+            raise ValueError(f"std must be finite and positive, got {self.std!r}")
 
 
 def _check_exponent(lam: float) -> None:

@@ -120,6 +120,56 @@ def softimpute_als_reference(frame, mask, lam1, left0, right0, sweeps):
     return history
 
 
+def cyclic_sweep_literal(frames, masks, aux, left, right, lam1, lam2, lam3):
+    """One cyclic sweep written out with explicit m-by-n labels.
+
+    Left factors t = 0..T-1, then right factors t = 0..T-1. Each update
+    forms its label from the factors as they stand at that moment (filled
+    frame + lam2 * neighbor products + lam3 * auxiliary frame) and solves
+    the ridge normal equations directly. Returns new (left, right) arrays.
+    """
+    left = left.copy()
+    right = right.copy()
+    T, _, r = left.shape
+    for side in ("left", "right"):
+        for t in range(T):
+            label = np.where(masks[t], frames[t], left[t] @ right[t].T)
+            neighbors = 0
+            for s in (t - 1, t + 1):
+                if 0 <= s < T:
+                    label = label + lam2 * (left[s] @ right[s].T)
+                    neighbors += 1
+            if aux is not None:
+                label = label + lam3 * aux[t]
+            weight = 1.0 + lam2 * neighbors + lam3
+            if side == "left":
+                design, target = right[t], label
+            else:
+                design, target = left[t], label.T
+            normal = weight * (design.T @ design) + lam1 * np.eye(r)
+            solution = np.linalg.solve(normal, design.T @ target.T).T
+            if side == "left":
+                left[t] = solution
+            else:
+                right[t] = solution
+    return left, right
+
+
+def finalize_projector_literal(left, right, frame, mask, shrinkage):
+    """Terminal stage from the orthogonal projector onto span(right).
+
+    The filled frame is projected onto the column space of ``right`` with
+    an explicit pseudo-inverse projector, and the full SVD of the m-by-n
+    projection is soft-thresholded; singular values at or below
+    ``shrinkage`` drop out of the effective rank.
+    """
+    filled = np.where(mask, frame, left @ right.T)
+    projector = right @ np.linalg.pinv(right)
+    u, sigma, vt = np.linalg.svd(filled @ projector, full_matrices=False)
+    kept = np.maximum(sigma - shrinkage, 0.0)
+    return (u * kept) @ vt, int((sigma > shrinkage).sum())
+
+
 def finalize_literal(left, right, frame, mask, shrinkage):
     """Step-by-step transcription of the terminal SVD / soft-threshold stage."""
     product = left @ right.T

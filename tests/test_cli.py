@@ -252,3 +252,17 @@ def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkey
         main(["impute", "--input", str(truth_file), "--output-dir", str(tmp_path / "out"),
               "--lambda1", "nan"])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--holdout", "nan"],
+     "holdout fraction must lie strictly inside \\(0, 1\\), got nan"),
+    (["simulate", "--pattern", "random", "--fraction", "1.5"], "got 1.5"),
+    (["gridsearch", "--holdout", "0.0"], "holdout fraction .*got 0.0"),
+], ids=["simulate-holdout-nan", "simulate-fraction-1.5", "gridsearch-holdout-0"])
+def test_bad_fraction_fails_before_any_work(tmp_path, argv, named):
+    # The input does not exist: a read before the check would fail differently.
+    with pytest.raises(ValueError, match=named):
+        main([*argv, "--input", str(tmp_path / "missing.vmc"),
+              "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

@@ -162,6 +162,15 @@ def test_holdout_deterministic(rng):
     np.testing.assert_array_equal(test_a, test_b)
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0, float("nan")])
+def test_fraction_errors_name_the_value(rng, value):
+    with pytest.raises(ValueError, match=f"fraction must lie strictly inside \\(0, 1\\), got {value!r}"):
+        MissingnessSpec(pattern="random", fraction=value)
+    video = random_video(rng, 4, 4, 1, missing=0.0)
+    with pytest.raises(ValueError, match=f"holdout fraction .*got {value!r}"):
+        holdout(video, value, seed=0)
+
+
 def test_holdout_rejects_tiny_frames():
     frames = np.ones((1, 2, 2))
     masks = np.zeros((1, 2, 2), bool)

@@ -267,6 +267,26 @@ def test_sweep_matches_independent_softimpute_reference(rng):
             np.testing.assert_allclose(mine, theirs, rtol=1e-8, atol=1e-12)
 
 
+@pytest.mark.parametrize("T", [1, 2, 5])
+def test_sweep_matches_literal_cyclic_sweep(T):
+    # The sweep never forms a label; the oracle does, from the factors as
+    # they stand mid-sweep, so stale neighbor Grams would show here.
+    rng = np.random.default_rng(30 + T)
+    m, n, r = 7, 6, 3
+    video = random_video(rng, m, n, T, missing=0.4)
+    aux = random_aux(rng, video)
+    cfg = PenaltyConfig(lambda1=0.7, lambda2=0.4, lambda3=0.2, rank=r)
+    start = init_factors(m, n, T, r, 11)
+    state = make_state(start)
+    left, right = start.left, start.right
+    for _ in range(3):
+        sweep(state, video, aux, cfg)
+        left, right = oracles.cyclic_sweep_literal(video.frames, video.masks, aux.frames,
+                                                   left, right, 0.7, 0.4, 0.2)
+    np.testing.assert_allclose(state.factors.left, left, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(state.factors.right, right, rtol=1e-10, atol=1e-12)
+
+
 def test_sweep_at_numerical_fixed_point_changes_nothing(rng):
     video = random_video(rng, 5, 4, 2, missing=0.3)
     cfg = PenaltyConfig(lambda1=1.0, lambda2=0.1, lambda3=0.0, rank=2,
@@ -336,6 +356,34 @@ def test_finalize_matches_stepwise_oracle_frozen():
     assert out.effective_ranks[0] == rank == 2
     np.testing.assert_allclose(
         out.frames[0][0], [-0.013428, 0.49323162, -0.35216015, -0.2201323], atol=1e-8)
+
+
+def test_finalize_rank_deficient_product_uses_right_factor_span():
+    # A zero column in the left factor leaves the product with rank r - 1;
+    # the basis is still the span of the right factor.
+    rng = np.random.default_rng(17)
+    left = rng.normal(size=(2, 6, 3))
+    right = rng.normal(size=(2, 5, 3))
+    left[1, :, 1] = 0.0
+    frames = rng.normal(size=(2, 6, 5))
+    masks = rng.random((2, 6, 5)) > 0.3
+    masks[:, 0, 0] = True
+    video = MaskedVideo(frames, masks)
+    out = finalize(FactorSequence(left, right), video, 0.3)
+    for t in range(2):
+        reference, rank = oracles.finalize_projector_literal(left[t], right[t], video.frames[t],
+                                                             video.masks[t], 0.3)
+        np.testing.assert_allclose(out.frames[t], reference, atol=1e-12)
+        assert out.effective_ranks[t] == rank
+
+
+def test_finalize_and_solve_reject_rank_above_min_dims(rng):
+    video = random_video(rng, 3, 5, 2)
+    factors = FactorSequence(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)))
+    with pytest.raises(ValueError, match="rank 4 exceeds min"):
+        finalize(factors, video, 0.5)
+    with pytest.raises(ValueError, match="rank 4 exceeds min"):
+        solve(video, None, PenaltyConfig(lambda1=0.9, rank=4), factors=factors)
 
 
 # -------------------------------------------------------------------- solve

@@ -119,6 +119,25 @@ def test_params_reject_bad_std():
         TransformParams(boxcox_lambda=0.5, mean=0.0, std=0.0, offset=0.0, fitted_on="x")
 
 
+@pytest.mark.parametrize("mean, std, named", [
+    (0.0, np.inf, "std must be finite and positive, got inf"),
+    (0.0, np.nan, "got nan"),
+    (np.inf, 1.0, "mean must be finite, got inf"),
+], ids=["std-inf", "std-nan", "mean-inf"])
+def test_params_reject_non_finite_moments(mean, std, named):
+    with pytest.raises(ValueError, match=named):
+        TransformParams(boxcox_lambda=0.5, mean=mean, std=std, offset=0.0, fitted_on="x")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fit_transform_rejects_overflowed_standardization(rng):
+    # Squares of values near 1e200 overflow, so the pooled std is inf and
+    # every standardized pixel would become 0.
+    video = MaskedVideo.fully_observed(1e200 * (1.0 + rng.random((2, 3, 4))))
+    with pytest.raises(ValueError, match="std must be finite and positive, got inf"):
+        fit_transform(video, None, 1.0)
+
+
 def test_suggest_lambda_prefers_normalizing_exponent(rng):
     # Squaring a normal sample makes a sqrt-ish exponent the best normalizer.
     base = np.abs(rng.normal(loc=5.0, scale=1.0, size=4000))
