@@ -29,8 +29,6 @@ from .video import (
     MaskedVideo,
     PenaltyConfig,
     fill_in,
-    project_complement,
-    project_observed,
 )
 
 __version__ = "0.1.0"
@@ -61,8 +59,6 @@ __all__ = [
     "invert",
     "mse",
     "objective",
-    "project_complement",
-    "project_observed",
     "render",
     "rse",
     "solve",

@@ -10,6 +10,7 @@ is defaults < --config file < --profile < explicit flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ from . import io as vio
 from .evaluation import compare_models, rse, write_frame_metrics, write_margins, write_summary
 from .missingness import MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import solve
-from .spherical import SphericalGrid, build_auxiliary
+from .spherical import build_auxiliary
 from .transform import fit_transform, invert
 from .video import MaskedVideo, PenaltyConfig
 
@@ -108,6 +109,11 @@ def effective_lambdas(cfg: RunConfig) -> tuple:
     return cfg.lambda1, lam2, lam3
 
 
+def _penalty_config(cfg: RunConfig, lam1: float, lam2: float, lam3: float) -> PenaltyConfig:
+    return PenaltyConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, rank=cfg.rank,
+                         max_iter=cfg.max_iter, tol=cfg.tol, rng_seed=cfg.seed)
+
+
 def _config_entries(cfg: RunConfig) -> dict:
     entries = {"version": __version__}
     for f in fields(RunConfig):
@@ -162,15 +168,13 @@ def cmd_simulate(args) -> int:
 def cmd_impute(args) -> int:
     cfg = resolve_config(args)
     lam1, lam2, lam3 = effective_lambdas(cfg)
-    pcfg = PenaltyConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, rank=cfg.rank,
-                         max_iter=cfg.max_iter, tol=cfg.tol, rng_seed=cfg.seed)
+    pcfg = _penalty_config(cfg, lam1, lam2, lam3)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     video = vio.read_video(cfg.input)
     aux_raw = None
     if lam3 > 0:
-        grid = SphericalGrid.from_shape(video.dims.m, video.dims.n)
-        aux_raw = build_auxiliary(video, grid, l_max=cfg.sh_lmax, v=cfg.sh_v)
+        aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v)
         vio.write_frames(out / "auxiliary.vmc", aux_raw.frames)
     transformed, aux_t, params = fit_transform(video, aux_raw, cfg.boxcox_lambda,
                                                cfg.boxcox_offset)
@@ -202,18 +206,20 @@ def _write_diagnostics(path, state) -> None:
 
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
+    paths = {}
+    for item in args.imputed + ([f"sh_direct={args.aux}"] if args.aux else []):
+        name, _, path = item.partition("=")
+        if not path:
+            raise ValueError(f"--imputed expects name=path, got {item!r}")
+        if name in paths:
+            raise ValueError(f"model name {name!r} is given more than once "
+                             "(--aux is scored as sh_direct)")
+        paths[name] = path
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     truth = vio.read_frames(args.truth)
     masks = vio.read_mask(args.eval_mask)
-    results = {}
-    for item in args.imputed:
-        name, _, path = item.partition("=")
-        if not path:
-            raise ValueError(f"--imputed expects name=path, got {item!r}")
-        results[name] = vio.read_frames(path)
-    if args.aux:
-        results["sh_direct"] = vio.read_frames(args.aux)
+    results = {name: vio.read_frames(path) for name, path in paths.items()}
     report = compare_models(results, truth, masks)
     write_frame_metrics(out / "frame_metrics.csv", report)
     write_summary(out / "summary.csv", report)
@@ -229,10 +235,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list:
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
+def _parse_grid(name: str, text: str) -> list:
+    """Comma-separated values, all finite; lambda1 values positive, the others non-negative."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ValueError(f"{name} grid {text!r}: {exc}") from None
     if not values:
-        raise ValueError(f"empty grid {text!r}")
+        raise ValueError(f"empty {name} grid {text!r}")
+    sign = "positive" if name == "lambda1" else "non-negative"
+    for value in values:
+        if not (math.isfinite(value) and (value > 0 if name == "lambda1" else value >= 0)):
+            raise ValueError(f"{name} grid values must be finite and {sign}, got {value!r}")
     return values
 
 
@@ -240,25 +254,27 @@ def cmd_gridsearch(args) -> int:
     cfg = resolve_config(args)
     frac = cfg.holdout if cfg.holdout is not None else 0.2
     check_fraction(frac, "holdout fraction")
+    grid1 = _parse_grid("lambda1", args.lambda1_grid)
+    grid2 = _parse_grid("lambda2", args.lambda2_grid)
+    grid3 = _parse_grid("lambda3", args.lambda3_grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid1 = _parse_grid(args.lambda1_grid)
-    grid2 = _parse_grid(args.lambda2_grid)
-    grid3 = _parse_grid(args.lambda3_grid)
     video = vio.read_video(cfg.input)
     train, test = holdout(video, frac, cfg.seed)
     aux_raw = None
     if any(v > 0 for v in grid3):
-        grid = SphericalGrid.from_shape(video.dims.m, video.dims.n)
-        aux_raw = build_auxiliary(train, grid, l_max=cfg.sh_lmax, v=cfg.sh_v)
+        aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v)
+    # The transform depends on the penalties only through whether the
+    # auxiliary video is pooled in, so each of the two variants is fitted once.
+    fitted = {}
 
     def score(lam1, lam2, lam3):
-        aux_in = aux_raw if lam3 > 0 else None
-        transformed, aux_t, params = fit_transform(train, aux_in, cfg.boxcox_lambda,
-                                                   cfg.boxcox_offset)
-        pcfg = PenaltyConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, rank=cfg.rank,
-                             max_iter=cfg.max_iter, tol=cfg.tol, rng_seed=cfg.seed)
-        imputed, _ = solve(transformed, aux_t, pcfg)
+        with_aux = lam3 > 0
+        if with_aux not in fitted:
+            fitted[with_aux] = fit_transform(train, aux_raw if with_aux else None,
+                                             cfg.boxcox_lambda, cfg.boxcox_offset)
+        transformed, aux_t, params = fitted[with_aux]
+        imputed, _ = solve(transformed, aux_t, _penalty_config(cfg, lam1, lam2, lam3))
         frames_out, _ = invert(imputed.frames, params)
         per_frame = [rse(video.frames[t], frames_out[t], test[t])
                      for t in range(video.dims.T)]

@@ -9,6 +9,9 @@ import numpy as np
 
 # Two-sided 95% normal quantile, used for the margin error bars.
 Z95 = 1.959963984540054
+# Margins and win counts are taken against BASELINE, loss counts against FULL_MODEL.
+BASELINE = "soft"
+FULL_MODEL = "full"
 
 
 def _gather(truth, imputed, eval_mask) -> tuple:
@@ -69,8 +72,6 @@ class EvalReport:
     """Per-frame and aggregate metrics for a set of models on shared eval masks."""
 
     models: list
-    baseline: str
-    full_model: str
     frame_rse: dict = field(default_factory=dict)
     frame_mse: dict = field(default_factory=dict)
     mean_rse: dict = field(default_factory=dict)
@@ -82,14 +83,13 @@ class EvalReport:
     worse_than_full: dict = field(default_factory=dict)
 
 
-def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray,
-                   baseline: str = "soft", full_model: str = "full") -> EvalReport:
+def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray) -> EvalReport:
     """Score every model on identical evaluation masks.
 
     ``results`` maps model name to its (T, m, n) imputation. Margins are
-    taken against the baseline model (positive means better than the
+    taken against the ``BASELINE`` model (positive means better than the
     baseline); ties count as "not better". Win counts against the baseline
-    and loss counts against the full model are only filled in when those
+    and loss counts against ``FULL_MODEL`` are only filled in when those
     models are present.
     """
     truth = np.asarray(truth, dtype=float)
@@ -103,7 +103,7 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray,
             raise ValueError(f"model {name!r} frames have shape {frames.shape}, "
                              f"expected {truth.shape}")
         models[name] = frames
-    report = EvalReport(models=list(results), baseline=baseline, full_model=full_model)
+    report = EvalReport(models=list(results))
     T = truth.shape[0]
     for name in models:
         report.frame_rse[name] = np.empty(T)
@@ -123,8 +123,8 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray,
     for name in models:
         report.mean_rse[name] = float(report.frame_rse[name].mean())
         report.mean_mse[name] = float(report.frame_mse[name].mean())
-    if baseline in results:
-        base = report.frame_rse[baseline]
+    if BASELINE in results:
+        base = report.frame_rse[BASELINE]
         for name in results:
             margins = base - report.frame_rse[name]
             report.margins[name] = margins
@@ -132,8 +132,8 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray,
             report.margin_mean[name] = center
             report.margin_ci[name] = (lo, hi)
             report.better_than_baseline[name] = int(np.count_nonzero(margins > 0))
-    if full_model in results:
-        full = report.frame_rse[full_model]
+    if FULL_MODEL in results:
+        full = report.frame_rse[FULL_MODEL]
         for name in results:
             report.worse_than_full[name] = int(
                 np.count_nonzero(report.frame_rse[name] > full))
@@ -171,7 +171,7 @@ def write_margins(path, report: EvalReport, level: str = "") -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["model", "level", "margin_mean", "ci_lo", "ci_hi"])
         for name in report.models:
-            if name == report.baseline or name not in report.margin_mean:
+            if name == BASELINE or name not in report.margin_mean:
                 continue
             lo, hi = report.margin_ci[name]
             writer.writerow([name, level, format(report.margin_mean[name], ".17g"),

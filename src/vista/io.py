@@ -68,7 +68,7 @@ def _read_payload(path) -> np.ndarray:
 
 
 def write_video(path, video: MaskedVideo) -> None:
-    _write_payload(path, np.where(video.masks, video.frames, np.nan))
+    _write_payload(path, video.to_dense())
 
 
 def read_video(path) -> MaskedVideo:

@@ -32,8 +32,8 @@ class SolverState:
     ``objective_history[k]`` is the objective after k sweeps (entry 0 is the
     value at initialization). ``change_history[k]`` holds the per-frame
     squared relative change of the imputation products over sweep k+1.
-    The optional histories are only populated when the corresponding
-    ``record_*`` flag is passed to :func:`sweep` or :func:`solve`.
+    ``phase_history`` and ``factor_history`` are only populated when
+    :func:`sweep` is called with ``record_phases`` or ``record_factors``.
     ``workspace`` holds two (T, m, n) buffers that :func:`sweep` refills
     every sweep, so that no sweep allocates them afresh; it carries no
     information from one sweep to the next.
@@ -45,7 +45,6 @@ class SolverState:
     objective_history: list = field(default_factory=list)
     change_history: list = field(default_factory=list)
     phase_history: list = field(default_factory=list)
-    update_history: list = field(default_factory=list)
     factor_history: list = field(default_factory=list)
     workspace: tuple = field(default=None, repr=False, compare=False)
 
@@ -153,16 +152,14 @@ def update_right(t: int, left: np.ndarray, right: np.ndarray,
 
 
 def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
-          record_phases: bool = False, record_updates: bool = False,
-          record_factors: bool = False) -> SolverState:
+          record_phases: bool = False, record_factors: bool = False) -> SolverState:
     """Run one full update cycle over all left factors, then all right factors.
 
     Appends the post-sweep objective and the per-frame squared relative
     change of the imputation products to the state histories. With
-    ``record_updates`` the objective is re-evaluated after every single
-    factor update (expensive; meant for descent diagnostics on small
-    problems), with ``record_phases`` only after each half-cycle, and with
-    ``record_factors`` a snapshot of the factors is kept per sweep.
+    ``record_phases`` the objective is also evaluated after the left
+    half-cycle, and with ``record_factors`` a snapshot of the factors is
+    kept per sweep.
 
     One (T, m, n) cache holds every frame's current product. Each update
     overwrites its own entry with the fill-in, solves, and then refreshes
@@ -183,27 +180,20 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
 
     np.copyto(start, cache)
     start_norms = np.maximum(np.einsum("tij,tij->t", start, start), _TINY)
-    updates = [] if record_updates else None
     phases = []
     for solved, basis, flip in ((left, right, False), (right, left, True)):
         for t in range(T):
             np.putmask(cache[t], video.masks[t], video.frames[t])
             solved[t] = _update(t, solved, basis, cache[t], aux, cfg, flip)
             np.matmul(left[t], right[t].T, out=cache[t])
-            if record_updates:
-                updates.append(objective(video, aux, factors, cfg, products=cache))
-        if record_updates:
-            phases.append(updates[-1])
-        elif record_phases or flip:
+        if record_phases or flip:
             phases.append(objective(video, aux, factors, cfg, products=cache))
 
     delta = np.subtract(cache, start, out=start)
     state.change_history.append(np.einsum("tij,tij->t", delta, delta) / start_norms)
     state.objective_history.append(phases[-1])
-    if record_phases or record_updates:
+    if record_phases:
         state.phase_history.append(tuple(phases))
-    if record_updates:
-        state.update_history.append(updates)
     if record_factors:
         state.factor_history.append(factors.copy())
     state.sweeps += 1
@@ -267,9 +257,7 @@ def init_factors(m: int, n: int, T: int, rank: int, seed) -> FactorSequence:
     return FactorSequence(left, right)
 
 
-def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence = None,
-          record_phases: bool = False, record_updates: bool = False,
-          record_factors: bool = False):
+def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence = None):
     """Run the completion loop to convergence or the sweep budget.
 
     Parameters
@@ -305,8 +293,7 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
     state = SolverState(factors=factors.copy())
     state.objective_history.append(objective(video, aux, state.factors, cfg))
     for _ in range(cfg.max_iter):
-        sweep(state, video, aux, cfg, record_phases=record_phases,
-              record_updates=record_updates, record_factors=record_factors)
+        sweep(state, video, aux, cfg)
         if check_convergence(state, cfg.tol):
             state.converged = True
             break

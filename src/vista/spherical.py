@@ -58,13 +58,6 @@ class SphericalGrid:
         phi = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return cls(theta, phi)
 
-    @classmethod
-    def from_degrees(cls, latitudes, longitudes) -> "SphericalGrid":
-        """Latitude rows in degrees (north positive, strictly decreasing), longitudes in [0, 360)."""
-        lat = np.asarray(latitudes, dtype=float)
-        lon = np.asarray(longitudes, dtype=float)
-        return cls(np.deg2rad(90.0 - lat), np.deg2rad(lon))
-
 
 @dataclass(frozen=True)
 class ShModel:

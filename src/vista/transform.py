@@ -120,32 +120,6 @@ def invert(frames: np.ndarray, params: TransformParams):
     return np.maximum(raw - params.offset, 0.0), clamped
 
 
-def suggest_boxcox_lambda(values, grid=None) -> float:
-    """Coarse profile-likelihood grid search for the transform exponent.
-
-    Utility only; the pipeline never auto-selects an exponent.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if np.any(values <= 0):
-        raise ValueError("exponent search needs positive values")
-    if grid is None:
-        grid = np.linspace(-1.0, 2.0, 31)
-    log_sum = float(np.sum(np.log(values)))
-    n = values.size
-    best_lam, best_llf = None, -np.inf
-    for lam in grid:
-        transformed = boxcox(values, float(lam))
-        var = float(np.var(transformed))
-        if var <= 0:
-            continue
-        llf = (lam - 1.0) * log_sum - 0.5 * n * np.log(var)
-        if llf > best_llf:
-            best_lam, best_llf = float(lam), llf
-    if best_lam is None:
-        raise ValueError("no exponent in the grid gave a usable transform")
-    return best_lam
-
-
 def _first_bad_pixel(video: MaskedVideo, offset: float):
     t, i, j = np.argwhere(video.masks & ~(video.frames + offset > 0))[0]
     return int(t), int(i), int(j)

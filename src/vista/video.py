@@ -1,4 +1,4 @@
-"""Data containers for masked matrix sequences and the observation projections."""
+"""Data containers for masked matrix sequences and the fill-in of missing entries."""
 
 from __future__ import annotations
 
@@ -13,24 +13,6 @@ class Dims(NamedTuple):
     m: int
     n: int
     T: int
-
-
-def project_observed(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Keep observed entries, zero everything else."""
-    frame = np.asarray(frame, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if frame.shape != mask.shape:
-        raise ValueError(f"frame shape {frame.shape} does not match mask shape {mask.shape}")
-    return np.where(mask, frame, 0.0)
-
-
-def project_complement(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Zero observed entries, keep everything else."""
-    frame = np.asarray(frame, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if frame.shape != mask.shape:
-        raise ValueError(f"frame shape {frame.shape} does not match mask shape {mask.shape}")
-    return np.where(mask, 0.0, frame)
 
 
 def fill_in(frame: np.ndarray, mask: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -93,9 +75,6 @@ class MaskedVideo:
     def fully_observed(cls, frames) -> "MaskedVideo":
         frames = np.asarray(frames, dtype=float)
         return cls(frames, np.ones(frames.shape, dtype=bool))
-
-    def observed_values(self) -> np.ndarray:
-        return self.frames[self.masks]
 
     def to_dense(self) -> np.ndarray:
         """Dense copy with NaN at missing entries."""

@@ -232,6 +232,22 @@ def test_gridsearch_stage_order_and_planted_optimum(tmp_path, truth_file):
     np.testing.assert_allclose(stage1, scores, rtol=1e-12)
 
 
+def test_gridsearch_fits_the_transform_once_per_variant(tmp_path, truth_file, monkeypatch):
+    # Nine solves on the default grids share two transforms: without and
+    # with the auxiliary video.
+    real = cli.fit_transform
+    with_aux = []
+
+    def counted(video, aux, *args):
+        with_aux.append(aux is not None)
+        return real(video, aux, *args)
+
+    monkeypatch.setattr(cli, "fit_transform", counted)
+    run(["gridsearch", "--input", truth_file, "--output-dir", tmp_path / "grid",
+         "--rank", "4", "--max-iter", "10", "--sh-lmax", "4", "--seed", "2"])
+    assert with_aux == [False, True]
+
+
 def test_cli_import_loads_no_scipy():
     # numpy and scipy each bundle an OpenBLAS with its own thread pool, and
     # the two pools contend on the solver's small calls.
@@ -259,10 +275,31 @@ def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkey
      "holdout fraction must lie strictly inside \\(0, 1\\), got nan"),
     (["simulate", "--pattern", "random", "--fraction", "1.5"], "got 1.5"),
     (["gridsearch", "--holdout", "0.0"], "holdout fraction .*got 0.0"),
-], ids=["simulate-holdout-nan", "simulate-fraction-1.5", "gridsearch-holdout-0"])
+    (["gridsearch", "--lambda1-grid", "0.9,nan"],
+     "lambda1 grid values must be finite and positive, got nan"),
+    (["gridsearch", "--lambda1-grid", "0"], "lambda1 grid values .* positive, got 0.0"),
+    (["gridsearch", "--lambda3-grid", "0.01,-0.1"],
+     "lambda3 grid values must be finite and non-negative, got -0.1"),
+    (["gridsearch", "--lambda2-grid", "0.05,abc"], "lambda2 grid '0.05,abc': .*'abc'"),
+], ids=["simulate-holdout-nan", "simulate-fraction-1.5", "gridsearch-holdout-0",
+        "gridsearch-lambda1-nan", "gridsearch-lambda1-0", "gridsearch-lambda3-negative",
+        "gridsearch-lambda2-text"])
 def test_bad_fraction_fails_before_any_work(tmp_path, argv, named):
     # The input does not exist: a read before the check would fail differently.
     with pytest.raises(ValueError, match=named):
         main([*argv, "--input", str(tmp_path / "missing.vmc"),
+              "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--imputed", "full=a.vmc", "--imputed", "full=b.vmc"], "full"),
+    (["--imputed", "sh_direct=a.vmc", "--aux", "b.vmc"], "sh_direct"),
+], ids=["imputed-twice", "aux-over-imputed"])
+def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, argv, name):
+    # No input exists: a read before the check would fail differently.
+    with pytest.raises(ValueError, match=f"model name '{name}' is given more than once"):
+        main(["evaluate", "--truth", str(tmp_path / "truth.vmc"),
+              "--eval-mask", str(tmp_path / "mask.vmc"), *argv,
               "--output-dir", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()

@@ -232,16 +232,20 @@ def test_sweep_objective_matches_recomputation_from_factors(rng):
 
 
 def test_sweep_update_chain_is_non_increasing(rng):
+    # Every single factor update, taken in the sweep's cyclic order (all left
+    # factors, then all right factors), must not raise the objective.
     video = random_video(rng, 6, 7, 3)
     aux = random_aux(rng, video)
     cfg = PenaltyConfig(lambda1=0.5, lambda2=0.1, lambda3=0.05, rank=2, rng_seed=2)
-    state = make_state(init_factors(6, 7, 3, 2, 2))
+    factors = init_factors(6, 7, 3, 2, 2)
+    chain = [objective(video, aux, factors, cfg)]
     for _ in range(5):
-        sweep(state, video, aux, cfg, record_updates=True)
-    for k, updates in enumerate(state.update_history):
-        chain = [state.objective_history[k]] + updates
-        diffs = np.diff(chain)
-        assert np.all(diffs <= 1e-9 * (1.0 + np.abs(chain[:-1])))
+        for update, solved in ((update_left, factors.left), (update_right, factors.right)):
+            for t in range(3):
+                solved[t] = update(t, factors.left, factors.right, video, aux, cfg)
+                chain.append(objective(video, aux, factors, cfg))
+    diffs = np.diff(chain)
+    assert np.all(diffs <= 1e-9 * (1.0 + np.abs(chain[:-1])))
 
 
 def test_sweep_matches_independent_softimpute_reference(rng):

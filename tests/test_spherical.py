@@ -232,5 +232,3 @@ def test_grid_validation():
         SphericalGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]))  # theta hits the pole
     with pytest.raises(ValueError):
         SphericalGrid(np.array([1.0, 0.5]), np.array([0.0, 1.0]))  # not monotone
-    grid = SphericalGrid.from_degrees([60.0, 0.0, -60.0], [0.0, 120.0, 240.0])
-    np.testing.assert_allclose(grid.theta, np.deg2rad([30.0, 90.0, 150.0]))

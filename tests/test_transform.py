@@ -7,7 +7,6 @@ from vista.transform import (
     boxcox_inverse,
     fit_transform,
     invert,
-    suggest_boxcox_lambda,
 )
 from vista.video import AuxiliaryVideo, MaskedVideo
 
@@ -136,11 +135,3 @@ def test_fit_transform_rejects_overflowed_standardization(rng):
     video = MaskedVideo.fully_observed(1e200 * (1.0 + rng.random((2, 3, 4))))
     with pytest.raises(ValueError, match="std must be finite and positive, got inf"):
         fit_transform(video, None, 1.0)
-
-
-def test_suggest_lambda_prefers_normalizing_exponent(rng):
-    # Squaring a normal sample makes a sqrt-ish exponent the best normalizer.
-    base = np.abs(rng.normal(loc=5.0, scale=1.0, size=4000))
-    skewed = base ** 2
-    best = suggest_boxcox_lambda(skewed, grid=np.linspace(-1.0, 2.0, 13))
-    assert 0.0 <= best <= 1.0

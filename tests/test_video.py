@@ -7,51 +7,9 @@ from vista.video import (
     MaskedVideo,
     PenaltyConfig,
     fill_in,
-    project_complement,
-    project_observed,
 )
 
 from conftest import random_video
-
-
-def test_project_observed_full_mask_is_identity():
-    frame = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(project_observed(frame, np.ones((2, 2), bool)), frame)
-
-
-def test_project_observed_empty_mask_is_zero():
-    frame = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(project_observed(frame, np.zeros((2, 2), bool)),
-                                  np.zeros((2, 2)))
-
-
-def test_projections_definitional_values():
-    frame = np.array([[1.0, 2.0], [3.0, 4.0]])
-    mask = np.array([[True, False], [False, True]])
-    np.testing.assert_array_equal(project_observed(frame, mask), [[1.0, 0.0], [0.0, 4.0]])
-    np.testing.assert_array_equal(project_complement(frame, mask), [[0.0, 2.0], [3.0, 0.0]])
-
-
-def test_project_complement_full_mask_is_zero():
-    frame = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(project_complement(frame, np.ones((2, 2), bool)),
-                                  np.zeros((2, 2)))
-
-
-def test_projection_partition_idempotence_orthogonality(rng):
-    for _ in range(20):
-        frame = rng.normal(size=(5, 7))
-        mask = rng.random((5, 7)) > rng.random()
-        observed = project_observed(frame, mask)
-        complement = project_complement(frame, mask)
-        np.testing.assert_array_equal(observed + complement, frame)
-        np.testing.assert_array_equal(project_observed(observed, mask), observed)
-        np.testing.assert_array_equal(observed * complement, np.zeros_like(frame))
-
-
-def test_projection_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        project_observed(np.zeros((2, 3)), np.ones((3, 2), bool))
 
 
 def test_fill_in_full_mask_returns_frame(rng):
@@ -65,7 +23,7 @@ def test_fill_in_zero_factors_is_observed_projection(rng):
     frame = rng.normal(size=(4, 3))
     mask = rng.random((4, 3)) > 0.5
     out = fill_in(frame, mask, np.zeros((4, 2)), np.zeros((3, 2)))
-    np.testing.assert_array_equal(out, project_observed(frame, mask))
+    np.testing.assert_array_equal(out, np.where(mask, frame, 0.0))
 
 
 def test_fill_in_definitional():
