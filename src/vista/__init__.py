@@ -19,7 +19,6 @@ from .solver import (
     sweep,
     update_left,
     update_right,
-    weighted_label,
 )
 from .spherical import ShModel, SphericalGrid, build_auxiliary, eval_basis, fit_frame, render
 from .transform import TransformParams, boxcox, fit_transform, invert
@@ -65,5 +64,4 @@ __all__ = [
     "sweep",
     "update_left",
     "update_right",
-    "weighted_label",
 ]

@@ -1,10 +1,11 @@
 """Command-line drivers: simulate missingness, impute, evaluate, grid-search.
 
-Every command is deterministic given its configuration and seed. Each run
-writes a ``manifest.txt`` capturing the effective configuration (the only
-file allowed to contain timestamps); feeding a manifest back through
-``--config`` reproduces the data outputs byte for byte. Option precedence
-is defaults < --config file < --profile < explicit flags.
+Every command is deterministic given its configuration and seed. Each
+command's parser defines a flag only for the ``RunConfig`` fields the command
+reads. Each run writes a ``manifest.txt`` with the effective values of those
+fields (the only file allowed to contain timestamps); feeding a manifest back
+through ``--config`` reproduces the data outputs byte for byte. Option
+precedence is defaults < --config file < --profile < explicit flags.
 """
 
 from __future__ import annotations
@@ -79,24 +80,34 @@ def _parse_field(name: str, text: str):
     return float(text)
 
 
+def _command_fields(args) -> list:
+    "The RunConfig fields that the command's parser defines, in declaration order."
+    return [f.name for f in fields(RunConfig) if hasattr(args, f.name)]
+
+
 def resolve_config(args) -> RunConfig:
+    """Defaults < --config < --profile < flags, for the fields the command's parser defines.
+
+    A --config key that is another command's field is skipped, as older
+    manifests list every field; a key that is no field at all is an error.
+    """
     cfg = RunConfig()
+    own = _command_fields(args)
     if getattr(args, "config", None):
-        entries = vio.read_manifest(args.config)
         known = {f.name for f in fields(RunConfig)}
-        for key, value in entries.items():
-            if key in known:
+        for key, value in vio.read_manifest(args.config).items():
+            if key in own:
                 setattr(cfg, key, _parse_field(key, value))
-            elif key.startswith(("result_", "timestamp", "version")):
-                continue
-            else:
+            elif key not in known and not key.startswith(("result_", "timestamp", "version")):
                 raise ValueError(f"unknown config key {key!r} in {args.config}")
     if getattr(args, "profile", None):
         cfg.lambda1, cfg.lambda2, cfg.lambda3 = PROFILES[args.profile]
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    for name in own:
+        value = getattr(args, name)
         if value is not None:
-            setattr(cfg, f.name, value)
+            setattr(cfg, name, value)
+    if "input" in own and cfg.input is None:
+        raise ValueError("no input video: give --input or an input= line in --config")
     return cfg
 
 
@@ -114,11 +125,11 @@ def _penalty_config(cfg: RunConfig, lam1: float, lam2: float, lam3: float) -> Pe
                          max_iter=cfg.max_iter, tol=cfg.tol, rng_seed=cfg.seed)
 
 
-def _config_entries(cfg: RunConfig) -> dict:
+def _config_entries(cfg: RunConfig, args) -> dict:
     entries = {"version": __version__}
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        entries[f.name] = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    for name in _command_fields(args):
+        value = getattr(cfg, name)
+        entries[name] = "" if value is None else repr(value) if isinstance(value, float) else str(value)
     return entries
 
 
@@ -140,7 +151,7 @@ def cmd_simulate(args) -> int:
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = _config_entries(cfg)
+    entries = _config_entries(cfg, args)
     if spec is None:
         video = vio.read_video(cfg.input)
         train, test = holdout(video, cfg.holdout, cfg.seed)
@@ -184,7 +195,7 @@ def cmd_impute(args) -> int:
         frames_out = np.where(video.masks, video.frames, frames_out)
     vio.write_frames(out / "imputed.vmc", frames_out)
     _write_diagnostics(out / "diagnostics.csv", state)
-    entries = _config_entries(cfg)
+    entries = _config_entries(cfg, args)
     entries["result_effective_lambdas"] = f"{lam1!r},{lam2!r},{lam3!r}"
     entries["result_converged"] = str(state.converged)
     entries["result_sweeps"] = str(state.sweeps)
@@ -224,7 +235,7 @@ def cmd_evaluate(args) -> int:
     write_frame_metrics(out / "frame_metrics.csv", report)
     write_summary(out / "summary.csv", report)
     write_margins(out / "margins.csv", report, level=cfg.level)
-    entries = _config_entries(cfg)
+    entries = _config_entries(cfg, args)
     entries["result_models"] = ",".join(report.models)
     for name in report.models:
         entries[f"result_rse_{name}"] = repr(report.mean_rse[name])
@@ -280,7 +291,7 @@ def cmd_gridsearch(args) -> int:
                      for t in range(video.dims.T)]
         return float(np.mean(per_frame))
 
-    entries = _config_entries(cfg)
+    entries = _config_entries(cfg, args)
     rows = []
     entries["timestamp_stage_lambda1"] = f"{time.time():.6f}"
     scores1 = [score(v, 0.0, 0.0) for v in grid1]
@@ -307,68 +318,76 @@ def cmd_gridsearch(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# The flag of each RunConfig field; a command's parser takes the fields it reads.
+_FIELD_FLAGS = {
+    "input": dict(help="input video file"),
+    "output_dir": dict(help="directory for outputs"),
+    "model": dict(choices=MODELS, help="penalty variant to run"),
+    "lambda1": dict(type=float, help="ridge / trace-norm weight"),
+    "lambda2": dict(type=float, help="temporal-smoothing weight"),
+    "lambda3": dict(type=float, help="auxiliary-data weight"),
+    "rank": dict(type=int, help="operating rank"),
+    "max_iter": dict(type=int, help="sweep budget"),
+    "tol": dict(type=float, help="convergence threshold"),
+    "sh_lmax": dict(type=int, help="spherical-harmonics degree cap"),
+    "sh_v": dict(type=float, help="spherical-harmonics ridge weight"),
+    "boxcox_lambda": dict(type=float, help="power-transform exponent"),
+    "boxcox_offset": dict(type=float, help="positive offset added before the power transform"),
+    "pattern": dict(choices=("random", "temporal", "random-patch", "temporal-patch"),
+                    help="missingness pattern"),
+    "fraction": dict(type=float, help="scattered-missing fraction"),
+    "patch_size": dict(type=int, help="missing-patch side"),
+    "holdout": dict(type=float, help="observed-pixel holdout fraction"),
+    "seed": dict(type=int, help="random seed"),
+    "keep_observed": dict(action="store_true", default=None,
+                          help="copy observed pixels through to the output"),
+    "level": dict(help="label for the margins report rows"),
+}
+_FIT_FIELDS = ("rank", "max_iter", "tol", "sh_lmax", "sh_v", "boxcox_lambda", "boxcox_offset")
+
+
+def _add_command(sub, name: str, func, summary: str, *field_names) -> argparse.ArgumentParser:
+    """A subparser with --config and one flag for each named RunConfig field."""
+    parser = sub.add_parser(name, help=summary, allow_abbrev=False)
     parser.add_argument("--config", help="key=value config file (a previous run manifest works)")
-    parser.add_argument("--input", help="input video file")
-    parser.add_argument("--output-dir", dest="output_dir", help="directory for outputs")
-    parser.add_argument("--model", choices=MODELS, help="penalty variant to run")
-    parser.add_argument("--lambda1", type=float, help="ridge / trace-norm weight")
-    parser.add_argument("--lambda2", type=float, help="temporal-smoothing weight")
-    parser.add_argument("--lambda3", type=float, help="auxiliary-data weight")
-    parser.add_argument("--rank", type=int, help="operating rank")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="sweep budget")
-    parser.add_argument("--tol", type=float, help="convergence threshold")
-    parser.add_argument("--sh-lmax", dest="sh_lmax", type=int, help="spherical-harmonics degree cap")
-    parser.add_argument("--sh-v", dest="sh_v", type=float, help="spherical-harmonics ridge weight")
-    parser.add_argument("--boxcox-lambda", dest="boxcox_lambda", type=float,
-                        help="power-transform exponent")
-    parser.add_argument("--boxcox-offset", dest="boxcox_offset", type=float,
-                        help="positive offset added before the power transform")
-    parser.add_argument("--pattern", choices=("random", "temporal", "random-patch",
-                                              "temporal-patch"), help="missingness pattern")
-    parser.add_argument("--fraction", type=float, help="scattered-missing fraction")
-    parser.add_argument("--patch-size", dest="patch_size", type=int, help="missing-patch side")
-    parser.add_argument("--holdout", type=float, help="observed-pixel holdout fraction")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--profile", choices=sorted(PROFILES),
-                        help="named penalty triple preset")
-    parser.add_argument("--keep-observed", dest="keep_observed", action="store_true",
-                        default=None, help="copy observed pixels through to the output")
-    parser.add_argument("--level", help="label for the margins report rows")
+    for field_name in field_names:
+        parser.add_argument("--" + field_name.replace("_", "-"), **_FIELD_FLAGS[field_name])
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vista",
+    parser = argparse.ArgumentParser(prog="vista", allow_abbrev=False,
                                      description="Masked-video completion pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="drop pixels from a fully observed video")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    _add_command(sub, "simulate", cmd_simulate, "drop pixels from a fully observed video",
+                 "input", "output_dir", "pattern", "fraction", "patch_size", "holdout", "seed")
 
-    p_imp = sub.add_parser("impute", help="run the completion pipeline on a masked video")
-    _add_common(p_imp)
-    p_imp.set_defaults(func=cmd_impute)
+    p_imp = _add_command(sub, "impute", cmd_impute,
+                         "run the completion pipeline on a masked video",
+                         "input", "output_dir", "model", "lambda1", "lambda2", "lambda3",
+                         *_FIT_FIELDS, "seed", "keep_observed")
+    p_imp.add_argument("--profile", choices=sorted(PROFILES), help="named penalty triple preset")
 
-    p_eval = sub.add_parser("evaluate", help="score imputations on held-out pixels")
-    _add_common(p_eval)
+    p_eval = _add_command(sub, "evaluate", cmd_evaluate, "score imputations on held-out pixels",
+                          "output_dir", "level")
     p_eval.add_argument("--truth", required=True, help="fully observed ground-truth video")
     p_eval.add_argument("--eval-mask", dest="eval_mask", required=True,
                         help="0/1 video marking evaluation pixels")
     p_eval.add_argument("--imputed", action="append", required=True, metavar="NAME=PATH",
                         help="imputed video to score; repeatable")
     p_eval.add_argument("--aux", help="raw-scale smooth auxiliary video to score directly")
-    p_eval.set_defaults(func=cmd_evaluate)
 
-    p_grid = sub.add_parser("gridsearch", help="two-stage penalty search by held-out RSE")
-    _add_common(p_grid)
+    p_grid = _add_command(sub, "gridsearch", cmd_gridsearch,
+                          "two-stage penalty search by held-out RSE",
+                          "input", "output_dir", *_FIT_FIELDS, "holdout", "seed")
     p_grid.add_argument("--lambda1-grid", dest="lambda1_grid", default="0.5,0.9,1.3",
                         help="comma-separated stage-1 values")
     p_grid.add_argument("--lambda2-grid", dest="lambda2_grid", default="0.01,0.05,0.2",
                         help="comma-separated stage-2 temporal values")
     p_grid.add_argument("--lambda3-grid", dest="lambda3_grid", default="0.005,0.01,0.03",
                         help="comma-separated stage-2 auxiliary values")
-    p_grid.set_defaults(func=cmd_gridsearch)
     return parser
 
 

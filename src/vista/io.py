@@ -1,4 +1,4 @@
-"""File formats: binary masked-video container, CSV interchange, run manifests.
+"""File formats: binary masked-video container and run manifests.
 
 Binary container layout (everything little-endian):
 
@@ -9,14 +9,11 @@ Binary container layout (everything little-endian):
                   NaN encodes a missing entry
 
 Round trips are bit-exact for finite payloads and portable across
-platforms. The CSV form is a long-format interchange escape hatch:
-header ``t,i,j,value`` and one row per observed entry, missing entries
-omitted, values printed with 17 significant digits.
+platforms.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 
 import numpy as np
@@ -106,49 +103,6 @@ def read_mask(path) -> np.ndarray:
     if not (mask | (values == 0.0)).all():
         raise ValueError(f"{path}: mask file must contain only 0 and 1")
     return mask
-
-
-def write_csv_video(path, video: MaskedVideo) -> None:
-    write_csv_entries(path, video.frames, video.masks)
-
-
-def write_csv_entries(path, frames: np.ndarray, masks: np.ndarray) -> None:
-    frames = np.asarray(frames, dtype=float)
-    masks = np.asarray(masks, dtype=bool)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t", "i", "j", "value"])
-        for t, i, j in np.argwhere(masks):
-            writer.writerow([t, i, j, format(frames[t, i, j], ".17g")])
-
-
-def read_csv_video(path, dims=None) -> MaskedVideo:
-    """Read long-format CSV; dims (m, n, T) are inferred from the indices when omitted."""
-    entries = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["t", "i", "j", "value"]:
-            raise ValueError(f"{path}: bad CSV header {header!r}")
-        for row in reader:
-            t, i, j, value = row
-            entries.append((int(t), int(i), int(j), float(value)))
-    if dims is None:
-        if not entries:
-            raise ValueError(f"{path}: empty CSV needs explicit dims")
-        m = max(e[1] for e in entries) + 1
-        n = max(e[2] for e in entries) + 1
-        T = max(e[0] for e in entries) + 1
-    else:
-        m, n, T = dims
-    frames = np.zeros((T, m, n))
-    masks = np.zeros((T, m, n), dtype=bool)
-    for t, i, j, value in entries:
-        if not (0 <= t < T and 0 <= i < m and 0 <= j < n):
-            raise ValueError(f"{path}: entry ({t}, {i}, {j}) outside dims ({m}, {n}, {T})")
-        frames[t, i, j] = value
-        masks[t, i, j] = True
-    return MaskedVideo(frames, masks)
 
 
 def write_manifest(path, entries: dict) -> None:

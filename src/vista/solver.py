@@ -93,29 +93,6 @@ def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConf
     return total
 
 
-def weighted_label(t: int, left: np.ndarray, right: np.ndarray,
-                   video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
-    """Composite regression target for updating frame t's factors.
-
-    Blends the filled-in frame, the lambda2-weighted neighbor imputations,
-    and the lambda3-weighted auxiliary frame, all evaluated at the factor
-    values currently stored in ``left``/``right``. Mid-sweep those arrays
-    hold already-updated factors for earlier frames and pre-update factors
-    for later ones, which is exactly what the cyclic scheme requires.
-
-    The updates never form this m-by-n label; it is the explicit reference
-    for the right-hand side they build from r-by-r Grams.
-    """
-    label = fill_in(video.frames[t], video.masks[t], left[t], right[t])
-    if cfg.lambda2 != 0.0:
-        for s in (t - 1, t + 1):
-            if 0 <= s < left.shape[0]:
-                label += cfg.lambda2 * (left[s] @ right[s].T)
-    if cfg.lambda3 != 0.0:
-        label += cfg.lambda3 * aux.frames[t]
-    return label
-
-
 def _update(t: int, solved: np.ndarray, basis: np.ndarray, filled: np.ndarray,
             aux, cfg: PenaltyConfig, flip: bool) -> np.ndarray:
     # Minimizer of frame t's majorized surrogate in solved[t], basis fixed:

@@ -120,6 +120,28 @@ def softimpute_als_reference(frame, mask, lam1, left0, right0, sweeps):
     return history
 
 
+def weighted_label(t, left, right, video, aux, cfg):
+    """Composite regression target for updating frame t's factors.
+
+    Blends the filled-in frame, the lambda2-weighted neighbor imputations,
+    and the lambda3-weighted auxiliary frame, all evaluated at the factor
+    values currently stored in ``left``/``right``. Mid-sweep those arrays
+    hold already-updated factors for earlier frames and pre-update factors
+    for later ones, which is exactly what the cyclic scheme requires.
+
+    The package's updates never form this m-by-n label; it is the explicit
+    reference for the right-hand side they build from r-by-r Grams.
+    """
+    label = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
+    if cfg.lambda2 != 0.0:
+        for s in (t - 1, t + 1):
+            if 0 <= s < left.shape[0]:
+                label += cfg.lambda2 * (left[s] @ right[s].T)
+    if cfg.lambda3 != 0.0:
+        label += cfg.lambda3 * aux.frames[t]
+    return label
+
+
 def cyclic_sweep_literal(frames, masks, aux, left, right, lam1, lam2, lam3):
     """One cyclic sweep written out with explicit m-by-n labels.
 

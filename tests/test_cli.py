@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -132,10 +133,28 @@ def test_impute_rerun_from_manifest_is_byte_identical(tmp_path, truth_file):
          "--seed", "13"])
     out_b = tmp_path / "runb"
     run(["impute", "--config", out_a / "manifest.txt", "--output-dir", out_b])
+    # Earlier manifests listed all twenty RunConfig fields for every command;
+    # impute skips the five it does not read.
+    every_field = tmp_path / "every_field.txt"
+    every_field.write_text(
+        f"version=0.1.0\ninput={sim / 'masked.vmc'}\noutput_dir={out_a}\nmodel=full\n"
+        "lambda1=0.9\nlambda2=0.05\nlambda3=0.01\nrank=4\nmax_iter=30\ntol=1e-05\n"
+        "sh_lmax=4\nsh_v=0.1\nboxcox_lambda=0.5\nboxcox_offset=0.001\npattern=\n"
+        "fraction=0.5\npatch_size=45\nholdout=\nseed=13\nkeep_observed=False\nlevel=\n"
+        "result_converged=True\ntimestamp_utc=2020-01-01T00:00:00Z\n")
+    assert len(vio.read_manifest(every_field)) - 3 == len(fields(cli.RunConfig)) == 20
+    out_c = tmp_path / "runc"
+    run(["impute", "--config", every_field, "--output-dir", out_c])
     for name in ("imputed.vmc", "diagnostics.csv", "auxiliary.vmc"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert ((out_a / name).read_bytes() == (out_b / name).read_bytes()
+                == (out_c / name).read_bytes())
     assert (manifest_without_timestamps(out_a / "manifest.txt")
-            == manifest_without_timestamps(out_b / "manifest.txt"))
+            == manifest_without_timestamps(out_b / "manifest.txt")
+            == manifest_without_timestamps(out_c / "manifest.txt"))
+
+    every_field.write_text(every_field.read_text() + "lambda4=0.1\n")
+    with pytest.raises(ValueError, match="unknown config key 'lambda4'"):
+        main(["impute", "--config", str(every_field), "--output-dir", str(tmp_path / "rund")])
 
 
 def test_keep_observed_passes_values_through(tmp_path, truth_file):
@@ -303,3 +322,63 @@ def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, argv, na
               "--eval-mask", str(tmp_path / "mask.vmc"), *argv,
               "--output-dir", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["impute", "--max", "3"],
+    ["gridsearch", "--lambda1", "0.5"],
+    ["simulate", "--rank", "4"],
+    ["impute", "--holdout", "0.2"],
+    ["evaluate", "--seed", "1", "--truth", "t.vmc", "--eval-mask", "m.vmc",
+     "--imputed", "soft=s.vmc"],
+    ["gridsearch", "--profile", "storm"],
+    ["gridsearch", "--lambda2", "0.3"],
+], ids=["impute-abbreviated-max-iter", "gridsearch-abbreviated-lambda1-grid",
+        "simulate-rank", "impute-holdout", "evaluate-seed", "gridsearch-profile",
+        "gridsearch-lambda2"])
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
+    # Neither an abbreviation nor another command's flag is accepted.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pattern", "random"],
+    ["impute"],
+    ["gridsearch"],
+    ["impute", "--config", "CONFIG"],
+], ids=["simulate", "impute", "gridsearch", "impute-config-without-input"])
+def test_missing_input_fails_before_any_work(tmp_path, argv):
+    config = tmp_path / "config.txt"
+    config.write_text("model=soft\nrank=4\n")
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    with pytest.raises(ValueError, match="--input"):
+        main([*argv, "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):
+    fit = {"rank", "max_iter", "tol", "sh_lmax", "sh_v", "boxcox_lambda", "boxcox_offset"}
+    expected = {
+        "sim": {"input", "output_dir", "pattern", "fraction", "patch_size", "holdout", "seed"},
+        "imp": {"input", "output_dir", "model", "lambda1", "lambda2", "lambda3", *fit,
+                "seed", "keep_observed"},
+        "eval": {"output_dir", "level"},
+        "grid": {"input", "output_dir", *fit, "holdout", "seed"},
+    }
+    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "sim",
+         "--pattern", "random", "--seed", "1"])
+    run(["impute", "--input", tmp_path / "sim" / "masked.vmc", "--output-dir", tmp_path / "imp",
+         "--model", "soft", "--rank", "2", "--max-iter", "3"])
+    run(["evaluate", "--truth", truth_file, "--eval-mask", tmp_path / "sim" / "test_mask.vmc",
+         "--imputed", f"soft={tmp_path / 'imp' / 'imputed.vmc'}",
+         "--output-dir", tmp_path / "eval"])
+    run(["gridsearch", "--input", truth_file, "--output-dir", tmp_path / "grid",
+         "--lambda1-grid", "0.9", "--lambda2-grid", "0", "--lambda3-grid", "0",
+         "--rank", "2", "--max-iter", "3"])
+    for name, own in expected.items():
+        keys = set(vio.read_manifest(tmp_path / name / "manifest.txt"))
+        assert {k for k in keys if not k.startswith(("result_", "timestamp"))} == {"version", *own}
+

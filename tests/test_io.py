@@ -72,39 +72,6 @@ def test_frames_and_mask_helpers(tmp_path, rng):
     np.testing.assert_array_equal(vio.read_mask(tmp_path / "mask.vmc"), mask)
 
 
-def test_csv_round_trip_17_digits(tmp_path, rng):
-    video = random_video(rng, 5, 6, 3)
-    csv_path = tmp_path / "video.csv"
-    vio.write_csv_video(csv_path, video)
-    back = vio.read_csv_video(csv_path, dims=video.dims)
-    np.testing.assert_array_equal(back.masks, video.masks)
-    np.testing.assert_array_equal(back.frames, video.frames)
-
-
-def test_csv_empty_value_set_is_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    vio.write_csv_entries(path, np.zeros((1, 2, 2)), np.zeros((1, 2, 2), bool))
-    assert path.read_text() == "t,i,j,value\n"
-
-
-def test_csv_row_count_matches_observed(tmp_path):
-    frames = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    masks = np.array([[[True, True], [False, True]]])
-    path = tmp_path / "three.csv"
-    vio.write_csv_video(path, MaskedVideo(frames, masks))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + 3
-
-
-def test_csv_reader_infers_dims_and_checks_bounds(tmp_path):
-    path = tmp_path / "infer.csv"
-    path.write_text("t,i,j,value\n0,2,3,1.5\n1,0,0,2.5\n")
-    video = vio.read_csv_video(path)
-    assert video.dims == (3, 4, 2)
-    with pytest.raises(ValueError, match="outside dims"):
-        vio.read_csv_video(path, dims=(2, 2, 1))
-
-
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.txt"
     entries = {"alpha": "1", "beta": "two", "gamma_path": "/x/y=z"}

@@ -11,7 +11,6 @@ from vista.solver import (
     sweep,
     update_left,
     update_right,
-    weighted_label,
 )
 from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig, fill_in
 
@@ -75,7 +74,7 @@ def test_weighted_label_single_frame_boundary(rng):
     left = rng.normal(size=(1, 4, 2))
     right = rng.normal(size=(1, 4, 2))
     cfg = PenaltyConfig(lambda1=0.9, lambda2=5.0, lambda3=0.3, rank=2)
-    label = weighted_label(0, left, right, video, aux, cfg)
+    label = oracles.weighted_label(0, left, right, video, aux, cfg)
     filled = fill_in(video.frames[0], video.masks[0], left[0], right[0])
     np.testing.assert_allclose(label, filled + 0.3 * aux.frames[0], rtol=1e-13)
 
@@ -85,7 +84,7 @@ def test_weighted_label_reduces_to_filled_matrix(rng):
     left = rng.normal(size=(3, 4, 2))
     right = rng.normal(size=(3, 5, 2))
     cfg = PenaltyConfig(lambda1=0.9, rank=2)
-    label = weighted_label(1, left, right, video, None, cfg)
+    label = oracles.weighted_label(1, left, right, video, None, cfg)
     np.testing.assert_array_equal(
         label, fill_in(video.frames[1], video.masks[1], left[1], right[1]))
 
@@ -105,7 +104,7 @@ def test_weighted_label_middle_frame_frozen_hand_case():
     video = MaskedVideo(frames, masks)
     aux = AuxiliaryVideo(aux_frames)
     cfg = PenaltyConfig(lambda1=0.9, lambda2=0.1, lambda3=0.2, rank=1)
-    label = weighted_label(1, left, right, video, aux, cfg)
+    label = oracles.weighted_label(1, left, right, video, aux, cfg)
     np.testing.assert_allclose(label, [[2.1, 1.22], [-0.185, 1.01]], atol=1e-12)
 
 
