@@ -20,7 +20,7 @@ from .solver import (
     update_left,
     update_right,
 )
-from .spherical import ShModel, SphericalGrid, build_auxiliary, eval_basis, fit_frame, render
+from .spherical import ShModel, SphericalGrid, build_auxiliary, fit_frame, render
 from .transform import TransformParams, boxcox, fit_transform, invert
 from .video import (
     AuxiliaryVideo,
@@ -48,7 +48,6 @@ __all__ = [
     "build_auxiliary",
     "check_convergence",
     "compare_models",
-    "eval_basis",
     "fill_in",
     "finalize",
     "fit_frame",

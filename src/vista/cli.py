@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import io as vio
-from .evaluation import compare_models, rse, write_frame_metrics, write_margins, write_summary
+from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
 from .missingness import MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import solve
 from .spherical import build_auxiliary
@@ -61,23 +61,35 @@ class RunConfig:
     level: str = ""
 
 
-_OPTIONAL_FIELDS = {"input", "pattern", "holdout"}
+def _read_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError("expected 1, true, yes, 0, false or no")
 
 
 def _parse_field(name: str, text: str):
-    if name == "level":
-        return text
+    """A --config value, read with the type and choices of the field's flag.
+
+    An empty or ``none`` value is None for a field whose default is None,
+    and an error for every other field but ``level``.
+    """
     if text == "" or text.lower() == "none":
-        if name in _OPTIONAL_FIELDS:
+        if getattr(RunConfig, name) is None:
             return None
-        raise ValueError(f"config field {name!r} must have a value")
-    if name == "keep_observed":
-        return text.lower() in ("1", "true", "yes")
-    if name in ("input", "output_dir", "model", "pattern"):
-        return text
-    if name in ("rank", "max_iter", "sh_lmax", "patch_size", "seed"):
-        return int(text)
-    return float(text)
+        if name != "level":
+            raise ValueError(f"config field {name!r} must have a value")
+    flag = _FIELD_FLAGS[name]
+    parse = _read_bool if flag.get("action") == "store_true" else flag.get("type", str)
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ValueError(f"config field {name!r} cannot read {text!r}: {exc}") from None
+    if "choices" in flag and value not in flag["choices"]:
+        raise ValueError(f"config field {name!r} must be one of {flag['choices']}, got {text!r}")
+    return value
 
 
 def _command_fields(args) -> list:
@@ -121,8 +133,12 @@ def effective_lambdas(cfg: RunConfig) -> tuple:
 
 
 def _penalty_config(cfg: RunConfig, lam1: float, lam2: float, lam3: float) -> PenaltyConfig:
-    return PenaltyConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, rank=cfg.rank,
+    """The solver's configuration; lambda1 = 0, which ``solve`` rejects, fails here first."""
+    pcfg = PenaltyConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, rank=cfg.rank,
                          max_iter=cfg.max_iter, tol=cfg.tol, rng_seed=cfg.seed)
+    if pcfg.lambda1 <= 0:
+        raise ValueError(f"the solver requires lambda1 > 0, got {lam1!r}")
+    return pcfg
 
 
 def _config_entries(cfg: RunConfig, args) -> dict:
@@ -265,15 +281,14 @@ def cmd_gridsearch(args) -> int:
     cfg = resolve_config(args)
     frac = cfg.holdout if cfg.holdout is not None else 0.2
     check_fraction(frac, "holdout fraction")
-    grid1 = _parse_grid("lambda1", args.lambda1_grid)
-    grid2 = _parse_grid("lambda2", args.lambda2_grid)
-    grid3 = _parse_grid("lambda3", args.lambda3_grid)
+    stages = ("lambda1", "lambda2", "lambda3")
+    grids = [_parse_grid(stage, getattr(args, stage + "_grid")) for stage in stages]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     video = vio.read_video(cfg.input)
     train, test = holdout(video, frac, cfg.seed)
     aux_raw = None
-    if any(v > 0 for v in grid3):
+    if any(v > 0 for v in grids[2]):
         aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v)
     # The transform depends on the penalties only through whether the
     # auxiliary video is pooled in, so each of the two variants is fitted once.
@@ -287,34 +302,30 @@ def cmd_gridsearch(args) -> int:
         transformed, aux_t, params = fitted[with_aux]
         imputed, _ = solve(transformed, aux_t, _penalty_config(cfg, lam1, lam2, lam3))
         frames_out, _ = invert(imputed.frames, params)
-        per_frame = [rse(video.frames[t], frames_out[t], test[t])
-                     for t in range(video.dims.T)]
-        return float(np.mean(per_frame))
+        return compare_models({"point": frames_out}, video.frames, test).mean_rse["point"]
 
+    # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best
+    # value and the other penalty at 0.
     entries = _config_entries(cfg, args)
-    rows = []
-    entries["timestamp_stage_lambda1"] = f"{time.time():.6f}"
-    scores1 = [score(v, 0.0, 0.0) for v in grid1]
-    rows += [("lambda1", v, 0.0, 0.0, s) for v, s in zip(grid1, scores1)]
-    best1 = grid1[int(np.argmin(scores1))]
-    entries["timestamp_stage_lambda2"] = f"{time.time():.6f}"
-    scores2 = [score(best1, v, 0.0) for v in grid2]
-    rows += [("lambda2", best1, v, 0.0, s) for v, s in zip(grid2, scores2)]
-    best2 = grid2[int(np.argmin(scores2))]
-    entries["timestamp_stage_lambda3"] = f"{time.time():.6f}"
-    scores3 = [score(best1, 0.0, v) for v in grid3]
-    rows += [("lambda3", best1, 0.0, v, s) for v, s in zip(grid3, scores3)]
-    best3 = grid3[int(np.argmin(scores3))]
+    rows, best = [], []
+    for k, (stage, grid) in enumerate(zip(stages, grids)):
+        entries[f"timestamp_stage_{stage}"] = f"{time.time():.6f}"
+        scores = []
+        for value in grid:
+            lams = [best[0] if best else 0.0, 0.0, 0.0]
+            lams[k] = value
+            scores.append(score(*lams))
+            rows.append((stage, *lams, scores[-1]))
+        best.append(grid[int(np.argmin(scores))])
 
     with open(out / "gridsearch.csv", "w") as handle:
         handle.write("stage,lambda1,lambda2,lambda3,rse_pct\n")
         for stage, l1, l2, l3, s in rows:
             handle.write(f"{stage},{l1!r},{l2!r},{l3!r},{s!r}\n")
-    vio.write_manifest(out / "best.txt",
-                       {"lambda1": repr(best1), "lambda2": repr(best2), "lambda3": repr(best3)})
-    entries["result_best_lambdas"] = f"{best1!r},{best2!r},{best3!r}"
+    vio.write_manifest(out / "best.txt", {stage: repr(b) for stage, b in zip(stages, best)})
+    entries["result_best_lambdas"] = ",".join(map(repr, best))
     _finish_manifest(out / "manifest.txt", entries)
-    print(f"gridsearch: best (lambda1, lambda2, lambda3) = ({best1}, {best2}, {best3})")
+    print(f"gridsearch: best (lambda1, lambda2, lambda3) = ({', '.join(map(str, best))})")
     return 0
 
 
@@ -392,8 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad value, file or singular fit prints one line and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+        print(f"vista: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,8 +30,9 @@ class SolverState:
     """Mutable per-run state: factors plus convergence diagnostics.
 
     ``objective_history[k]`` is the objective after k sweeps (entry 0 is the
-    value at initialization). ``change_history[k]`` holds the per-frame
-    squared relative change of the imputation products over sweep k+1.
+    value at initialization, recorded by the first sweep).
+    ``change_history[k]`` holds the per-frame squared relative change of the
+    imputation products over sweep k+1.
     ``phase_history`` and ``factor_history`` are only populated when
     :func:`sweep` is called with ``record_phases`` or ``record_factors``.
     ``workspace`` holds two (T, m, n) buffers that :func:`sweep` refills
@@ -65,9 +66,10 @@ def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConf
               products: np.ndarray = None) -> float:
     """Evaluate the four-term objective at the given factors.
 
-    ``products``, when given, must hold ``factors.products()``; the sweep
-    passes its cache so that no product is formed twice. Each residual is
-    formed exactly, as a difference in one reused (m, n) buffer.
+    ``products``, when given, must hold every ``left[t] @ right[t].T`` as one
+    (T, m, n) array; the sweep passes its cache so that no product is formed
+    twice. Each residual is formed exactly, as a difference in one reused
+    (m, n) buffer.
     """
     if cfg.lambda3 > 0 and aux is None:
         raise ValueError("lambda3 > 0 requires an auxiliary video")
@@ -268,7 +270,6 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
     else:
         _check_rank(factors.rank, m, n)
     state = SolverState(factors=factors.copy())
-    state.objective_history.append(objective(video, aux, state.factors, cfg))
     for _ in range(cfg.max_iter):
         sweep(state, video, aux, cfg)
         if check_convergence(state, cfg.tol):

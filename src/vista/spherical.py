@@ -77,9 +77,6 @@ class ShModel:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def coeff(self, l: int, m: int) -> float:
-        return float(self.coeffs[coeff_index(l, m)])
-
 
 def _norm_assoc_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
     """Fully normalized associated Legendre values P[l, m] for all m <= l <= l_max.
@@ -103,22 +100,6 @@ def _norm_assoc_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             out[l, m] = a * (x * out[l - 1, m] - b * out[l - 2, m])
     return out
-
-
-def eval_basis(l: int, m: int, theta, phi):
-    """One real orthonormal basis function at the given angles (broadcasting)."""
-    if abs(m) > l:
-        raise ValueError(f"|m| = {abs(m)} exceeds degree l = {l}")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    legendre = _norm_assoc_legendre(l, np.cos(theta))[l, abs(m)]
-    if m == 0:
-        value = legendre * np.ones_like(phi)
-    elif m > 0:
-        value = np.sqrt(2.0) * legendre * np.cos(m * phi)
-    else:
-        value = np.sqrt(2.0) * legendre * np.sin(-m * phi)
-    return value if value.ndim else float(value)
 
 
 def basis_matrix(grid: SphericalGrid, l_max: int) -> np.ndarray:

@@ -133,13 +133,6 @@ class FactorSequence:
     def dims(self) -> Dims:
         return Dims(self.left.shape[1], self.right.shape[1], self.left.shape[0])
 
-    def product(self, t: int) -> np.ndarray:
-        return self.left[t] @ self.right[t].T
-
-    def products(self) -> np.ndarray:
-        """All per-frame products as one (T, m, n) array."""
-        return np.matmul(self.left, np.swapaxes(self.right, 1, 2))
-
     def copy(self) -> "FactorSequence":
         return FactorSequence(self.left.copy(), self.right.copy())
 

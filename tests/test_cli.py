@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -24,6 +25,14 @@ def truth_file(tmp_path_factory):
 
 def run(argv):
     assert main([str(a) for a in argv]) == 0
+
+
+def fails(argv, capsys, pattern):
+    """The command exits with status 2 and one stderr line that matches pattern."""
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vista: error: ") and err.count("\n") == 1, err
+    assert re.search(pattern, err), err
 
 
 def manifest_without_timestamps(path):
@@ -123,7 +132,7 @@ def test_impute_diagnostics_objective_non_increasing(tmp_path, truth_file):
     assert manifest["result_effective_lambdas"] == "0.9,0.05,0.01"
 
 
-def test_impute_rerun_from_manifest_is_byte_identical(tmp_path, truth_file):
+def test_impute_rerun_from_manifest_is_byte_identical(tmp_path, truth_file, capsys):
     sim = tmp_path / "sim"
     run(["simulate", "--input", truth_file, "--output-dir", sim,
          "--pattern", "temporal", "--fraction", "0.3", "--seed", "5"])
@@ -152,9 +161,36 @@ def test_impute_rerun_from_manifest_is_byte_identical(tmp_path, truth_file):
             == manifest_without_timestamps(out_b / "manifest.txt")
             == manifest_without_timestamps(out_c / "manifest.txt"))
 
-    every_field.write_text(every_field.read_text() + "lambda4=0.1\n")
-    with pytest.raises(ValueError, match="unknown config key 'lambda4'"):
-        main(["impute", "--config", str(every_field), "--output-dir", str(tmp_path / "rund")])
+    text = every_field.read_text()
+    every_field.write_text(text + "lambda4=0.1\n")
+    fails(["impute", "--config", every_field, "--output-dir", tmp_path / "rund"], capsys,
+          "unknown config key 'lambda4'")
+    every_field.write_text(text.replace("keep_observed=False", "keep_observed=ture"))
+    fails(["impute", "--config", every_field, "--output-dir", tmp_path / "rune"], capsys,
+          "config field 'keep_observed' cannot read 'ture'")
+    assert not (tmp_path / "rund").exists() and not (tmp_path / "rune").exists()
+
+
+def test_config_values_are_read_with_each_flag_type(tmp_path):
+    config = tmp_path / "config.txt"
+
+    def resolve(command, text, *flags):
+        config.write_text(text)
+        args = cli.build_parser().parse_args([command, "--config", str(config), *flags])
+        return resolve_config(args)
+
+    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("false", False), ("NO", False)):
+        cfg = resolve("impute", f"input=x.vmc\nmodel=soft\nrank=3\nkeep_observed={text}\n")
+        assert (cfg.keep_observed, cfg.model, cfg.rank) == (value, "soft", 3)
+    assert resolve("evaluate", "level=\n", "--truth", "t.vmc", "--eval-mask", "m.vmc",
+                   "--imputed", "soft=s.vmc").level == ""
+    assert resolve("gridsearch", "input=x.vmc\nholdout=none\n").holdout is None
+    for text, named in (("model=bogus", "config field 'model' must be one of .* got 'bogus'"),
+                        ("rank=", "config field 'rank' must have a value"),
+                        ("rank=2.5", "config field 'rank' cannot read '2.5'")):
+        with pytest.raises(ValueError, match=named):
+            resolve("impute", f"input=x.vmc\n{text}\n")
 
 
 def test_keep_observed_passes_values_through(tmp_path, truth_file):
@@ -251,6 +287,26 @@ def test_gridsearch_stage_order_and_planted_optimum(tmp_path, truth_file):
     np.testing.assert_allclose(stage1, scores, rtol=1e-12)
 
 
+def test_gridsearch_rows_and_best_follow_the_stage_argmins(tmp_path, truth_file):
+    out = tmp_path / "grid"
+    grids = grid1, grid2, grid3 = (0.5, 1.3), (0.01, 0.2), (0.005, 0.03)
+    run(["gridsearch", "--input", truth_file, "--output-dir", out,
+         *[f"--lambda{k}-grid={','.join(map(str, g))}" for k, g in enumerate(grids, 1)],
+         "--rank", "4", "--max-iter", "10", "--sh-lmax", "4", "--seed", "2"])
+    with open(out / "gridsearch.csv") as handle:
+        rows = list(csv.reader(handle))[1:]
+    scores = [float(r[4]) for r in rows]
+    best1 = grid1[int(np.argmin(scores[:2]))]
+    expected = ([("lambda1", v, 0.0, 0.0) for v in grid1]
+                + [("lambda2", best1, v, 0.0) for v in grid2]
+                + [("lambda3", best1, 0.0, v) for v in grid3])
+    assert [(r[0], *map(float, r[1:4])) for r in rows] == expected
+    best = vio.read_manifest(out / "best.txt")
+    assert best == {"lambda1": repr(best1),
+                    "lambda2": repr(grid2[int(np.argmin(scores[2:4]))]),
+                    "lambda3": repr(grid3[int(np.argmin(scores[4:]))])}
+
+
 def test_gridsearch_fits_the_transform_once_per_variant(tmp_path, truth_file, monkeypatch):
     # Nine solves on the default grids share two transforms: without and
     # with the auxiliary video.
@@ -277,15 +333,19 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkeypatch):
+@pytest.mark.parametrize("value, named", [
+    ("nan", "lambda1 must be finite"),
+    ("0", "the solver requires lambda1 > 0, got 0.0"),
+], ids=["nan", "zero"])
+def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkeypatch, capsys,
+                                                    value, named):
     def unreachable(*args, **kwargs):
         raise AssertionError("ran past the configuration check")
 
     monkeypatch.setattr(cli, "build_auxiliary", unreachable)
     monkeypatch.setattr(cli, "solve", unreachable)
-    with pytest.raises(ValueError, match="lambda1 must be finite"):
-        main(["impute", "--input", str(truth_file), "--output-dir", str(tmp_path / "out"),
-              "--lambda1", "nan"])
+    fails(["impute", "--input", truth_file, "--output-dir", tmp_path / "out",
+           "--lambda1", value], capsys, named)
     assert not (tmp_path / "out").exists()
 
 
@@ -303,11 +363,10 @@ def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkey
 ], ids=["simulate-holdout-nan", "simulate-fraction-1.5", "gridsearch-holdout-0",
         "gridsearch-lambda1-nan", "gridsearch-lambda1-0", "gridsearch-lambda3-negative",
         "gridsearch-lambda2-text"])
-def test_bad_fraction_fails_before_any_work(tmp_path, argv, named):
+def test_bad_fraction_fails_before_any_work(tmp_path, capsys, argv, named):
     # The input does not exist: a read before the check would fail differently.
-    with pytest.raises(ValueError, match=named):
-        main([*argv, "--input", str(tmp_path / "missing.vmc"),
-              "--output-dir", str(tmp_path / "out")])
+    fails([*argv, "--input", tmp_path / "missing.vmc", "--output-dir", tmp_path / "out"],
+          capsys, named)
     assert not (tmp_path / "out").exists()
 
 
@@ -315,12 +374,11 @@ def test_bad_fraction_fails_before_any_work(tmp_path, argv, named):
     (["--imputed", "full=a.vmc", "--imputed", "full=b.vmc"], "full"),
     (["--imputed", "sh_direct=a.vmc", "--aux", "b.vmc"], "sh_direct"),
 ], ids=["imputed-twice", "aux-over-imputed"])
-def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, argv, name):
+def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, capsys, argv, name):
     # No input exists: a read before the check would fail differently.
-    with pytest.raises(ValueError, match=f"model name '{name}' is given more than once"):
-        main(["evaluate", "--truth", str(tmp_path / "truth.vmc"),
-              "--eval-mask", str(tmp_path / "mask.vmc"), *argv,
-              "--output-dir", str(tmp_path / "out")])
+    fails(["evaluate", "--truth", tmp_path / "truth.vmc", "--eval-mask", tmp_path / "mask.vmc",
+           *argv, "--output-dir", tmp_path / "out"], capsys,
+          f"model name '{name}' is given more than once")
     assert not (tmp_path / "out").exists()
 
 
@@ -350,13 +408,27 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
     ["gridsearch"],
     ["impute", "--config", "CONFIG"],
 ], ids=["simulate", "impute", "gridsearch", "impute-config-without-input"])
-def test_missing_input_fails_before_any_work(tmp_path, argv):
+def test_missing_input_fails_before_any_work(tmp_path, capsys, argv):
     config = tmp_path / "config.txt"
     config.write_text("model=soft\nrank=4\n")
-    argv = [str(config) if a == "CONFIG" else a for a in argv]
-    with pytest.raises(ValueError, match="--input"):
-        main([*argv, "--output-dir", str(tmp_path / "out")])
+    argv = [config if a == "CONFIG" else a for a in argv]
+    fails([*argv, "--output-dir", tmp_path / "out"], capsys, "--input")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--input", "MISSING"], r"No such file or directory: '.*missing\.vmc'"),
+    (["--input", "TINY", "--model", "sh", "--sh-v", "0", "--sh-lmax", "4", "--rank", "2"],
+     "spherical-harmonics fit is singular"),
+], ids=["missing-input-file", "singular-sh-fit"])
+def test_impute_failure_prints_one_line(tmp_path, capsys, argv, named):
+    # 20 observed pixels a frame cannot fix 25 unridged coefficients.
+    tiny = tmp_path / "tiny.vmc"
+    vio.write_frames(tiny, np.random.default_rng(0).uniform(1.0, 2.0, size=(2, 4, 5)))
+    paths = {"MISSING": tmp_path / "missing.vmc", "TINY": tiny}
+    fails(["impute", *[paths.get(a, a) for a in argv], "--output-dir", tmp_path / "out"],
+          capsys, named)
+    assert not (tmp_path / "out" / "auxiliary.vmc").exists()
 
 
 def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):

@@ -551,7 +551,7 @@ def test_rate_corollaries_with_empirical_gram_bounds(rng):
 def test_orthonormal_init_satisfies_trace_norm_identity():
     factors = init_factors(7, 6, 3, 3, seed=12)
     for t in range(3):
-        product = factors.product(t)
+        product = factors.left[t] @ factors.right[t].T
         nuclear = np.linalg.svd(product, compute_uv=False).sum()
         split = 0.5 * (np.sum(factors.left[t] ** 2) + np.sum(factors.right[t] ** 2))
         assert nuclear == pytest.approx(split, rel=1e-12)

@@ -9,13 +9,17 @@ from vista.spherical import (
     build_auxiliary,
     coeff_count,
     coeff_index,
-    eval_basis,
     fit_frame,
     render,
 )
 from vista.video import MaskedVideo
 
 import oracles
+
+
+def basis_value(l, m, theta, phi):
+    """One production basis function at one point: basis_matrix on a one-cell grid."""
+    return basis_matrix(SphericalGrid([theta], [phi]), l)[0, coeff_index(l, m)]
 
 
 def quadrature_grid(n_theta=48, n_phi=96):
@@ -38,7 +42,7 @@ def test_coeff_indexing():
 
 def test_constant_mode_value():
     # Unit-norm constant mode: quadrature of its square over the sphere is one.
-    value = eval_basis(0, 0, 0.7, 1.3)
+    value = basis_value(0, 0, 0.7, 1.3)
     assert value == pytest.approx(0.2820948, abs=1e-7)
     grid, cell = quadrature_grid()
     column = basis_matrix(grid, 0)[:, 0]
@@ -46,12 +50,7 @@ def test_constant_mode_value():
 
 
 def test_zonal_degree_one_vanishes_at_equator():
-    assert eval_basis(1, 0, np.pi / 2, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_eval_basis_rejects_bad_order():
-    with pytest.raises(ValueError):
-        eval_basis(2, 3, 0.5, 0.5)
+    assert basis_value(1, 0, np.pi / 2, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_discrete_orthonormality():
@@ -67,7 +66,7 @@ def test_basis_matches_scipy_reference(l, m):
     for _ in range(5):
         theta = rng.uniform(0.05, np.pi - 0.05)
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        assert eval_basis(l, m, theta, phi) == pytest.approx(
+        assert basis_value(l, m, theta, phi) == pytest.approx(
             oracles.real_sph_harm_scipy(l, m, theta, phi), rel=1e-10, abs=1e-12)
 
 
@@ -75,7 +74,7 @@ def test_fit_constant_frame_loads_only_constant_mode():
     grid = SphericalGrid.from_shape(20, 30)
     frame = np.full((20, 30), 2.5)
     model = fit_frame(frame, np.ones((20, 30), bool), grid, 4, 0.0)
-    assert model.coeff(0, 0) == pytest.approx(2.5 * np.sqrt(4.0 * np.pi), rel=1e-10)
+    assert model.coeffs[coeff_index(0, 0)] == pytest.approx(2.5 * np.sqrt(4.0 * np.pi), rel=1e-10)
     rest = model.coeffs.copy()
     rest[0] = 0.0
     assert np.abs(rest).max() < 1e-8

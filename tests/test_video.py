@@ -82,7 +82,6 @@ def test_factor_sequence_validation(rng):
     factors = FactorSequence(rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 5, 2)))
     assert factors.rank == 2
     assert factors.dims == (4, 5, 3)
-    np.testing.assert_allclose(factors.products()[1], factors.product(1))
     with pytest.raises(ValueError):
         FactorSequence(rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 5, 3)))
     with pytest.raises(ValueError):
@@ -129,3 +128,9 @@ def test_masked_video_neither_aliases_nor_freezes_caller_arrays(rng):
     masks[...] = True
     np.testing.assert_array_equal(video.frames, stored_frames)
     np.testing.assert_array_equal(video.masks, stored_masks)
+
+
+def test_every_public_name_resolves():
+    import vista
+
+    assert [name for name in vista.__all__ if not hasattr(vista, name)] == []
