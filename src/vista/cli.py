@@ -166,11 +166,11 @@ def cmd_simulate(args) -> int:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     entries = _config_entries(cfg, args)
     if spec is None:
         video = vio.read_video(cfg.input)
         train, test = holdout(video, cfg.holdout, cfg.seed)
+        out.mkdir(parents=True, exist_ok=True)
         vio.write_video(out / "masked.vmc", train)
         vio.write_mask(out / "test_mask.vmc", test)
         entries["result_test_pixels"] = str(int(test.sum()))
@@ -180,6 +180,7 @@ def cmd_simulate(args) -> int:
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)
         frames = vio.read_frames(cfg.input)
         dropped, centers = generate(spec, (frames.shape[1], frames.shape[2], frames.shape[0]))
+        out.mkdir(parents=True, exist_ok=True)
         vio.write_video(out / "masked.vmc", MaskedVideo(frames, ~dropped))
         vio.write_mask(out / "test_mask.vmc", dropped)
         entries["result_dropped_pixels"] = str(int(dropped.sum()))
@@ -196,9 +197,9 @@ def cmd_impute(args) -> int:
     cfg = resolve_config(args)
     lam1, lam2, lam3 = effective_lambdas(cfg)
     pcfg = _penalty_config(cfg, lam1, lam2, lam3)
+    video = vio.read_video(cfg.input)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    video = vio.read_video(cfg.input)
     aux_raw = None
     if lam3 > 0:
         aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v)
@@ -242,11 +243,11 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"model name {name!r} is given more than once "
                              "(--aux is scored as sh_direct)")
         paths[name] = path
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     truth = vio.read_frames(args.truth)
     masks = vio.read_mask(args.eval_mask)
     results = {name: vio.read_frames(path) for name, path in paths.items()}
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report = compare_models(results, truth, masks)
     write_frame_metrics(out / "frame_metrics.csv", report)
     write_summary(out / "summary.csv", report)
@@ -283,9 +284,9 @@ def cmd_gridsearch(args) -> int:
     check_fraction(frac, "holdout fraction")
     stages = ("lambda1", "lambda2", "lambda3")
     grids = [_parse_grid(stage, getattr(args, stage + "_grid")) for stage in stages]
+    video = vio.read_video(cfg.input)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    video = vio.read_video(cfg.input)
     train, test = holdout(video, frac, cfg.seed)
     aux_raw = None
     if any(v > 0 for v in grids[2]):

@@ -255,6 +255,8 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
     (ImputedVideo, SolverState)
         The spectrally cleaned imputation and the final state. A run that
         exhausts ``max_iter`` is not an error; ``state.converged`` is False.
+        A sweep that ends with a non-finite objective or per-frame change
+        raises ValueError, naming the sweep and the first such frame.
     """
     if cfg.lambda1 <= 0:
         raise ValueError("the solver requires lambda1 > 0")
@@ -272,6 +274,11 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
     state = SolverState(factors=factors.copy())
     for _ in range(cfg.max_iter):
         sweep(state, video, aux, cfg)
+        bad = np.flatnonzero(~np.isfinite(state.change_history[-1]))
+        if bad.size or not np.isfinite(state.objective_history[-1]):
+            frame = f"; first non-finite change on frame {bad[0]}" if bad.size else ""
+            raise ValueError(f"solver diverged at sweep {state.sweeps}: "
+                             f"objective {state.objective_history[-1]!r}{frame}")
         if check_convergence(state, cfg.tol):
             state.converged = True
             break

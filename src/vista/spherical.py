@@ -183,16 +183,11 @@ def render(model: ShModel, grid: SphericalGrid, clamp_negative: bool = True) -> 
     return values
 
 
-def build_auxiliary(video: MaskedVideo, grid: SphericalGrid = None,
-                    l_max: int = 11, v: float = 0.1) -> AuxiliaryVideo:
-    """Per-frame fit-and-render of a masked video into a smooth auxiliary video."""
+def build_auxiliary(video: MaskedVideo, l_max: int = 11, v: float = 0.1) -> AuxiliaryVideo:
+    """Per-frame fit-and-render of a masked video on its cell-centered global grid."""
     _check_ridge(v)
     m, n, T = video.dims
-    if grid is None:
-        grid = SphericalGrid.from_shape(m, n)
-    if grid.shape != (m, n):
-        raise ValueError(f"grid shape {grid.shape} does not match video frames ({m}, {n})")
-    design = basis_matrix(grid, l_max)
+    design = basis_matrix(SphericalGrid.from_shape(m, n), l_max)
     coeffs = _fit_frames(design, video.frames, video.masks, v)
     frames = (coeffs @ design.T).reshape(T, m, n)
     return AuxiliaryVideo(np.maximum(frames, 0.0, out=frames))

@@ -23,7 +23,6 @@ class TransformParams:
     mean: float
     std: float
     offset: float
-    fitted_on: str
 
     def __post_init__(self):
         # An overflowed fit (std = inf) would map every pixel to 0.
@@ -33,14 +32,10 @@ class TransformParams:
             raise ValueError(f"std must be finite and positive, got {self.std!r}")
 
 
-def _check_exponent(lam: float) -> None:
-    if not math.isfinite(lam):
-        raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
-
-
 def boxcox(values, lam: float):
     """Power transform of strictly positive values; natural log at lam = 0."""
-    _check_exponent(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
     array = np.asarray(values, dtype=float)
     bad = np.flatnonzero(~(array > 0))
     if bad.size:
@@ -75,37 +70,38 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     TransformParams). The same (mean, std) standardizes both datasets, so
     their values stay directly comparable inside the solver.
     """
-    _check_exponent(lam)
     if aux is not None:
         aux.check_matches(video)
-    shifted = video.frames[video.masks] + offset
-    if not (shifted > 0).all():
-        t, i, j = _first_bad_pixel(video, offset)
-        raise ValueError(f"pixel (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
-    observed = boxcox(shifted, lam)
-    aux_values = None
+    # One buffer holds the observed pixels in C order, then every auxiliary
+    # pixel: the contiguous values a concatenation of the two parts would
+    # hold, so the pooled mean and std are bit-equal to that reduction's.
+    observed = int(np.count_nonzero(video.masks))
+    pooled = np.empty(observed + (0 if aux is None else aux.frames.size))
+    np.compress(video.masks.ravel(), video.frames.ravel(), out=pooled[:observed])
     if aux is not None:
-        if not (aux.frames + offset > 0).all():
-            flat = int(np.argmin(aux.frames))
-            raise ValueError(f"auxiliary pixel at flat index {flat} is non-positive "
-                             f"after offset {offset}")
-        aux_values = boxcox(aux.frames.ravel() + offset, lam)
-    pooled = observed if aux_values is None else np.concatenate([observed, aux_values])
+        pooled[observed:] = aux.frames.ravel()
+    pooled += offset
+    bad = np.flatnonzero(~(pooled > 0))
+    if bad.size:
+        k = int(bad[0])
+        if k < observed:
+            kind, flat = "pixel", np.flatnonzero(video.masks)[k]
+        else:
+            kind, flat = "auxiliary pixel", k - observed
+        t, i, j = np.unravel_index(flat, video.masks.shape)
+        raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
+    pooled = boxcox(pooled, lam)
     mean = float(pooled.mean())
     std = float(pooled.std())
     if std == 0.0:
-        raise ValueError("observed pixels have zero variance; cannot standardize")
-    params = TransformParams(
-        boxcox_lambda=lam, mean=mean, std=std, offset=offset,
-        fitted_on=f"{observed.size} observed + {0 if aux_values is None else aux_values.size} auxiliary pixels",
-    )
+        raise ValueError("pooled pixels have zero variance; cannot standardize")
+    params = TransformParams(boxcox_lambda=lam, mean=mean, std=std, offset=offset)
+    pooled -= mean
+    pooled /= std
     frames = np.zeros_like(video.frames)
-    frames[video.masks] = (observed - mean) / std
-    out_video = MaskedVideo(frames, video.masks)
-    out_aux = None
-    if aux is not None:
-        out_aux = AuxiliaryVideo(((aux_values - mean) / std).reshape(aux.frames.shape))
-    return out_video, out_aux, params
+    frames[video.masks] = pooled[:observed]
+    out_aux = None if aux is None else AuxiliaryVideo(pooled[observed:].reshape(aux.frames.shape))
+    return MaskedVideo(frames, video.masks), out_aux, params
 
 
 def invert(frames: np.ndarray, params: TransformParams):
@@ -119,7 +115,3 @@ def invert(frames: np.ndarray, params: TransformParams):
     raw, clamped = boxcox_inverse(frames * params.std + params.mean, params.boxcox_lambda)
     return np.maximum(raw - params.offset, 0.0), clamped
 
-
-def _first_bad_pixel(video: MaskedVideo, offset: float):
-    t, i, j = np.argwhere(video.masks & ~(video.frames + offset > 0))[0]
-    return int(t), int(i), int(j)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import re
@@ -416,6 +417,21 @@ def test_missing_input_fails_before_any_work(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pattern", "random", "--input", "MISSING"],
+    ["simulate", "--holdout", "0.2", "--input", "MISSING"],
+    ["impute", "--input", "MISSING"],
+    ["evaluate", "--truth", "TRUTH", "--eval-mask", "MISSING", "--imputed", "soft=TRUTH"],
+    ["gridsearch", "--input", "MISSING"],
+], ids=["simulate-pattern", "simulate-holdout", "impute", "evaluate", "gridsearch"])
+def test_missing_input_file_leaves_no_output_directory(tmp_path, truth_file, capsys, argv):
+    argv = [a.replace("MISSING", str(tmp_path / "missing.vmc")).replace("TRUTH", str(truth_file))
+            for a in argv]
+    fails([*argv, "--output-dir", tmp_path / "fo" / "out"], capsys,
+          r"No such file or directory: '.*missing\.vmc'")
+    assert not (tmp_path / "fo").exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--input", "MISSING"], r"No such file or directory: '.*missing\.vmc'"),
     (["--input", "TINY", "--model", "sh", "--sh-v", "0", "--sh-lmax", "4", "--rank", "2"],
@@ -429,6 +445,20 @@ def test_impute_failure_prints_one_line(tmp_path, capsys, argv, named):
     fails(["impute", *[paths.get(a, a) for a in argv], "--output-dir", tmp_path / "out"],
           capsys, named)
     assert not (tmp_path / "out" / "auxiliary.vmc").exists()
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | options |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        command, options = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+        documented[command] = set(re.findall(r"`(--[\w-]+)`", options))
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    defined = {name: {flag for action in parser._actions for flag in action.option_strings}
+               - {"-h", "--help", "--config"} for name, parser in commands.items()}
+    assert documented == defined
 
 
 def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):

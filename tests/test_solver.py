@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vista.solver import (
     SolverState,
@@ -443,6 +445,34 @@ def test_solve_rejects_missing_aux(rng):
     video = random_video(rng, 4, 4, 2)
     with pytest.raises(ValueError):
         solve(video, None, PenaltyConfig(lambda1=0.9, lambda3=0.1, rank=2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_fails_at_the_first_diverged_sweep(rng):
+    # Products of factors near 1e200 overflow, so every iterate after the
+    # start is inf or nan; without the guard all 20 sweeps run on them.
+    video = random_video(rng, 6, 7, 3)
+    start = init_factors(6, 7, 3, 2, 1)
+    factors = FactorSequence(1e200 * start.left, 1e200 * start.right)
+    with pytest.raises(ValueError, match=r"^solver diverged at sweep 1: objective (inf|nan); "
+                                         r"first non-finite change on frame 0$"):
+        solve(video, None, PenaltyConfig(lambda1=0.9, rank=2, max_iter=20), factors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)),
+       unit=st.sampled_from("mnT"), seed=st.integers(0, 2**32 - 1))
+def test_solve_descends_on_degenerate_shapes(sizes, unit, seed):
+    # One of m, n, T is 1 and the rank is min(m, n); the tolerance is that
+    # of test_sweep_update_chain_is_non_increasing.
+    m, n, T = (1 if name == unit else size for name, size in zip("mnT", sizes))
+    rng = np.random.default_rng(seed)
+    video = random_video(rng, m, n, T)
+    cfg = PenaltyConfig(lambda1=0.5, lambda2=0.1, lambda3=0.05, rank=min(m, n),
+                        max_iter=10, tol=1e-300, rng_seed=seed)
+    _, state = solve(video, random_aux(rng, video), cfg)
+    chain = np.array(state.objective_history)
+    assert np.all(np.diff(chain) <= 1e-9 * (1.0 + np.abs(chain[:-1])))
 
 
 # --------------------------------------------------------------- invariants

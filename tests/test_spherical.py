@@ -124,7 +124,7 @@ def test_unregularized_fit_with_too_few_pixels_is_singular(rng):
     with pytest.raises(np.linalg.LinAlgError):
         fit_frame(frames[1], masks[1], grid, 4, 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        build_auxiliary(MaskedVideo(frames, masks), grid, l_max=4, v=0.0)
+        build_auxiliary(MaskedVideo(frames, masks), l_max=4, v=0.0)
 
 
 @pytest.mark.parametrize("v", [np.nan, np.inf, -0.5])
@@ -135,7 +135,7 @@ def test_bad_ridge_weight_is_rejected_by_name(rng, v):
     with pytest.raises(ValueError, match=f"ridge weight v .* got {v!r}"):
         fit_frame(frames[0], masks[0], grid, 2, v)
     with pytest.raises(ValueError, match=f"ridge weight v .* got {v!r}"):
-        build_auxiliary(MaskedVideo(frames, masks), grid, l_max=2, v=v)
+        build_auxiliary(MaskedVideo(frames, masks), l_max=2, v=v)
 
 
 def test_ridge_monotone_shrinkage(rng):
@@ -203,7 +203,7 @@ def test_build_auxiliary_matches_per_frame_fit(rng):
     masks[:, 0, 0] = True
     video = MaskedVideo(frames, masks)
     grid = SphericalGrid.from_shape(16, 20)
-    aux = build_auxiliary(video, grid, l_max=4, v=0.1)
+    aux = build_auxiliary(video, l_max=4, v=0.1)
     assert aux.dims == video.dims
     for t in range(3):
         model = fit_frame(video.frames[t], video.masks[t], grid, 4, 0.1)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vista.transform import (
     TransformParams,
@@ -39,11 +42,10 @@ def test_boxcox_inverse_clamps_and_counts():
 
 def test_fit_transform_standardizes_observed_population(rng):
     video = random_video(rng, 8, 9, 4, positive=True)
-    out, _, params = fit_transform(video, None, 0.5)
+    out, _, _ = fit_transform(video, None, 0.5)
     observed = out.frames[out.masks]
     assert observed.mean() == pytest.approx(0.0, abs=1e-12)
     assert observed.std() == pytest.approx(1.0, rel=1e-12)
-    assert "observed" in params.fitted_on
 
 
 def test_fit_transform_pools_auxiliary_pixels(rng):
@@ -98,16 +100,14 @@ def test_round_trip_identity_with_auxiliary(rng):
 
 
 def test_invert_lambda_one_is_affine():
-    params = TransformParams(boxcox_lambda=1.0, mean=0.0, std=1.0, offset=0.0,
-                             fitted_on="test")
+    params = TransformParams(boxcox_lambda=1.0, mean=0.0, std=1.0, offset=0.0)
     restored, clamped = invert(np.array([[-0.5, 0.0, 2.0]]), params)
     np.testing.assert_allclose(restored, [[0.5, 1.0, 3.0]])
     assert clamped == 0
 
 
 def test_invert_clamps_out_of_domain_and_counts():
-    params = TransformParams(boxcox_lambda=0.5, mean=0.0, std=1.0, offset=1e-3,
-                             fitted_on="test")
+    params = TransformParams(boxcox_lambda=0.5, mean=0.0, std=1.0, offset=1e-3)
     restored, clamped = invert(np.array([[-5.0, 1.0]]), params)
     assert clamped == 1
     assert restored[0, 0] == 0.0  # clamped to the domain boundary, then floored at 0
@@ -115,7 +115,7 @@ def test_invert_clamps_out_of_domain_and_counts():
 
 def test_params_reject_bad_std():
     with pytest.raises(ValueError):
-        TransformParams(boxcox_lambda=0.5, mean=0.0, std=0.0, offset=0.0, fitted_on="x")
+        TransformParams(boxcox_lambda=0.5, mean=0.0, std=0.0, offset=0.0)
 
 
 @pytest.mark.parametrize("mean, std, named", [
@@ -125,7 +125,7 @@ def test_params_reject_bad_std():
 ], ids=["std-inf", "std-nan", "mean-inf"])
 def test_params_reject_non_finite_moments(mean, std, named):
     with pytest.raises(ValueError, match=named):
-        TransformParams(boxcox_lambda=0.5, mean=mean, std=std, offset=0.0, fitted_on="x")
+        TransformParams(boxcox_lambda=0.5, mean=mean, std=std, offset=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -135,3 +135,69 @@ def test_fit_transform_rejects_overflowed_standardization(rng):
     video = MaskedVideo.fully_observed(1e200 * (1.0 + rng.random((2, 3, 4))))
     with pytest.raises(ValueError, match="std must be finite and positive, got inf"):
         fit_transform(video, None, 1.0)
+
+
+_shapes = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5)
+_pixels = st.floats(0.0, 100.0, allow_subnormal=False)  # 0 is legal: the offset lifts it
+
+
+@st.composite
+def _pooled_inputs(draw):
+    """A masked video with an observed pixel in every frame, an optional auxiliary video
+    and a power-transform exponent."""
+    shape = draw(_shapes)
+    frames = draw(hnp.arrays(np.float64, shape, elements=_pixels))
+    masks = draw(hnp.arrays(np.bool_, shape))
+    kept = draw(st.lists(st.integers(0, shape[1] * shape[2] - 1),
+                         min_size=shape[0], max_size=shape[0]))
+    masks.reshape(shape[0], -1)[np.arange(shape[0]), kept] = True
+    aux = None
+    if draw(st.booleans()):
+        aux = AuxiliaryVideo(draw(hnp.arrays(np.float64, shape, elements=_pixels)))
+    return MaskedVideo(frames, masks), aux, draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]))
+
+
+def _separately_transformed(video, aux, lam, offset=1e-3):
+    parts = [boxcox(video.frames[video.masks] + offset, lam)]
+    if aux is not None:
+        parts.append(boxcox(aux.frames.ravel() + offset, lam))
+    pooled = np.concatenate(parts)
+    assume(pooled.std() > 0)
+    return pooled
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pooled_inputs())
+def test_pooled_moments_equal_those_of_the_concatenated_parts(inputs):
+    video, aux, lam = inputs
+    pooled = _separately_transformed(video, aux, lam)
+    _, _, params = fit_transform(video, aux, lam)
+    assert params.mean == float(pooled.mean())
+    assert params.std == float(pooled.std())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pooled_inputs())
+def test_invert_undoes_fit_transform(inputs):
+    video, aux, lam = inputs
+    _separately_transformed(video, aux, lam)
+    out_v, out_a, params = fit_transform(video, aux, lam)
+    restored, _ = invert(np.array(out_v.frames), params)
+    assert np.abs(restored[video.masks] - video.frames[video.masks]).max() < 1e-10
+    if aux is not None:
+        restored, _ = invert(np.array(out_a.frames), params)
+        assert np.abs(restored - aux.frames).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_non_positive_auxiliary_pixel_is_named(data):
+    shape = data.draw(_shapes)
+    t, i, j = (data.draw(st.integers(0, side - 1)) for side in shape)
+    frames = np.ones(shape)
+    frames[t, i, j] = -data.draw(st.floats(1e-3, 1e3))  # at most 0 after the offset
+    frames[-1, -1, -1] = min(frames[-1, -1, -1], -1.0)  # a later bad pixel is not the one named
+    video = MaskedVideo.fully_observed(1.0 + np.arange(np.prod(shape)).reshape(shape))
+    with pytest.raises(ValueError, match=rf"^auxiliary pixel \(t={t}, i={i}, j={j}\) "
+                                         "is non-positive after offset 0.001$"):
+        fit_transform(video, AuxiliaryVideo(frames), 0.5)
