@@ -1,20 +1,21 @@
 """Command-line drivers: simulate missingness, impute, evaluate, grid-search.
 
 Every command is deterministic given its configuration and seed. Each
-command's parser defines a flag only for the ``RunConfig`` fields the command
-reads. Each run writes a ``manifest.txt`` with the effective values of those
-fields (the only file allowed to contain timestamps); feeding a manifest back
-through ``--config`` reproduces the data outputs byte for byte. Option
-precedence is defaults < --config file < --profile < explicit flags.
+``RunConfig`` field declares one option, and each command's parser defines a
+flag only for the fields the command reads (plus ``--config``, ``impute``'s
+``--profile`` preset and ``evaluate``'s repeatable ``--imputed``). Each run
+writes a ``manifest.txt`` with the effective values of those fields (the only
+file allowed to contain timestamps); feeding a manifest back through
+``--config`` reproduces the data outputs byte for byte. Option precedence is
+defaults < --config file < --profile < explicit flags. A command creates its
+output directory only after its last step that can fail.
 """
-
-from __future__ import annotations
 
 import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,28 +38,48 @@ MODELS = ("soft", "ts", "sh", "full")
 PRESET_PATCH_SIZES = (27, 45, 63)
 
 
+def _option(default, help: str, **choices):
+    "A RunConfig field whose flag has this help text and, given ``choices=``, these choices."
+    return field(default=default, metadata={"help": help, **choices})
+
+
 @dataclass
 class RunConfig:
-    input: str = None
-    output_dir: str = "."
-    model: str = "full"
-    lambda1: float = 0.9
-    lambda2: float = 0.05
-    lambda3: float = 0.01
-    rank: int = 10
-    max_iter: int = 500
-    tol: float = 1e-5
-    sh_lmax: int = 11
-    sh_v: float = 0.1
-    boxcox_lambda: float = 0.5
-    boxcox_offset: float = 1e-3
-    pattern: str = None
-    fraction: float = 0.5
-    patch_size: int = 45
-    holdout: float = None
-    seed: int = 0
-    keep_observed: bool = False
-    level: str = ""
+    """One field per option; a command's parser takes the fields it reads.
+
+    The flag of field ``name`` is ``--name`` with ``_`` spelled ``-``, of the
+    field's type; a ``bool`` field is a ``store_true`` flag.
+    """
+
+    input: str = _option(None, "input video file")
+    truth: str = _option(None, "fully observed ground-truth video")
+    eval_mask: str = _option(None, "0/1 video marking evaluation pixels")
+    output_dir: str = _option(".", "directory for outputs")
+    model: str = _option("full", "penalty variant to run", choices=MODELS)
+    lambda1: float = _option(0.9, "ridge / trace-norm weight")
+    lambda2: float = _option(0.05, "temporal-smoothing weight")
+    lambda3: float = _option(0.01, "auxiliary-data weight")
+    lambda1_grid: str = _option("0.5,0.9,1.3", "comma-separated stage-1 values")
+    lambda2_grid: str = _option("0.01,0.05,0.2", "comma-separated stage-2 temporal values")
+    lambda3_grid: str = _option("0.005,0.01,0.03", "comma-separated stage-2 auxiliary values")
+    rank: int = _option(10, "operating rank")
+    max_iter: int = _option(500, "sweep budget")
+    tol: float = _option(1e-5, "convergence threshold")
+    sh_lmax: int = _option(11, "spherical-harmonics degree cap")
+    sh_v: float = _option(0.1, "spherical-harmonics ridge weight")
+    boxcox_lambda: float = _option(0.5, "power-transform exponent")
+    boxcox_offset: float = _option(1e-3, "positive offset added before the power transform")
+    pattern: str = _option(None, "missingness pattern",
+                           choices=("random", "temporal", "random-patch", "temporal-patch"))
+    fraction: float = _option(0.5, "scattered-missing fraction")
+    patch_size: int = _option(45, "missing-patch side")
+    holdout: float = _option(None, "observed-pixel holdout fraction")
+    seed: int = _option(0, "random seed")
+    keep_observed: bool = _option(False, "copy observed pixels through to the output")
+    level: str = _option("", "label for the margins report rows")
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _read_bool(text: str) -> bool:
@@ -73,28 +94,28 @@ def _read_bool(text: str) -> bool:
 def _parse_field(name: str, text: str):
     """A --config value, read with the type and choices of the field's flag.
 
-    An empty or ``none`` value is None for a field whose default is None,
-    and an error for every other field but ``level``.
+    Empty or ``none`` text is None where the default is None, is read as
+    text where the default is ``""``, and is an error elsewhere.
     """
+    spec = _FIELDS[name]
     if text == "" or text.lower() == "none":
-        if getattr(RunConfig, name) is None:
+        if spec.default is None:
             return None
-        if name != "level":
+        if spec.default != "":
             raise ValueError(f"config field {name!r} must have a value")
-    flag = _FIELD_FLAGS[name]
-    parse = _read_bool if flag.get("action") == "store_true" else flag.get("type", str)
     try:
-        value = parse(text)
+        value = (_read_bool if spec.type is bool else spec.type)(text)
     except ValueError as exc:
         raise ValueError(f"config field {name!r} cannot read {text!r}: {exc}") from None
-    if "choices" in flag and value not in flag["choices"]:
-        raise ValueError(f"config field {name!r} must be one of {flag['choices']}, got {text!r}")
+    choices = spec.metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"config field {name!r} must be one of {choices}, got {text!r}")
     return value
 
 
 def _command_fields(args) -> list:
     "The RunConfig fields that the command's parser defines, in declaration order."
-    return [f.name for f in fields(RunConfig) if hasattr(args, f.name)]
+    return [name for name in _FIELDS if hasattr(args, name)]
 
 
 def resolve_config(args) -> RunConfig:
@@ -106,11 +127,10 @@ def resolve_config(args) -> RunConfig:
     cfg = RunConfig()
     own = _command_fields(args)
     if getattr(args, "config", None):
-        known = {f.name for f in fields(RunConfig)}
         for key, value in vio.read_manifest(args.config).items():
             if key in own:
                 setattr(cfg, key, _parse_field(key, value))
-            elif key not in known and not key.startswith(("result_", "timestamp", "version")):
+            elif key not in _FIELDS and not key.startswith(("result_", "timestamp", "version")):
                 raise ValueError(f"unknown config key {key!r} in {args.config}")
     if getattr(args, "profile", None):
         cfg.lambda1, cfg.lambda2, cfg.lambda3 = PROFILES[args.profile]
@@ -118,8 +138,10 @@ def resolve_config(args) -> RunConfig:
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
-    if "input" in own and cfg.input is None:
-        raise ValueError("no input video: give --input or an input= line in --config")
+    for name in ("input", "truth", "eval_mask"):
+        if name in own and getattr(cfg, name) is None:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"no {flag} video: give {flag} or a {name}= line in --config")
     return cfg
 
 
@@ -198,18 +220,19 @@ def cmd_impute(args) -> int:
     lam1, lam2, lam3 = effective_lambdas(cfg)
     pcfg = _penalty_config(cfg, lam1, lam2, lam3)
     video = vio.read_video(cfg.input)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     aux_raw = None
     if lam3 > 0:
         aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v)
-        vio.write_frames(out / "auxiliary.vmc", aux_raw.frames)
     transformed, aux_t, params = fit_transform(video, aux_raw, cfg.boxcox_lambda,
                                                cfg.boxcox_offset)
     imputed, state = solve(transformed, aux_t, pcfg)
     frames_out, clamped = invert(imputed.frames, params)
     if cfg.keep_observed:
         frames_out = np.where(video.masks, video.frames, frames_out)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if aux_raw is not None:
+        vio.write_frames(out / "auxiliary.vmc", aux_raw.frames)
     vio.write_frames(out / "imputed.vmc", frames_out)
     _write_diagnostics(out / "diagnostics.csv", state)
     entries = _config_entries(cfg, args)
@@ -235,20 +258,19 @@ def _write_diagnostics(path, state) -> None:
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     paths = {}
-    for item in args.imputed + ([f"sh_direct={args.aux}"] if args.aux else []):
+    for item in args.imputed:
         name, _, path = item.partition("=")
         if not path:
             raise ValueError(f"--imputed expects name=path, got {item!r}")
         if name in paths:
-            raise ValueError(f"model name {name!r} is given more than once "
-                             "(--aux is scored as sh_direct)")
+            raise ValueError(f"model name {name!r} is given more than once")
         paths[name] = path
-    truth = vio.read_frames(args.truth)
-    masks = vio.read_mask(args.eval_mask)
+    truth = vio.read_frames(cfg.truth)
+    masks = vio.read_mask(cfg.eval_mask)
     results = {name: vio.read_frames(path) for name, path in paths.items()}
+    report = compare_models(results, truth, masks)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = compare_models(results, truth, masks)
     write_frame_metrics(out / "frame_metrics.csv", report)
     write_summary(out / "summary.csv", report)
     write_margins(out / "margins.csv", report, level=cfg.level)
@@ -283,10 +305,9 @@ def cmd_gridsearch(args) -> int:
     frac = cfg.holdout if cfg.holdout is not None else 0.2
     check_fraction(frac, "holdout fraction")
     stages = ("lambda1", "lambda2", "lambda3")
-    grids = [_parse_grid(stage, getattr(args, stage + "_grid")) for stage in stages]
+    grids = [_parse_grid(stage, getattr(cfg, stage + "_grid")) for stage in stages]
+    _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train, test = holdout(video, frac, cfg.seed)
     aux_raw = None
     if any(v > 0 for v in grids[2]):
@@ -319,6 +340,8 @@ def cmd_gridsearch(args) -> int:
             rows.append((stage, *lams, scores[-1]))
         best.append(grid[int(np.argmin(scores))])
 
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "gridsearch.csv", "w") as handle:
         handle.write("stage,lambda1,lambda2,lambda3,rse_pct\n")
         for stage, l1, l2, l3, s in rows:
@@ -330,40 +353,18 @@ def cmd_gridsearch(args) -> int:
     return 0
 
 
-# The flag of each RunConfig field; a command's parser takes the fields it reads.
-_FIELD_FLAGS = {
-    "input": dict(help="input video file"),
-    "output_dir": dict(help="directory for outputs"),
-    "model": dict(choices=MODELS, help="penalty variant to run"),
-    "lambda1": dict(type=float, help="ridge / trace-norm weight"),
-    "lambda2": dict(type=float, help="temporal-smoothing weight"),
-    "lambda3": dict(type=float, help="auxiliary-data weight"),
-    "rank": dict(type=int, help="operating rank"),
-    "max_iter": dict(type=int, help="sweep budget"),
-    "tol": dict(type=float, help="convergence threshold"),
-    "sh_lmax": dict(type=int, help="spherical-harmonics degree cap"),
-    "sh_v": dict(type=float, help="spherical-harmonics ridge weight"),
-    "boxcox_lambda": dict(type=float, help="power-transform exponent"),
-    "boxcox_offset": dict(type=float, help="positive offset added before the power transform"),
-    "pattern": dict(choices=("random", "temporal", "random-patch", "temporal-patch"),
-                    help="missingness pattern"),
-    "fraction": dict(type=float, help="scattered-missing fraction"),
-    "patch_size": dict(type=int, help="missing-patch side"),
-    "holdout": dict(type=float, help="observed-pixel holdout fraction"),
-    "seed": dict(type=int, help="random seed"),
-    "keep_observed": dict(action="store_true", default=None,
-                          help="copy observed pixels through to the output"),
-    "level": dict(help="label for the margins report rows"),
-}
 _FIT_FIELDS = ("rank", "max_iter", "tol", "sh_lmax", "sh_v", "boxcox_lambda", "boxcox_offset")
 
 
 def _add_command(sub, name: str, func, summary: str, *field_names) -> argparse.ArgumentParser:
-    """A subparser with --config and one flag for each named RunConfig field."""
+    """A subparser with --config and one flag, None when not given, per named RunConfig field."""
     parser = sub.add_parser(name, help=summary, allow_abbrev=False)
     parser.add_argument("--config", help="key=value config file (a previous run manifest works)")
     for field_name in field_names:
-        parser.add_argument("--" + field_name.replace("_", "-"), **_FIELD_FLAGS[field_name])
+        spec = _FIELDS[field_name]
+        kind = ({"action": "store_true", "default": None} if spec.type is bool
+                else {"type": spec.type})
+        parser.add_argument("--" + field_name.replace("_", "-"), **kind, **spec.metadata)
     parser.set_defaults(func=func)
     return parser
 
@@ -383,23 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_imp.add_argument("--profile", choices=sorted(PROFILES), help="named penalty triple preset")
 
     p_eval = _add_command(sub, "evaluate", cmd_evaluate, "score imputations on held-out pixels",
-                          "output_dir", "level")
-    p_eval.add_argument("--truth", required=True, help="fully observed ground-truth video")
-    p_eval.add_argument("--eval-mask", dest="eval_mask", required=True,
-                        help="0/1 video marking evaluation pixels")
+                          "truth", "eval_mask", "output_dir", "level")
     p_eval.add_argument("--imputed", action="append", required=True, metavar="NAME=PATH",
                         help="imputed video to score; repeatable")
-    p_eval.add_argument("--aux", help="raw-scale smooth auxiliary video to score directly")
 
-    p_grid = _add_command(sub, "gridsearch", cmd_gridsearch,
-                          "two-stage penalty search by held-out RSE",
-                          "input", "output_dir", *_FIT_FIELDS, "holdout", "seed")
-    p_grid.add_argument("--lambda1-grid", dest="lambda1_grid", default="0.5,0.9,1.3",
-                        help="comma-separated stage-1 values")
-    p_grid.add_argument("--lambda2-grid", dest="lambda2_grid", default="0.01,0.05,0.2",
-                        help="comma-separated stage-2 temporal values")
-    p_grid.add_argument("--lambda3-grid", dest="lambda3_grid", default="0.005,0.01,0.03",
-                        help="comma-separated stage-2 auxiliary values")
+    _add_command(sub, "gridsearch", cmd_gridsearch, "two-stage penalty search by held-out RSE",
+                 "input", "output_dir", *_FIT_FIELDS, "holdout", "seed",
+                 "lambda1_grid", "lambda2_grid", "lambda3_grid")
     return parser
 
 

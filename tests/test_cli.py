@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +142,8 @@ def test_impute_rerun_from_manifest_is_byte_identical(tmp_path, truth_file, caps
          "--seed", "13"])
     out_b = tmp_path / "runb"
     run(["impute", "--config", out_a / "manifest.txt", "--output-dir", out_b])
-    # Earlier manifests listed all twenty RunConfig fields for every command;
-    # impute skips the five it does not read.
+    # Earlier manifests listed all twenty RunConfig fields of their time for
+    # every command; impute skips the five it does not read.
     every_field = tmp_path / "every_field.txt"
     every_field.write_text(
         f"version=0.1.0\ninput={sim / 'masked.vmc'}\noutput_dir={out_a}\nmodel=full\n"
@@ -152,7 +151,7 @@ def test_impute_rerun_from_manifest_is_byte_identical(tmp_path, truth_file, caps
         "sh_lmax=4\nsh_v=0.1\nboxcox_lambda=0.5\nboxcox_offset=0.001\npattern=\n"
         "fraction=0.5\npatch_size=45\nholdout=\nseed=13\nkeep_observed=False\nlevel=\n"
         "result_converged=True\ntimestamp_utc=2020-01-01T00:00:00Z\n")
-    assert len(vio.read_manifest(every_field)) - 3 == len(fields(cli.RunConfig)) == 20
+    assert len(vio.read_manifest(every_field)) - 3 == 20
     out_c = tmp_path / "runc"
     run(["impute", "--config", every_field, "--output-dir", out_c])
     for name in ("imputed.vmc", "diagnostics.csv", "auxiliary.vmc"):
@@ -215,7 +214,7 @@ def test_evaluate_self_scores_zero_and_has_table_shape(tmp_path, truth_file):
     run(["evaluate", "--truth", truth_file, "--eval-mask", sim / "test_mask.vmc",
          "--imputed", f"soft={truth_file}", "--imputed", f"ts={truth_file}",
          "--imputed", f"sh={truth_file}", "--imputed", f"full={truth_file}",
-         "--aux", truth_file, "--output-dir", out, "--level", "0.3"])
+         "--imputed", f"sh_direct={truth_file}", "--output-dir", out, "--level", "0.3"])
     with open(out / "summary.csv") as handle:
         rows = list(csv.reader(handle))
     assert [r[0] for r in rows] == ["model", "soft", "ts", "sh", "full", "sh_direct"]
@@ -373,8 +372,7 @@ def test_bad_fraction_fails_before_any_work(tmp_path, capsys, argv, named):
 
 @pytest.mark.parametrize("argv, name", [
     (["--imputed", "full=a.vmc", "--imputed", "full=b.vmc"], "full"),
-    (["--imputed", "sh_direct=a.vmc", "--aux", "b.vmc"], "sh_direct"),
-], ids=["imputed-twice", "aux-over-imputed"])
+], ids=["imputed-twice"])
 def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, capsys, argv, name):
     # No input exists: a read before the check would fail differently.
     fails(["evaluate", "--truth", tmp_path / "truth.vmc", "--eval-mask", tmp_path / "mask.vmc",
@@ -467,8 +465,9 @@ def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):
         "sim": {"input", "output_dir", "pattern", "fraction", "patch_size", "holdout", "seed"},
         "imp": {"input", "output_dir", "model", "lambda1", "lambda2", "lambda3", *fit,
                 "seed", "keep_observed"},
-        "eval": {"output_dir", "level"},
-        "grid": {"input", "output_dir", *fit, "holdout", "seed"},
+        "eval": {"truth", "eval_mask", "output_dir", "level"},
+        "grid": {"input", "output_dir", *fit, "holdout", "seed",
+                 "lambda1_grid", "lambda2_grid", "lambda3_grid"},
     }
     run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "sim",
          "--pattern", "random", "--seed", "1"])
@@ -484,3 +483,75 @@ def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):
         keys = set(vio.read_manifest(tmp_path / name / "manifest.txt"))
         assert {k for k in keys if not k.startswith(("result_", "timestamp"))} == {"version", *own}
 
+
+
+def _replay_case(command, tmp_path, truth_file):
+    """(argv without --output-dir, the argv a replay adds to --config, data outputs)."""
+    sim = tmp_path / "sim"
+    if command in ("impute", "evaluate"):
+        run(["simulate", "--input", truth_file, "--output-dir", sim,
+             "--pattern", "random", "--fraction", "0.3", "--seed", "4"])
+    if command == "simulate":
+        return (["simulate", "--input", truth_file, "--pattern", "temporal-patch",
+                 "--fraction", "0.2", "--patch-size", "15", "--seed", "6"],
+                [], ["masked.vmc", "test_mask.vmc"])
+    if command == "impute":
+        return (["impute", "--input", sim / "masked.vmc", "--model", "sh", "--profile", "storm",
+                 "--rank", "3", "--max-iter", "15", "--tol", "1e-7", "--sh-lmax", "3",
+                 "--sh-v", "0.2", "--boxcox-lambda", "0.3", "--seed", "4", "--keep-observed"],
+                [], ["imputed.vmc", "diagnostics.csv", "auxiliary.vmc"])
+    if command == "evaluate":
+        shifted = tmp_path / "shifted.vmc"
+        vio.write_frames(shifted, 1.01 * vio.read_frames(truth_file))
+        imputed = ["--imputed", f"soft={shifted}", "--imputed", f"full={truth_file}"]
+        return (["evaluate", "--truth", truth_file, "--eval-mask", sim / "test_mask.vmc",
+                 *imputed, "--level", "scattered"],
+                imputed, ["frame_metrics.csv", "summary.csv", "margins.csv"])
+    return (["gridsearch", "--input", truth_file, "--lambda1-grid", "0.3,2.0",
+             "--lambda2-grid", "0.1", "--lambda3-grid", "0,0.02", "--rank", "3",
+             "--max-iter", "10", "--sh-lmax", "3", "--holdout", "0.3", "--seed", "2"],
+            [], ["gridsearch.csv", "best.txt"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "impute", "evaluate", "gridsearch"])
+def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
+    argv, replay, outputs = _replay_case(command, tmp_path, truth_file)
+    run([*argv, "--output-dir", tmp_path / "a"])
+    run([command, "--config", tmp_path / "a" / "manifest.txt", *replay,
+         "--output-dir", tmp_path / "b"])
+    for name in outputs:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    assert (manifest_without_timestamps(tmp_path / "a" / "manifest.txt")
+            == manifest_without_timestamps(tmp_path / "b" / "manifest.txt"))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gridsearch", "--input", "MISSING", "--max-iter", "0"], "max_iter must be at least 1"),
+    (["gridsearch", "--input", "MISSING", "--rank", "0"], "rank must be at least 1"),
+    (["gridsearch", "--input", "MISSING", "--tol", "0"], "tol must be positive"),
+    (["gridsearch", "--input", "TRUTH", "--rank", "100", "--sh-lmax", "3"],
+     "rank 100 exceeds min"),
+    (["gridsearch", "--input", "TRUTH", "--sh-v", "-1", "--sh-lmax", "3"],
+     "ridge weight v must be finite and non-negative, got -1.0"),
+    (["impute", "--input", "TRUTH", "--sh-v", "-1", "--sh-lmax", "3"],
+     "ridge weight v must be finite and non-negative, got -1.0"),
+    (["impute", "--input", "TRUTH", "--rank", "100", "--sh-lmax", "3"], "rank 100 exceeds min"),
+    (["impute", "--input", "TINY", "--model", "sh", "--sh-v", "0", "--sh-lmax", "4",
+      "--rank", "2"], "spherical-harmonics fit is singular"),
+    (["evaluate", "--truth", "TRUTH", "--eval-mask", "MASK", "--imputed", "soft=TINY"],
+     "model 'soft' frames have shape"),
+], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
+        "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
+        "impute-singular-sh-fit", "evaluate-wrong-shape"])
+def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
+                                                          argv, named):
+    # 20 observed pixels a frame cannot fix 25 unridged coefficients.
+    tiny = tmp_path / "tiny.vmc"
+    vio.write_frames(tiny, np.random.default_rng(0).uniform(1.0, 2.0, size=(2, 4, 5)))
+    mask = tmp_path / "mask.vmc"
+    vio.write_mask(mask, np.ones(vio.read_frames(truth_file).shape, dtype=bool))
+    for name, path in (("MISSING", tmp_path / "missing.vmc"), ("TRUTH", truth_file),
+                       ("TINY", tiny), ("MASK", mask)):
+        argv = [a.replace(name, str(path)) for a in argv]
+    fails([*argv, "--output-dir", tmp_path / "fo" / "out"], capsys, named)
+    assert not (tmp_path / "fo").exists()
