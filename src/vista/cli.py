@@ -178,12 +178,13 @@ def _finish_manifest(path, entries: dict) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
-    # Reject a bad fraction before creating the output directory or reading.
+    # Reject a bad choice of mode or fraction before creating the output directory or reading.
+    if (cfg.pattern is None) == (cfg.holdout is None):
+        raise ValueError("simulate needs --pattern or --holdout" if cfg.pattern is None
+                         else "give --pattern or --holdout, not both")
     spec = None
     if cfg.holdout is not None:
         check_fraction(cfg.holdout, "holdout fraction")
-    elif cfg.pattern is None:
-        raise ValueError("simulate needs --pattern or --holdout")
     else:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
@@ -215,18 +216,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _complete(video, aux_raw, cfg: RunConfig, lams, fitted: dict) -> tuple:
+    """Transform, solve and invert at one penalty triple: (frames, SolverState, clamp count).
+
+    The transform pools ``aux_raw`` in only when lambda3 > 0. ``fitted`` keeps
+    each of those two variants, so a caller that solves many triples fits each once.
+    """
+    with_aux = lams[2] > 0
+    if with_aux not in fitted:
+        fitted[with_aux] = fit_transform(video, aux_raw if with_aux else None,
+                                         cfg.boxcox_lambda, cfg.boxcox_offset)
+    transformed, aux_t, params = fitted[with_aux]
+    imputed, state = solve(transformed, aux_t, _penalty_config(cfg, *lams))
+    frames, clamped = invert(imputed.frames, params)
+    return frames, state, clamped
+
+
 def cmd_impute(args) -> int:
     cfg = resolve_config(args)
-    lam1, lam2, lam3 = effective_lambdas(cfg)
-    pcfg = _penalty_config(cfg, lam1, lam2, lam3)
+    lams = effective_lambdas(cfg)
+    _penalty_config(cfg, *lams)  # penalties, rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
-    aux_raw = None
-    if lam3 > 0:
-        aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v)
-    transformed, aux_t, params = fit_transform(video, aux_raw, cfg.boxcox_lambda,
-                                               cfg.boxcox_offset)
-    imputed, state = solve(transformed, aux_t, pcfg)
-    frames_out, clamped = invert(imputed.frames, params)
+    aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
+    frames_out, state, clamped = _complete(video, aux_raw, cfg, lams, {})
     if cfg.keep_observed:
         frames_out = np.where(video.masks, video.frames, frames_out)
     out = Path(cfg.output_dir)
@@ -236,7 +248,7 @@ def cmd_impute(args) -> int:
     vio.write_frames(out / "imputed.vmc", frames_out)
     _write_diagnostics(out / "diagnostics.csv", state)
     entries = _config_entries(cfg, args)
-    entries["result_effective_lambdas"] = f"{lam1!r},{lam2!r},{lam3!r}"
+    entries["result_effective_lambdas"] = ",".join(map(repr, lams))
     entries["result_converged"] = str(state.converged)
     entries["result_sweeps"] = str(state.sweeps)
     entries["result_domain_clamped"] = str(clamped)
@@ -260,7 +272,7 @@ def cmd_evaluate(args) -> int:
     paths = {}
     for item in args.imputed:
         name, _, path = item.partition("=")
-        if not path:
+        if not (name and path):
             raise ValueError(f"--imputed expects name=path, got {item!r}")
         if name in paths:
             raise ValueError(f"model name {name!r} is given more than once")
@@ -309,34 +321,20 @@ def cmd_gridsearch(args) -> int:
     _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
     train, test = holdout(video, frac, cfg.seed)
-    aux_raw = None
-    if any(v > 0 for v in grids[2]):
-        aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v)
-    # The transform depends on the penalties only through whether the
-    # auxiliary video is pooled in, so each of the two variants is fitted once.
-    fitted = {}
-
-    def score(lam1, lam2, lam3):
-        with_aux = lam3 > 0
-        if with_aux not in fitted:
-            fitted[with_aux] = fit_transform(train, aux_raw if with_aux else None,
-                                             cfg.boxcox_lambda, cfg.boxcox_offset)
-        transformed, aux_t, params = fitted[with_aux]
-        imputed, _ = solve(transformed, aux_t, _penalty_config(cfg, lam1, lam2, lam3))
-        frames_out, _ = invert(imputed.frames, params)
-        return compare_models({"point": frames_out}, video.frames, test).mean_rse["point"]
-
+    aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v) if max(grids[2]) > 0 else None
     # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best
     # value and the other penalty at 0.
     entries = _config_entries(cfg, args)
-    rows, best = [], []
+    rows, best, fitted, unconverged = [], [], {}, 0
     for k, (stage, grid) in enumerate(zip(stages, grids)):
         entries[f"timestamp_stage_{stage}"] = f"{time.time():.6f}"
         scores = []
         for value in grid:
             lams = [best[0] if best else 0.0, 0.0, 0.0]
             lams[k] = value
-            scores.append(score(*lams))
+            frames, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
+            unconverged += not state.converged
+            scores.append(compare_models({"point": frames}, video.frames, test).mean_rse["point"])
             rows.append((stage, *lams, scores[-1]))
         best.append(grid[int(np.argmin(scores))])
 
@@ -348,6 +346,7 @@ def cmd_gridsearch(args) -> int:
             handle.write(f"{stage},{l1!r},{l2!r},{l3!r},{s!r}\n")
     vio.write_manifest(out / "best.txt", {stage: repr(b) for stage, b in zip(stages, best)})
     entries["result_best_lambdas"] = ",".join(map(repr, best))
+    entries["result_unconverged_points"] = str(unconverged)
     _finish_manifest(out / "manifest.txt", entries)
     print(f"gridsearch: best (lambda1, lambda2, lambda3) = ({', '.join(map(str, best))})")
     return 0

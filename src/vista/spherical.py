@@ -69,7 +69,7 @@ class ShModel:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
         if self.l_max < 0:
-            raise ValueError("l_max must be non-negative")
+            raise ValueError(f"l_max must be non-negative, got {self.l_max!r}")
         if coeffs.shape != (coeff_count(self.l_max),):
             raise ValueError(
                 f"expected {coeff_count(self.l_max)} coefficients, got {coeffs.shape}")
@@ -108,6 +108,8 @@ def basis_matrix(grid: SphericalGrid, l_max: int) -> np.ndarray:
     Exploits the separable grid: each column is an outer product of a
     Legendre profile over rows and a trigonometric profile over columns.
     """
+    if l_max < 0:
+        raise ValueError(f"spherical-harmonics degree cap must be non-negative, got {l_max!r}")
     rows, cols = grid.shape
     legendre = _norm_assoc_legendre(l_max, np.cos(grid.theta))
     design = np.empty((coeff_count(l_max), rows, cols))

@@ -70,6 +70,8 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     TransformParams). The same (mean, std) standardizes both datasets, so
     their values stay directly comparable inside the solver.
     """
+    if not (offset > 0 and math.isfinite(offset)):
+        raise ValueError(f"power-transform offset must be finite and positive, got {offset!r}")
     if aux is not None:
         aux.check_matches(video)
     # One buffer holds the observed pixels in C order, then every auxiliary

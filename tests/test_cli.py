@@ -323,6 +323,33 @@ def test_gridsearch_fits_the_transform_once_per_variant(tmp_path, truth_file, mo
     assert with_aux == [False, True]
 
 
+@pytest.mark.parametrize("grids, calls", [
+    (["--lambda3-grid", "0"], ["solve"] * 7),
+    ([], ["build_auxiliary"] + ["solve"] * 9),
+], ids=["lambda3-grid-0", "default-grids"])
+def test_gridsearch_builds_the_auxiliary_video_once_before_any_solve(tmp_path, truth_file,
+                                                                     monkeypatch, grids, calls):
+    # A singular SH fit must fail before the first solve; with no lambda3 > 0
+    # the auxiliary video is never built.
+    seen = []
+    for name in ("build_auxiliary", "solve"):
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    run(["gridsearch", "--input", truth_file, "--output-dir", tmp_path / "grid", *grids,
+         "--rank", "4", "--max-iter", "10", "--sh-lmax", "4", "--seed", "2"])
+    assert seen == calls
+
+
+def test_gridsearch_manifest_counts_points_that_ran_out_of_sweeps(tmp_path, truth_file):
+    run(["gridsearch", "--input", truth_file, "--output-dir", tmp_path / "grid",
+         "--lambda1-grid", "0.5,0.9", "--lambda2-grid", "0.05", "--lambda3-grid", "0",
+         "--rank", "4", "--max-iter", "1", "--seed", "2"])
+    manifest = vio.read_manifest(tmp_path / "grid" / "manifest.txt")
+    assert manifest["result_unconverged_points"] == "4"
+
+
 def test_cli_import_loads_no_scipy():
     # numpy and scipy each bundle an OpenBLAS with its own thread pool, and
     # the two pools contend on the solver's small calls.
@@ -360,9 +387,11 @@ def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkey
     (["gridsearch", "--lambda3-grid", "0.01,-0.1"],
      "lambda3 grid values must be finite and non-negative, got -0.1"),
     (["gridsearch", "--lambda2-grid", "0.05,abc"], "lambda2 grid '0.05,abc': .*'abc'"),
+    (["simulate", "--pattern", "random", "--holdout", "0.3"],
+     "give --pattern or --holdout, not both"),
 ], ids=["simulate-holdout-nan", "simulate-fraction-1.5", "gridsearch-holdout-0",
         "gridsearch-lambda1-nan", "gridsearch-lambda1-0", "gridsearch-lambda3-negative",
-        "gridsearch-lambda2-text"])
+        "gridsearch-lambda2-text", "simulate-pattern-and-holdout"])
 def test_bad_fraction_fails_before_any_work(tmp_path, capsys, argv, named):
     # The input does not exist: a read before the check would fail differently.
     fails([*argv, "--input", tmp_path / "missing.vmc", "--output-dir", tmp_path / "out"],
@@ -378,6 +407,16 @@ def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, capsys, 
     fails(["evaluate", "--truth", tmp_path / "truth.vmc", "--eval-mask", tmp_path / "mask.vmc",
            *argv, "--output-dir", tmp_path / "out"], capsys,
           f"model name '{name}' is given more than once")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("item", ["=a.vmc", "full=", "full"],
+                         ids=["empty-name", "empty-path", "no-equals"])
+def test_evaluate_rejects_imputed_without_name_and_path_before_any_work(tmp_path, capsys, item):
+    # No input exists: a read before the check would fail differently.
+    fails(["evaluate", "--truth", tmp_path / "truth.vmc", "--eval-mask", tmp_path / "mask.vmc",
+           "--imputed", item, "--output-dir", tmp_path / "out"], capsys,
+          f"--imputed expects name=path, got '{item}'")
     assert not (tmp_path / "out").exists()
 
 
@@ -540,9 +579,16 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
       "--rank", "2"], "spherical-harmonics fit is singular"),
     (["evaluate", "--truth", "TRUTH", "--eval-mask", "MASK", "--imputed", "soft=TINY"],
      "model 'soft' frames have shape"),
+    (["impute", "--input", "TRUTH", "--sh-lmax", "-1"],
+     "spherical-harmonics degree cap must be non-negative, got -1"),
+    (["impute", "--input", "TRUTH", "--boxcox-offset", "-5", "--sh-lmax", "3"],
+     "power-transform offset must be finite and positive, got -5.0"),
+    (["gridsearch", "--input", "TRUTH", "--boxcox-offset", "nan", "--sh-lmax", "3"],
+     "power-transform offset must be finite and positive, got nan"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
-        "impute-singular-sh-fit", "evaluate-wrong-shape"])
+        "impute-singular-sh-fit", "evaluate-wrong-shape", "impute-sh-lmax-negative",
+        "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan"])
 def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
                                                           argv, named):
     # 20 observed pixels a frame cannot fix 25 unridged coefficients.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vista.missingness import (
     MissingnessSpec,
@@ -178,3 +180,60 @@ def test_holdout_rejects_tiny_frames():
     video = MaskedVideo(frames, masks)
     with pytest.raises(ValueError, match="at least 5"):
         holdout(video, 0.5, seed=0)
+
+
+@st.composite
+def _geometry(draw, pattern):
+    """A spec of this pattern and dims (m, n, T) with m, n <= 40, T <= 6, patch <= min(m, n)."""
+    m, n, T = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    spec = MissingnessSpec(pattern=pattern, fraction=draw(st.floats(0.05, 0.95)),
+                           patch_size=draw(st.integers(1, min(m, n))),
+                           shift=draw(st.integers(1, 12)), rng_seed=draw(st.integers(0, 2**32)))
+    return spec, (m, n, T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(_geometry("random-patch"), _geometry("temporal-patch")))
+def test_patch_frames_drop_exactly_the_patch_at_their_center(case):
+    spec, (m, n, T) = case
+    dropped, centers = generate(spec, (m, n, T))
+    path = perimeter_path(default_bbox(m, n))
+    rows, cols = np.arange(m)[:, None], np.arange(n)[None, :]
+    for t, (ci, cj) in enumerate(centers):
+        # Rows crop to [0, m); columns wrap mod n, so a column is in the
+        # patch when its offset from the patch's first column, mod n, is < size.
+        top, left = ci - spec.patch_size // 2, cj - spec.patch_size // 2
+        in_rows = (rows >= top) & (rows < top + spec.patch_size)
+        patch = in_rows & ((cols - left) % n < spec.patch_size)
+        np.testing.assert_array_equal(dropped[t], patch)
+        kept_rows = min(top + spec.patch_size, m) - max(top, 0)
+        assert int(dropped[t].sum()) == kept_rows * spec.patch_size
+        assert any((path == (ci, cj)).all(axis=1))
+    if spec.pattern == "temporal-patch":
+        # Some start on the perimeter path, then shift cells a frame along it.
+        assert any(all((centers[t] == path[(start + spec.shift * t) % len(path)]).all()
+                       for t in range(T)) for start in range(len(path)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_geometry("temporal"))
+def test_temporal_frames_are_column_rolls_of_the_first(case):
+    spec, (m, n, T) = case
+    dropped, centers = generate(spec, (m, n, T))
+    assert centers is None
+    for t in range(T):
+        np.testing.assert_array_equal(dropped[t], np.roll(dropped[0], spec.shift * t, axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_geometry("random"))
+def test_random_drop_count_is_within_a_bound_no_draw_should_cross(case):
+    spec, (m, n, T) = case
+    dropped, centers = generate(spec, (m, n, T))
+    assert centers is None
+    size = m * n * T
+    variance = size * spec.fraction * (1.0 - spec.fraction)
+    # Bernstein: P(|X - Np| >= a) <= 2 exp(-a^2 / (2 (var + a / 3))) = 2e-13 at
+    # this a, which is about 7.7 sigma for large N and stays valid for tiny N.
+    bound = 10.0 + np.sqrt(100.0 + 60.0 * variance)
+    assert abs(int(dropped.sum()) - spec.fraction * size) <= bound

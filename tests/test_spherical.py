@@ -138,6 +138,21 @@ def test_bad_ridge_weight_is_rejected_by_name(rng, v):
         build_auxiliary(MaskedVideo(frames, masks), l_max=2, v=v)
 
 
+@pytest.mark.parametrize("l_max", [-1, -3])
+def test_negative_degree_cap_is_rejected_by_name(rng, l_max):
+    # coeff_count(-1) is 0, so an unchecked -1 rendered an all-zero video.
+    grid = SphericalGrid.from_shape(6, 8)
+    named = f"degree cap must be non-negative, got {l_max}"
+    with pytest.raises(ValueError, match=named):
+        basis_matrix(grid, l_max)
+    with pytest.raises(ValueError, match=named):
+        fit_frame(1.0 + rng.random((6, 8)), np.ones((6, 8), bool), grid, l_max, 0.1)
+    with pytest.raises(ValueError, match=named):
+        build_auxiliary(MaskedVideo.fully_observed(1.0 + rng.random((2, 6, 8))), l_max=l_max)
+    with pytest.raises(ValueError, match=f"l_max must be non-negative, got {l_max}"):
+        ShModel(l_max=l_max, coeffs=np.zeros(0))
+
+
 def test_ridge_monotone_shrinkage(rng):
     grid = SphericalGrid.from_shape(18, 24)
     frame = rng.normal(size=(18, 24))

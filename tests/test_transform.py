@@ -82,6 +82,17 @@ def test_non_finite_exponent_is_rejected_by_name(lam):
         boxcox([1.0, 2.0], lam)
 
 
+@pytest.mark.parametrize("offset", [-5.0, 0.0, np.nan, np.inf])
+def test_bad_offset_is_rejected_by_name(rng, offset):
+    # -5 used to pass whenever every pixel exceeded 5; the check comes first.
+    video = MaskedVideo.fully_observed(10.0 + np.arange(18.0).reshape(2, 3, 3))
+    aux = AuxiliaryVideo(10.0 + rng.random((2, 3, 3)))
+    for companion in (None, aux):
+        with pytest.raises(ValueError, match=f"offset must be finite and positive, "
+                                             f"got {offset!r}"):
+            fit_transform(video, companion, 0.5, offset)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0])
 def test_round_trip_identity(rng, lam):
     video = random_video(rng, 7, 8, 3, positive=True)
