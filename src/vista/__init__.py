@@ -6,7 +6,7 @@ synthetic-missingness, and evaluation tooling needed to run end-to-end
 imputation experiments.
 """
 
-from .evaluation import EvalReport, compare_models, mse, rse
+from .evaluation import EvalReport, compare_models, rse
 from .missingness import MissingnessSpec, holdout
 from .solver import (
     ImputedVideo,
@@ -20,7 +20,7 @@ from .solver import (
     update_left,
     update_right,
 )
-from .spherical import ShModel, SphericalGrid, build_auxiliary, fit_frame, render
+from .spherical import ShModel, SphericalGrid, build_auxiliary, fit_frame
 from .transform import TransformParams, boxcox, fit_transform, invert
 from .video import (
     AuxiliaryVideo,
@@ -55,9 +55,7 @@ __all__ = [
     "holdout",
     "init_factors",
     "invert",
-    "mse",
     "objective",
-    "render",
     "rse",
     "solve",
     "sweep",

@@ -4,11 +4,12 @@ Every command is deterministic given its configuration and seed. Each
 ``RunConfig`` field declares one option, and each command's parser defines a
 flag only for the fields the command reads (plus ``--config``, ``impute``'s
 ``--profile`` preset and ``evaluate``'s repeatable ``--imputed``). Each run
-writes a ``manifest.txt`` with the effective values of those fields (the only
-file allowed to contain timestamps); feeding a manifest back through
-``--config`` reproduces the data outputs byte for byte. Option precedence is
-defaults < --config file < --profile < explicit flags. A command creates its
-output directory only after its last step that can fail.
+writes a ``manifest.txt`` with the effective values of those of the fields
+that it used (the only file allowed to contain timestamps); feeding a
+manifest back through ``--config`` reproduces the data outputs byte for
+byte. Option precedence is defaults < --config file < --profile < explicit
+flags. A command creates its output directory only after its last step that
+can fail.
 """
 
 import argparse
@@ -34,7 +35,10 @@ PROFILES = {
     "nonstorm": (0.9, 0.31, 0.03),
     "sim-demo": (0.9, 0.05, 0.01),
 }
-MODELS = ("soft", "ts", "sh", "full")
+# The penalties each model applies beyond lambda1.
+MODEL_PENALTIES = {"soft": (), "ts": ("lambda2",), "sh": ("lambda3",),
+                   "full": ("lambda2", "lambda3")}
+MODELS = tuple(MODEL_PENALTIES)
 PRESET_PATCH_SIZES = (27, 45, 63)
 
 
@@ -149,8 +153,9 @@ def effective_lambdas(cfg: RunConfig) -> tuple:
     """Apply the model selector's constraints to the penalty triple."""
     if cfg.model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {cfg.model!r}")
-    lam2 = cfg.lambda2 if cfg.model in ("ts", "full") else 0.0
-    lam3 = cfg.lambda3 if cfg.model in ("sh", "full") else 0.0
+    used = MODEL_PENALTIES[cfg.model]
+    lam2 = cfg.lambda2 if "lambda2" in used else 0.0
+    lam3 = cfg.lambda3 if "lambda3" in used else 0.0
     return cfg.lambda1, lam2, lam3
 
 
@@ -163,9 +168,12 @@ def _penalty_config(cfg: RunConfig, lam1: float, lam2: float, lam3: float) -> Pe
     return pcfg
 
 
-def _config_entries(cfg: RunConfig, args) -> dict:
+def _config_entries(cfg: RunConfig, args, unused=()) -> dict:
+    "The manifest lines of the command's fields, less those the run did not use."
     entries = {"version": __version__}
     for name in _command_fields(args):
+        if name in unused:
+            continue
         value = getattr(cfg, name)
         entries[name] = "" if value is None else repr(value) if isinstance(value, float) else str(value)
     return entries
@@ -189,7 +197,8 @@ def cmd_simulate(args) -> int:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
     out = Path(cfg.output_dir)
-    entries = _config_entries(cfg, args)
+    entries = _config_entries(cfg, args, ("pattern", "fraction", "patch_size") if spec is None
+                              else ("holdout",))
     if spec is None:
         video = vio.read_video(cfg.input)
         train, test = holdout(video, cfg.holdout, cfg.seed)
@@ -247,9 +256,16 @@ def cmd_impute(args) -> int:
         vio.write_frames(out / "auxiliary.vmc", aux_raw.frames)
     vio.write_frames(out / "imputed.vmc", frames_out)
     _write_diagnostics(out / "diagnostics.csv", state)
-    entries = _config_entries(cfg, args)
+    unused = [name for name in ("lambda2", "lambda3") if name not in MODEL_PENALTIES[cfg.model]]
+    if aux_raw is None:
+        unused += ["sh_lmax", "sh_v"]
+    entries = _config_entries(cfg, args, unused)
     entries["result_effective_lambdas"] = ",".join(map(repr, lams))
     entries["result_converged"] = str(state.converged)
+    history = state.objective_history
+    entries["result_final_objective"] = repr(history[-1])
+    entries["result_last_rel_decrease"] = repr((history[-2] - history[-1]) / history[-2]
+                                               if history[-2] else 0.0)
     entries["result_sweeps"] = str(state.sweeps)
     entries["result_domain_clamped"] = str(clamped)
     _finish_manifest(out / "manifest.txt", entries)
@@ -324,7 +340,7 @@ def cmd_gridsearch(args) -> int:
     aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v) if max(grids[2]) > 0 else None
     # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best
     # value and the other penalty at 0.
-    entries = _config_entries(cfg, args)
+    entries = _config_entries(cfg, args, () if aux_raw is not None else ("sh_lmax", "sh_v"))
     rows, best, fitted, unconverged = [], [], {}, 0
     for k, (stage, grid) in enumerate(zip(stages, grids)):
         entries[f"timestamp_stage_{stage}"] = f"{time.time():.6f}"

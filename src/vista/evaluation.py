@@ -50,13 +50,6 @@ def rse(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> float:
     return _scores(truth_values, imputed_values, _truth_norm(truth_values))[0]
 
 
-def mse(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> float:
-    """Mean squared residual over the evaluation pixels."""
-    truth_values, imputed_values = _gather(truth, imputed, eval_mask)
-    # The MSE needs no truth norm (and allows zero truth); the RSE is dropped.
-    return _scores(truth_values, imputed_values, 1.0)[1]
-
-
 def margin_confidence(margins: np.ndarray) -> tuple:
     """Mean margin with its 95% normal-approximation interval over frames."""
     margins = np.asarray(margins, dtype=float)

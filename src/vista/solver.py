@@ -236,6 +236,37 @@ def init_factors(m: int, n: int, T: int, rank: int, seed) -> FactorSequence:
     return FactorSequence(left, right)
 
 
+def _spectral_start(video: MaskedVideo, aux, cfg: PenaltyConfig) -> FactorSequence:
+    # One Soft-Impute step per frame (Mazumder, Hastie & Tibshirani, JMLR 2010)
+    # without its threshold: fill the missing pixels from the auxiliary frame,
+    # or with 0, take a rank-r randomized SVD with two power iterations (Halko,
+    # Martinsson & Tropp, SIAM Review 2011, Alg. 4.4) and split the square roots
+    # of its singular values between the two factors. Shrinking them by lambda1
+    # here would zero whole columns, and a zero column is a fixed point of
+    # _update (its right-hand side is filled @ 0), so lambda2 could never grow
+    # a weak frame back toward its neighbours.
+    m, n, T = video.dims
+    rank = cfg.rank
+    _check_rank(rank, m, n)
+    k = min(rank + 5, m, n)
+    rng = np.random.default_rng(cfg.rng_seed)
+    left = np.empty((T, m, rank))
+    right = np.empty((T, n, rank))
+    for t in range(T):
+        filled = video.frames[t]  # missing pixels are stored as 0
+        if aux is not None:
+            filled = np.where(video.masks[t], filled, aux.frames[t])
+        q, _ = np.linalg.qr(filled @ rng.standard_normal((n, k)))
+        for _ in range(2):
+            q, _ = np.linalg.qr(filled.T @ q)
+            q, _ = np.linalg.qr(filled @ q)
+        u, sigma, vt = np.linalg.svd(q.T @ filled, full_matrices=False)
+        root = np.sqrt(sigma[:rank])
+        left[t] = (q @ u[:, :rank]) * root
+        right[t] = vt[:rank].T * root
+    return FactorSequence(left, right)
+
+
 def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence = None):
     """Run the completion loop to convergence or the sweep budget.
 
@@ -248,7 +279,11 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
     cfg : PenaltyConfig
         Penalty weights and iteration controls; ``lambda1`` must be positive.
     factors : FactorSequence, optional
-        Starting factors; a seeded orthonormal start is drawn when omitted.
+        Starting factors. When omitted, each frame starts from the rank-r
+        truncated SVD of the frame with its missing pixels filled from
+        ``aux`` (or with 0 when ``aux`` is None), computed by a randomized
+        SVD seeded with ``cfg.rng_seed``; each factor takes the singular
+        vectors scaled by the square roots of the singular values.
 
     Returns
     -------
@@ -266,7 +301,7 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
         aux.check_matches(video)
     m, n, T = video.dims
     if factors is None:
-        factors = init_factors(m, n, T, cfg.rank, cfg.rng_seed)
+        factors = _spectral_start(video, aux, cfg)
     elif factors.dims != video.dims:
         raise ValueError(f"factor dims {factors.dims} do not match video dims {video.dims}")
     else:

@@ -177,14 +177,6 @@ def _fit_frames(design: np.ndarray, frames: np.ndarray, masks: np.ndarray,
     return np.linalg.solve(grams, rhs[..., None])[..., 0]
 
 
-def render(model: ShModel, grid: SphericalGrid, clamp_negative: bool = True) -> np.ndarray:
-    """Evaluate the expansion on the whole grid; negative values clamp to 0 by default."""
-    values = (basis_matrix(grid, model.l_max) @ model.coeffs).reshape(grid.shape)
-    if clamp_negative:
-        values = np.maximum(values, 0.0)
-    return values
-
-
 def build_auxiliary(video: MaskedVideo, l_max: int = 11, v: float = 0.1) -> AuxiliaryVideo:
     """Per-frame fit-and-render of a masked video on its cell-centered global grid."""
     _check_ridge(v)

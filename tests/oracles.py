@@ -204,8 +204,8 @@ def finalize_literal(left, right, frame, mask, shrinkage):
     return (u * sigma) @ (rt @ v.T), int((sigma > 0).sum())
 
 
-def real_sph_harm_scipy(l, m, theta, phi):
-    """Real orthonormal harmonic via scipy's complex routine (geodesy sign)."""
+def _real_sph_harm(l, m, theta, phi):
+    """Real orthonormal harmonic via scipy's complex routine (geodesy sign), elementwise."""
     import scipy.special as sp
 
     try:
@@ -213,7 +213,37 @@ def real_sph_harm_scipy(l, m, theta, phi):
     except AttributeError:
         complex_value = sp.sph_harm(abs(m), l, phi, theta)
     if m == 0:
-        return float(np.real(complex_value))
+        return np.real(complex_value)
     if m > 0:
-        return float(np.sqrt(2.0) * (-1.0) ** m * np.real(complex_value))
-    return float(np.sqrt(2.0) * (-1.0) ** m * np.imag(complex_value))
+        return np.sqrt(2.0) * (-1.0) ** m * np.real(complex_value)
+    return np.sqrt(2.0) * (-1.0) ** m * np.imag(complex_value)
+
+
+def real_sph_harm_scipy(l, m, theta, phi):
+    """Real orthonormal harmonic at one point, from scipy."""
+    return float(_real_sph_harm(l, m, theta, phi))
+
+
+def render(model, grid, clamp_negative=True):
+    """A truncated expansion evaluated on a whole grid from scipy's harmonics.
+
+    ``model.coeffs`` is degree-major with m = -l..l inside a degree; negative
+    values clamp to 0 by default, as the auxiliary video's render does.
+    """
+    theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    values = np.zeros(theta.shape)
+    index = 0
+    for l in range(model.l_max + 1):
+        for m in range(-l, l + 1):
+            values += model.coeffs[index] * _real_sph_harm(l, m, theta, phi)
+            index += 1
+    return np.maximum(values, 0.0) if clamp_negative else values
+
+
+def mse(truth, imputed, mask):
+    """Mean squared residual over the mask's pixels, by an explicit loop."""
+    total, count = 0.0, 0
+    for i, j in zip(*np.nonzero(mask)):
+        total += (imputed[i, j] - truth[i, j]) ** 2
+        count += 1
+    return total / count

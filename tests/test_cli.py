@@ -499,11 +499,13 @@ def test_readme_option_table_matches_the_parser():
 
 
 def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):
-    fit = {"rank", "max_iter", "tol", "sh_lmax", "sh_v", "boxcox_lambda", "boxcox_offset"}
+    # Each run uses all of its command's fields but these: the pattern run no
+    # holdout, the soft model no lambda2 or lambda3, and a run with lambda3 = 0
+    # no spherical-harmonics field.
+    fit = {"rank", "max_iter", "tol", "boxcox_lambda", "boxcox_offset"}
     expected = {
-        "sim": {"input", "output_dir", "pattern", "fraction", "patch_size", "holdout", "seed"},
-        "imp": {"input", "output_dir", "model", "lambda1", "lambda2", "lambda3", *fit,
-                "seed", "keep_observed"},
+        "sim": {"input", "output_dir", "pattern", "fraction", "patch_size", "seed"},
+        "imp": {"input", "output_dir", "model", "lambda1", *fit, "seed", "keep_observed"},
         "eval": {"truth", "eval_mask", "output_dir", "level"},
         "grid": {"input", "output_dir", *fit, "holdout", "seed",
                  "lambda1_grid", "lambda2_grid", "lambda3_grid"},
@@ -522,6 +524,47 @@ def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):
         keys = set(vio.read_manifest(tmp_path / name / "manifest.txt"))
         assert {k for k in keys if not k.startswith(("result_", "timestamp"))} == {"version", *own}
 
+
+def test_simulate_holdout_manifest_leaves_out_the_pattern_fields(tmp_path, truth_file):
+    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "h",
+         "--holdout", "0.3", "--fraction", "0.2", "--patch-size", "9", "--seed", "2"])
+    manifest = vio.read_manifest(tmp_path / "h" / "manifest.txt")
+    assert manifest["holdout"] == "0.3"
+    assert not {"pattern", "fraction", "patch_size"} & set(manifest)
+
+
+def test_soft_manifest_replays_as_full_despite_unused_bad_sh_values(tmp_path, truth_file):
+    # A soft run neither reads nor checks the spherical-harmonics options, so
+    # its manifest leaves them out and a replay with --model full takes the defaults.
+    sim = tmp_path / "sim"
+    run(["simulate", "--input", truth_file, "--output-dir", sim,
+         "--pattern", "random", "--fraction", "0.3", "--seed", "4"])
+    run(["impute", "--input", sim / "masked.vmc", "--output-dir", tmp_path / "soft",
+         "--model", "soft", "--sh-lmax", "-1", "--sh-v", "-5", "--lambda2", "-1",
+         "--rank", "3", "--max-iter", "5"])
+    manifest = vio.read_manifest(tmp_path / "soft" / "manifest.txt")
+    assert not {"sh_lmax", "sh_v", "lambda2", "lambda3"} & set(manifest)
+    run(["impute", "--config", tmp_path / "soft" / "manifest.txt", "--model", "full",
+         "--output-dir", tmp_path / "full"])
+    replayed = vio.read_manifest(tmp_path / "full" / "manifest.txt")
+    assert (replayed["sh_lmax"], replayed["sh_v"]) == ("11", "0.1")
+    assert (tmp_path / "full" / "auxiliary.vmc").exists()
+
+
+def test_impute_manifest_reports_where_the_run_stopped(tmp_path, truth_file):
+    sim = tmp_path / "sim"
+    run(["simulate", "--input", truth_file, "--output-dir", sim,
+         "--pattern", "random", "--fraction", "0.3", "--seed", "4"])
+    out = tmp_path / "imp"
+    run(["impute", "--input", sim / "masked.vmc", "--output-dir", out,
+         "--rank", "3", "--max-iter", "5", "--sh-lmax", "3"])
+    manifest = vio.read_manifest(out / "manifest.txt")
+    with open(out / "diagnostics.csv") as handle:
+        objectives = [float(row["objective"]) for row in csv.DictReader(handle)]
+    assert float(manifest["result_final_objective"]) == objectives[-1]
+    expected = (objectives[-2] - objectives[-1]) / objectives[-2]
+    assert float(manifest["result_last_rel_decrease"]) == expected
+    assert repr(float(manifest["result_last_rel_decrease"])) == manifest["result_last_rel_decrease"]
 
 
 def _replay_case(command, tmp_path, truth_file):

@@ -7,12 +7,13 @@ from vista.evaluation import (
     Z95,
     compare_models,
     margin_confidence,
-    mse,
     rse,
     write_frame_metrics,
     write_margins,
     write_summary,
 )
+
+import oracles
 
 
 def test_rse_trivial_cases():
@@ -48,12 +49,17 @@ def test_rse_scale_equivariance(rng):
 
 
 def test_mse_values():
-    truth = np.zeros((1, 2, 2))[0]
-    mask = np.ones((2, 2), bool)
-    assert mse(truth, truth, mask) == 0.0
-    imputed = np.array([[1.0, -1.0], [0.0, 0.0]])
-    mask = np.array([[True, True], [False, False]])
-    assert mse(truth, imputed, mask) == pytest.approx(1.0)
+    # compare_models' per-frame MSE, against hand values and the loop oracle.
+    truth = np.zeros((2, 2, 2))
+    truth[:, 1, 1] = 1.0
+    imputed = np.array([[[1.0, -1.0], [0.0, 1.0]], [[0.0, 0.0], [5.0, 1.0]]])
+    masks = np.array([[[True, True], [False, True]], [[False, True], [False, True]]])
+    report = compare_models({"a": truth, "b": imputed}, truth, masks)
+    np.testing.assert_array_equal(report.frame_mse["a"], [0.0, 0.0])
+    np.testing.assert_allclose(report.frame_mse["b"], [2.0 / 3.0, 0.0], rtol=1e-15)
+    for t in range(2):
+        assert report.frame_mse["b"][t] == pytest.approx(
+            oracles.mse(truth[t], imputed[t], masks[t]), rel=1e-15)
 
 
 def test_margin_confidence_matches_textbook_formula(rng):
@@ -114,7 +120,8 @@ def test_compare_models_frames_equal_rse_and_mse_exactly(rng):
     for name, frames in results.items():
         for t in range(truth.shape[0]):
             assert report.frame_rse[name][t] == rse(truth[t], frames[t], masks[t])
-            assert report.frame_mse[name][t] == mse(truth[t], frames[t], masks[t])
+            residual = (frames[t] - truth[t])[masks[t]]
+            assert report.frame_mse[name][t] == np.mean(residual * residual)
 
 
 def test_compare_models_rejects_empty_evaluation_frame(rng):

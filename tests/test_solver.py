@@ -461,18 +461,95 @@ def test_solve_fails_at_the_first_diverged_sweep(rng):
 
 @settings(max_examples=30, deadline=None)
 @given(sizes=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)),
-       unit=st.sampled_from("mnT"), seed=st.integers(0, 2**32 - 1))
-def test_solve_descends_on_degenerate_shapes(sizes, unit, seed):
-    # One of m, n, T is 1 and the rank is min(m, n); the tolerance is that
-    # of test_sweep_update_chain_is_non_increasing.
+       unit=st.sampled_from("mnT"), with_aux=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_solve_descends_on_degenerate_shapes(sizes, unit, with_aux, seed):
+    # One of m, n, T is 1 and the rank is min(m, n), so the start's randomized
+    # SVD takes k = min(m, n) columns and is exact: its objective is that of
+    # the split SVD of each filled frame. The descent tolerance is that of
+    # test_sweep_update_chain_is_non_increasing.
     m, n, T = (1 if name == unit else size for name, size in zip("mnT", sizes))
     rng = np.random.default_rng(seed)
     video = random_video(rng, m, n, T)
-    cfg = PenaltyConfig(lambda1=0.5, lambda2=0.1, lambda3=0.05, rank=min(m, n),
-                        max_iter=10, tol=1e-300, rng_seed=seed)
-    _, state = solve(video, random_aux(rng, video), cfg)
+    aux = random_aux(rng, video) if with_aux else None
+    cfg = PenaltyConfig(lambda1=0.5, lambda2=0.1, lambda3=0.05 if with_aux else 0.0,
+                        rank=min(m, n), max_iter=10, tol=1e-300, rng_seed=seed)
+    _, state = solve(video, aux, cfg)
     chain = np.array(state.objective_history)
     assert np.all(np.diff(chain) <= 1e-9 * (1.0 + np.abs(chain[:-1])))
+    filled = video.frames if aux is None else np.where(video.masks, video.frames, aux.frames)
+    u, sigma, vt = np.linalg.svd(filled, full_matrices=False)
+    root = np.sqrt(sigma)[:, None, :]
+    split = FactorSequence(u * root, np.swapaxes(vt, 1, 2) * root)
+    assert chain[0] == pytest.approx(objective(video, aux, split, cfg), rel=1e-9, abs=1e-12)
+
+
+# ------------------------------------------------------------ spectral start
+
+def test_solve_start_is_bit_identical_for_the_same_seed(rng):
+    video = random_video(rng, 9, 11, 4)
+    aux = random_aux(rng, video)
+    cfg = PenaltyConfig(lambda1=0.9, lambda2=0.05, lambda3=0.01, rank=3, max_iter=3, rng_seed=7)
+    (first, state_a), (second, state_b) = solve(video, aux, cfg), solve(video, aux, cfg)
+    assert state_a.objective_history == state_b.objective_history
+    np.testing.assert_array_equal(state_a.factors.left, state_b.factors.left)
+    np.testing.assert_array_equal(state_a.factors.right, state_b.factors.right)
+    np.testing.assert_array_equal(first.frames, second.frames)
+
+
+def test_solve_on_a_frame_below_lambda1():
+    # Every singular value of frame 2 lies below lambda1. The start keeps its
+    # columns (unshrunk), so the sweeps decide: alone (lambda2 = 0) the frame
+    # shrinks to exactly 0 with effective rank 0, and with lambda2 > 0 it
+    # follows its neighbours to the minimum that a random start reaches. A
+    # start shrunk by lambda1 would hold that frame at 0 for good.
+    rng = np.random.default_rng(3)
+    T, m, n, r = 6, 20, 30, 3
+    u, v = rng.normal(size=(m, r)), rng.normal(size=(n, r))
+    frames = np.stack([u @ np.diag([3.0, 2.0, 1.0 + 0.1 * t]) @ v.T for t in range(T)])
+    frames[2] *= 0.01
+    video = MaskedVideo(frames, rng.random(frames.shape) < 0.6)
+    assert np.linalg.svd(video.frames[2], compute_uv=False).max() < 0.9
+    for lam2 in (0.0, 0.5):
+        cfg = PenaltyConfig(lambda1=0.9, lambda2=lam2, rank=r, max_iter=5000, tol=1e-10,
+                            rng_seed=1)
+        imputed, state = solve(video, None, cfg)
+        _, reference = solve(video, None, cfg, factors=init_factors(m, n, T, r, 1))
+        final, best = state.objective_history[-1], reference.objective_history[-1]
+        assert state.converged and abs(final - best) <= 1e-3 * best
+        if lam2 == 0.0:
+            np.testing.assert_array_equal(imputed.frames[2], 0.0)
+            assert imputed.effective_ranks[2] == 0
+        else:
+            assert np.linalg.norm(imputed.frames[2]) > 1.0
+            assert imputed.effective_ranks[2] == r
+
+
+@pytest.fixture(scope="module")
+def demo_problem():
+    from vista.missingness import MissingnessSpec, apply
+    from vista.spherical import build_auxiliary
+    from vista.synthetic import make_demo_video
+
+    spec = MissingnessSpec(pattern="temporal-patch", patch_size=30, shift=6, rng_seed=3)
+    video, _ = apply(make_demo_video(60, 90, 24, seed=11), spec)
+    return video, build_auxiliary(video, l_max=6, v=0.1)
+
+
+@pytest.mark.parametrize("lam2, lam3", [(0.0, 0.0), (0.05, 0.01)], ids=["soft", "full"])
+def test_spectral_start_reaches_the_random_start_minimum(demo_problem, lam2, lam3):
+    # Both starts run to the same tight stop, so the gap measures where each
+    # start leads and not where the default stop cuts the run.
+    from vista.transform import fit_transform
+
+    video, aux_raw = demo_problem
+    transformed, aux, _ = fit_transform(video, aux_raw if lam3 > 0 else None, 0.5)
+    cfg = PenaltyConfig(lambda1=0.9, lambda2=lam2, lambda3=lam3, rank=8, max_iter=20000,
+                        tol=1e-10, rng_seed=5)
+    _, spectral = solve(transformed, aux, cfg)
+    _, reference = solve(transformed, aux, cfg, factors=init_factors(60, 90, 24, 8, 5))
+    assert spectral.converged and reference.converged
+    final, best = spectral.objective_history[-1], reference.objective_history[-1]
+    assert abs(final - best) <= 1e-3 * best
 
 
 # --------------------------------------------------------------- invariants

@@ -10,7 +10,6 @@ from vista.spherical import (
     coeff_count,
     coeff_index,
     fit_frame,
-    render,
 )
 from vista.video import MaskedVideo
 
@@ -88,7 +87,8 @@ def test_fit_recovers_bandlimited_frame_and_round_trips():
     frame = (basis_matrix(grid, l_max) @ coeffs).reshape(40, 80)
     model = fit_frame(frame, np.ones((40, 80), bool), grid, l_max, 0.0)
     assert np.linalg.norm(model.coeffs - coeffs) / np.linalg.norm(coeffs) < 1e-6
-    np.testing.assert_allclose(render(model, grid, clamp_negative=False), frame, atol=1e-5)
+    np.testing.assert_allclose(oracles.render(model, grid, clamp_negative=False), frame,
+                               atol=1e-5)
 
 
 def test_fit_with_mask_uses_only_observed_pixels(rng):
@@ -176,26 +176,29 @@ def test_fit_single_pixel_is_bounded_by_ridge():
     mask = np.zeros((12, 16), bool)
     mask[5, 7] = True
     model = fit_frame(frame, mask, grid, 4, 0.5)
-    values = render(model, grid)
+    values = oracles.render(model, grid)
     assert np.isfinite(values).all()
     assert values.max() <= 10.0
 
 
 def test_render_zero_and_constant_models():
+    # The auxiliary build renders coefficients as basis_matrix @ coeffs.
     grid = SphericalGrid.from_shape(10, 14)
-    zero = ShModel(l_max=2, coeffs=np.zeros(9))
-    np.testing.assert_array_equal(render(zero, grid), np.zeros((10, 14)))
+    np.testing.assert_array_equal(basis_matrix(grid, 2) @ np.zeros(9), np.zeros(140))
     constant = ShModel(l_max=0, coeffs=np.array([np.sqrt(4.0 * np.pi)]))
-    np.testing.assert_allclose(render(constant, grid), np.ones((10, 14)), rtol=1e-12)
+    np.testing.assert_allclose(basis_matrix(grid, 0) @ constant.coeffs, np.ones(140), rtol=1e-12)
+    np.testing.assert_allclose(oracles.render(constant, grid), np.ones((10, 14)), rtol=1e-12)
 
 
 def test_render_clamps_negative_values():
+    # build_auxiliary clamps the negative values of its render to 0.
     grid = SphericalGrid.from_shape(8, 10)
     model = ShModel(l_max=1, coeffs=np.array([0.0, 0.0, 5.0, 0.0]))
-    clamped = render(model, grid)
-    assert clamped.min() == 0.0
-    raw = render(model, grid, clamp_negative=False)
+    raw = oracles.render(model, grid, clamp_negative=False)
     assert raw.min() < 0.0
+    aux = build_auxiliary(MaskedVideo.fully_observed(raw[None]), l_max=1, v=1e-9)
+    assert aux.frames.min() == 0.0
+    np.testing.assert_allclose(aux.frames[0], np.maximum(raw, 0.0), atol=1e-6)
 
 
 def test_render_fit_superposition(rng):
@@ -206,7 +209,7 @@ def test_render_fit_superposition(rng):
     b = rng.normal(size=(14, 18))
 
     def smooth(frame):
-        return render(fit_frame(frame, mask, grid, 4, 0.2), grid, clamp_negative=False)
+        return oracles.render(fit_frame(frame, mask, grid, 4, 0.2), grid, clamp_negative=False)
 
     np.testing.assert_allclose(smooth(2.0 * a + 3.0 * b),
                                2.0 * smooth(a) + 3.0 * smooth(b), atol=1e-9)
@@ -222,7 +225,7 @@ def test_build_auxiliary_matches_per_frame_fit(rng):
     assert aux.dims == video.dims
     for t in range(3):
         model = fit_frame(video.frames[t], video.masks[t], grid, 4, 0.1)
-        np.testing.assert_allclose(aux.frames[t], render(model, grid), atol=1e-12)
+        np.testing.assert_allclose(aux.frames[t], oracles.render(model, grid), atol=1e-12)
     assert coeff_count(11) == 144  # the default degree cap carries 144 coefficients
 
 
