@@ -21,7 +21,7 @@ from .solver import (
     update_right,
 )
 from .spherical import ShModel, SphericalGrid, build_auxiliary, fit_frame
-from .transform import TransformParams, boxcox, fit_transform, invert
+from .transform import TransformParams, fit_transform, invert
 from .video import (
     AuxiliaryVideo,
     FactorSequence,
@@ -44,7 +44,6 @@ __all__ = [
     "SolverState",
     "SphericalGrid",
     "TransformParams",
-    "boxcox",
     "build_auxiliary",
     "check_convergence",
     "compare_models",

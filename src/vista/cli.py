@@ -249,7 +249,7 @@ def cmd_impute(args) -> int:
     aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
     frames_out, state, clamped = _complete(video, aux_raw, cfg, lams, {})
     if cfg.keep_observed:
-        frames_out = np.where(video.masks, video.frames, frames_out)
+        np.copyto(frames_out, video.frames, where=video.masks)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if aux_raw is not None:

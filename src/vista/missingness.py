@@ -166,6 +166,10 @@ def holdout(video: MaskedVideo, fraction: float, seed) -> tuple:
         if observed.size < 5:
             raise ValueError(f"frame {t} has only {observed.size} observed pixels; need at least 5")
         count = int(np.floor(fraction * observed.size + 0.5))
+        if count in (0, observed.size):
+            raise ValueError(f"holdout fraction {fraction!r} moves {count} of the "
+                             f"{observed.size} observed pixels of frame {t}; the test and "
+                             "training sets each need at least one")
         chosen = rng.choice(observed, size=count, replace=False)
         rows, cols = np.unravel_index(chosen, (m, n))
         test[t, rows, cols] = True

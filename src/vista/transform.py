@@ -32,36 +32,6 @@ class TransformParams:
             raise ValueError(f"std must be finite and positive, got {self.std!r}")
 
 
-def boxcox(values, lam: float):
-    """Power transform of strictly positive values; natural log at lam = 0."""
-    if not math.isfinite(lam):
-        raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
-    array = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~(array > 0))
-    if bad.size:
-        raise ValueError(f"power transform needs positive values; entry {bad[0]} "
-                         f"is {array.ravel()[bad[0]]!r}")
-    if lam == 0.0:
-        out = np.log(array)
-    else:
-        out = (np.power(array, lam) - 1.0) / lam
-    return out if out.ndim else float(out)
-
-
-def boxcox_inverse(values, lam: float):
-    """Inverse power transform; values outside the domain clamp to the boundary.
-
-    Returns (array, clamp count).
-    """
-    array = np.asarray(values, dtype=float)
-    if lam == 0.0:
-        return np.exp(array), 0
-    argument = lam * array + 1.0
-    clamped = int(np.count_nonzero(argument <= 0))
-    floor = 0.0 if lam > 0 else np.finfo(float).tiny
-    return np.power(np.maximum(argument, floor), 1.0 / lam), clamped
-
-
 def fit_transform(video: MaskedVideo, aux, lam: float,
                   offset: float = 1e-3):
     """Transform a video (and optional auxiliary) and fit the pooled standardization.
@@ -72,6 +42,8 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     """
     if not (offset > 0 and math.isfinite(offset)):
         raise ValueError(f"power-transform offset must be finite and positive, got {offset!r}")
+    if not math.isfinite(lam):
+        raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
     if aux is not None:
         aux.check_matches(video)
     # One buffer holds the observed pixels in C order, then every auxiliary
@@ -92,7 +64,12 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
             kind, flat = "auxiliary pixel", k - observed
         t, i, j = np.unravel_index(flat, video.masks.shape)
         raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
-    pooled = boxcox(pooled, lam)
+    if lam == 0.0:
+        np.log(pooled, out=pooled)
+    else:
+        np.power(pooled, lam, out=pooled)
+        pooled -= 1.0
+        pooled /= lam
     mean = float(pooled.mean())
     std = float(pooled.std())
     if std == 0.0:
@@ -107,13 +84,25 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
 
 
 def invert(frames: np.ndarray, params: TransformParams):
-    """Map transformed values back to the original scale.
+    """Map transformed values back to the original scale, overwriting ``frames``.
 
     De-standardizes, inverts the power transform (clamping values outside
     the invertible domain and counting them), removes the offset, and
-    clamps the final result at zero. Returns (frames, clamp count).
+    clamps the final result at zero. ``frames`` must be a writable float
+    array; pass a copy to keep it. Returns (frames, clamp count).
     """
-    frames = np.asarray(frames, dtype=float)
-    raw, clamped = boxcox_inverse(frames * params.std + params.mean, params.boxcox_lambda)
-    return np.maximum(raw - params.offset, 0.0), clamped
-
+    lam = params.boxcox_lambda
+    frames *= params.std
+    frames += params.mean
+    clamped = 0
+    if lam == 0.0:
+        np.exp(frames, out=frames)
+    else:
+        frames *= lam
+        frames += 1.0
+        clamped = int(np.count_nonzero(frames <= 0))
+        np.maximum(frames, 0.0 if lam > 0 else np.finfo(float).tiny, out=frames)
+        np.power(frames, 1.0 / lam, out=frames)
+    frames -= params.offset
+    np.maximum(frames, 0.0, out=frames)
+    return frames, clamped

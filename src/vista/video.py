@@ -134,7 +134,7 @@ class FactorSequence:
         return Dims(self.left.shape[1], self.right.shape[1], self.left.shape[0])
 
     def copy(self) -> "FactorSequence":
-        return FactorSequence(self.left.copy(), self.right.copy())
+        return FactorSequence(self.left, self.right)
 
 
 @dataclass(frozen=True)

@@ -247,3 +247,25 @@ def mse(truth, imputed, mask):
         total += (imputed[i, j] - truth[i, j]) ** 2
         count += 1
     return total / count
+
+
+def boxcox(values, lam):
+    """Out-of-place power transform (y**lam - 1)/lam, natural log at lam = 0."""
+    y = np.array(values, dtype=float)
+    if lam == 0.0:
+        return np.log(y)
+    return (np.power(y, lam) - 1.0) / lam
+
+
+def boxcox_inverse(values, lam):
+    """Out-of-place inverse power transform, clamped at the domain boundary.
+
+    Returns (array, count of values outside the domain).
+    """
+    x = np.array(values, dtype=float)
+    if lam == 0.0:
+        return np.exp(x), 0
+    argument = lam * x + 1.0
+    clamped = int(np.sum(argument <= 0))
+    floor = 0.0 if lam > 0 else np.finfo(float).tiny
+    return np.power(np.where(argument > floor, argument, floor), 1.0 / lam), clamped

@@ -628,10 +628,15 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
      "power-transform offset must be finite and positive, got -5.0"),
     (["gridsearch", "--input", "TRUTH", "--boxcox-offset", "nan", "--sh-lmax", "3"],
      "power-transform offset must be finite and positive, got nan"),
+    (["simulate", "--input", "TRUTH", "--holdout", "0.0001"],
+     "holdout fraction 0.0001 moves 0 of the 2400 observed pixels of frame 0"),
+    (["gridsearch", "--input", "TRUTH", "--holdout", "0.9999", "--sh-lmax", "3"],
+     "holdout fraction 0.9999 moves 2400 of the 2400 observed pixels of frame 0"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
         "impute-singular-sh-fit", "evaluate-wrong-shape", "impute-sh-lmax-negative",
-        "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan"])
+        "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan",
+        "simulate-holdout-empties-test", "gridsearch-holdout-empties-training"])
 def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
                                                           argv, named):
     # 20 observed pixels a frame cannot fix 25 unridged coefficients.

@@ -182,6 +182,19 @@ def test_holdout_rejects_tiny_frames():
         holdout(video, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("fraction, count", [(0.05, 0), (0.95, 9)],
+                         ids=["empty-test", "empty-train"])
+def test_holdout_rejects_a_fraction_that_empties_a_frame_set(fraction, count):
+    # Frame 0 has 12 observed pixels, which either fraction splits; frame 1 has 9.
+    masks = np.ones((2, 3, 4), bool)
+    masks[1, 2, 1:] = False
+    video = MaskedVideo(np.ones((2, 3, 4)), masks)
+    with pytest.raises(ValueError, match=rf"^holdout fraction {fraction!r} moves {count} of the "
+                                         r"9 observed pixels of frame 1; the test and training "
+                                         "sets each need at least one$"):
+        holdout(video, fraction, seed=0)
+
+
 @st.composite
 def _geometry(draw, pattern):
     """A spec of this pattern and dims (m, n, T) with m, n <= 40, T <= 6, patch <= min(m, n)."""

@@ -4,40 +4,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vista.transform import (
-    TransformParams,
-    boxcox,
-    boxcox_inverse,
-    fit_transform,
-    invert,
-)
+from vista.transform import TransformParams, fit_transform, invert
 from vista.video import AuxiliaryVideo, MaskedVideo
 
+import oracles
 from conftest import random_video
 
+_EXPONENTS = (-1.0, -0.3, 0.0, 0.5, 1.0, 2.0)
 
+
+# The power transform runs inside fit_transform and invert; these two check
+# the out-of-place oracle that the bit-for-bit tests below compare them with.
 def test_boxcox_analytic_values():
-    assert boxcox(1.0, 0.73) == pytest.approx(0.0, abs=1e-15)
-    assert boxcox(4.0, 0.5) == pytest.approx(2.0, rel=1e-14)
-    assert boxcox(np.e, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_boxcox_rejects_nonpositive():
-    with pytest.raises(ValueError, match="entry 1"):
-        boxcox(np.array([1.0, -2.0, 3.0]), 0.5)
+    assert oracles.boxcox(1.0, 0.73) == pytest.approx(0.0, abs=1e-15)
+    assert oracles.boxcox(4.0, 0.5) == pytest.approx(2.0, rel=1e-14)
+    assert oracles.boxcox(np.e, 0.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_boxcox_strictly_increasing(rng):
-    for lam in (-1.0, -0.3, 0.0, 0.5, 1.0, 2.0):
+    for lam in _EXPONENTS:
         y = np.sort(rng.uniform(0.01, 50.0, size=200))
-        out = boxcox(y, lam)
+        out = oracles.boxcox(y, lam)
         assert np.all(np.diff(out) > 0)
-
-
-def test_boxcox_inverse_clamps_and_counts():
-    values, clamped = boxcox_inverse(np.array([-3.0, 0.0, 1.0]), 0.5)
-    assert clamped == 1
-    np.testing.assert_allclose(values, [0.0, 1.0, 2.25])
 
 
 def test_fit_transform_standardizes_observed_population(rng):
@@ -78,8 +66,6 @@ def test_non_finite_exponent_is_rejected_by_name(lam):
     video = MaskedVideo.fully_observed(1.0 + np.arange(18.0).reshape(2, 3, 3))
     with pytest.raises(ValueError, match=f"exponent must be finite, got {lam!r}"):
         fit_transform(video, None, lam)
-    with pytest.raises(ValueError, match=f"exponent must be finite, got {lam!r}"):
-        boxcox([1.0, 2.0], lam)
 
 
 @pytest.mark.parametrize("offset", [-5.0, 0.0, np.nan, np.inf])
@@ -119,9 +105,10 @@ def test_invert_lambda_one_is_affine():
 
 def test_invert_clamps_out_of_domain_and_counts():
     params = TransformParams(boxcox_lambda=0.5, mean=0.0, std=1.0, offset=1e-3)
-    restored, clamped = invert(np.array([[-5.0, 1.0]]), params)
+    restored, clamped = invert(np.array([[-5.0, 0.0, 1.0]]), params)
     assert clamped == 1
     assert restored[0, 0] == 0.0  # clamped to the domain boundary, then floored at 0
+    np.testing.assert_allclose(restored[0, 1:], [1.0 - 1e-3, 2.25 - 1e-3], rtol=1e-15)
 
 
 def test_params_reject_bad_std():
@@ -169,9 +156,9 @@ def _pooled_inputs(draw):
 
 
 def _separately_transformed(video, aux, lam, offset=1e-3):
-    parts = [boxcox(video.frames[video.masks] + offset, lam)]
+    parts = [oracles.boxcox(video.frames[video.masks] + offset, lam)]
     if aux is not None:
-        parts.append(boxcox(aux.frames.ravel() + offset, lam))
+        parts.append(oracles.boxcox(aux.frames.ravel() + offset, lam))
     pooled = np.concatenate(parts)
     assume(pooled.std() > 0)
     return pooled
@@ -182,9 +169,15 @@ def _separately_transformed(video, aux, lam, offset=1e-3):
 def test_pooled_moments_equal_those_of_the_concatenated_parts(inputs):
     video, aux, lam = inputs
     pooled = _separately_transformed(video, aux, lam)
-    _, _, params = fit_transform(video, aux, lam)
+    out_v, out_a, params = fit_transform(video, aux, lam)
     assert params.mean == float(pooled.mean())
     assert params.std == float(pooled.std())
+    expected = (pooled - params.mean) / params.std
+    observed = int(video.masks.sum())
+    assert out_v.frames[video.masks].tobytes() == expected[:observed].tobytes()
+    assert not out_v.frames[~video.masks].any()
+    if aux is not None:
+        assert out_a.frames.tobytes() == expected[observed:].tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -198,6 +191,27 @@ def test_invert_undoes_fit_transform(inputs):
     if aux is not None:
         restored, _ = invert(np.array(out_a.frames), params)
         assert np.abs(restored - aux.frames).max() < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_invert_matches_the_oracle_in_place(data):
+    lam = data.draw(st.sampled_from(_EXPONENTS))
+    frames = data.draw(hnp.arrays(np.float64, _shapes, elements=st.floats(-20.0, 20.0)))
+    params = TransformParams(boxcox_lambda=lam, mean=data.draw(st.floats(-2.0, 2.0)),
+                             std=data.draw(st.floats(0.5, 3.0)),
+                             offset=data.draw(st.floats(1e-6, 1.0)))
+    # Put frame 0's first pixel where lam * y + 1 = -1, outside the domain.
+    if lam != 0.0:
+        frames.flat[0] = (-2.0 / lam - params.mean) / params.std
+    raw, expected_clamped = oracles.boxcox_inverse(frames * params.std + params.mean, lam)
+    expected = np.where(raw - params.offset > 0, raw - params.offset, 0.0)
+    restored, clamped = invert(frames, params)
+    assert restored is frames
+    assert restored.tobytes() == expected.tobytes()
+    assert clamped == expected_clamped
+    assert clamped >= (lam != 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -88,6 +88,14 @@ def test_factor_sequence_validation(rng):
         FactorSequence(rng.normal(size=(3, 4, 2)), rng.normal(size=(2, 5, 2)))
 
 
+def test_factor_sequence_copy_shares_no_memory(rng):
+    factors = FactorSequence(rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 5, 2)))
+    copied = factors.copy()
+    for mine, theirs in ((copied.left, factors.left), (copied.right, factors.right)):
+        assert not np.shares_memory(mine, theirs)
+        np.testing.assert_array_equal(mine, theirs)
+
+
 def test_penalty_config_validation():
     cfg = PenaltyConfig(lambda1=0.9)
     assert cfg.lambda2 == 0.0 and cfg.rank == 10
