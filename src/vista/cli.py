@@ -151,8 +151,6 @@ def resolve_config(args) -> RunConfig:
 
 def effective_lambdas(cfg: RunConfig) -> tuple:
     """Apply the model selector's constraints to the penalty triple."""
-    if cfg.model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {cfg.model!r}")
     used = MODEL_PENALTIES[cfg.model]
     lam2 = cfg.lambda2 if "lambda2" in used else 0.0
     lam3 = cfg.lambda3 if "lambda3" in used else 0.0
@@ -193,12 +191,14 @@ def cmd_simulate(args) -> int:
     spec = None
     if cfg.holdout is not None:
         check_fraction(cfg.holdout, "holdout fraction")
+        unused = ("pattern", "fraction", "patch_size")
     else:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
+        patch = cfg.pattern.endswith("patch")
+        unused = ("holdout", "fraction" if patch else "patch_size")
     out = Path(cfg.output_dir)
-    entries = _config_entries(cfg, args, ("pattern", "fraction", "patch_size") if spec is None
-                              else ("holdout",))
+    entries = _config_entries(cfg, args, unused)
     if spec is None:
         video = vio.read_video(cfg.input)
         train, test = holdout(video, cfg.holdout, cfg.seed)
@@ -207,17 +207,25 @@ def cmd_simulate(args) -> int:
         vio.write_mask(out / "test_mask.vmc", test)
         entries["result_test_pixels"] = str(int(test.sum()))
     else:
-        if cfg.pattern.endswith("patch") and cfg.patch_size not in PRESET_PATCH_SIZES:
+        if patch and cfg.patch_size not in PRESET_PATCH_SIZES:
             print(f"warning: patch size {cfg.patch_size} is not one of the presets "
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)
         frames = vio.read_frames(cfg.input)
-        dropped, centers = generate(spec, (frames.shape[1], frames.shape[2], frames.shape[0]))
+        T, m, n = frames.shape
+        dropped, centers = generate(spec, (m, n, T))
+        try:
+            masked = MaskedVideo(frames, ~dropped)
+        except ValueError as exc:  # a frame left with no observed pixel
+            setting = f"patch size {cfg.patch_size}" if patch else f"fraction {cfg.fraction!r}"
+            raise ValueError(f"{exc}: pattern {cfg.pattern} at {setting} drops all "
+                             "of its pixels") from None
+        del frames  # hold one (T, m, n) copy of the video while writing
         out.mkdir(parents=True, exist_ok=True)
-        vio.write_video(out / "masked.vmc", MaskedVideo(frames, ~dropped))
+        vio.write_video(out / "masked.vmc", masked)
         vio.write_mask(out / "test_mask.vmc", dropped)
         entries["result_dropped_pixels"] = str(int(dropped.sum()))
         if centers is not None:
-            bbox = default_bbox(frames.shape[1], frames.shape[2])
+            bbox = default_bbox(m, n)
             entries["result_bbox"] = ",".join(str(v) for v in bbox)
             entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
     _finish_manifest(out / "manifest.txt", entries)
@@ -293,7 +301,7 @@ def cmd_evaluate(args) -> int:
         if name in paths:
             raise ValueError(f"model name {name!r} is given more than once")
         paths[name] = path
-    truth = vio.read_frames(cfg.truth)
+    truth = vio._read_payload(cfg.truth)  # NaN is allowed off the evaluation mask
     masks = vio.read_mask(cfg.eval_mask)
     results = {name: vio.read_frames(path) for name, path in paths.items()}
     report = compare_models(results, truth, masks)

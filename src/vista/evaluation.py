@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,27 +28,32 @@ def _gather(truth, imputed, eval_mask) -> tuple:
     return truth.take(pixels), imputed.take(pixels)
 
 
-def _truth_norm(truth_values: np.ndarray):
+def _truth_norm(truth_values: np.ndarray, what: str = "the truth"):
     denom = np.linalg.norm(truth_values)
     if denom == 0.0:
         raise ValueError("truth is zero on the evaluation mask")
+    if not math.isfinite(denom):
+        raise ValueError(f"{what} is not finite on the evaluation mask")
     return denom
 
 
-def _scores(truth_values: np.ndarray, imputed_values: np.ndarray, truth_norm) -> tuple:
-    """(RSE in percent, MSE) of gathered evaluation pixels, both from one residual."""
+def _scores(truth_values: np.ndarray, imputed_values: np.ndarray, truth_norm, what: str) -> tuple:
+    """(RSE in percent, MSE) of gathered pixels from one residual; a non-finite RSE is an error."""
     diff = imputed_values - truth_values
-    return 100.0 * float(np.linalg.norm(diff) / truth_norm), float(np.mean(diff * diff))
+    score = 100.0 * float(np.linalg.norm(diff) / truth_norm)
+    if not math.isfinite(score):
+        raise ValueError(f"{what} is not finite on the evaluation mask")
+    return score, float(np.mean(diff * diff))
 
 
 def rse(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> float:
     """Relative squared error on the evaluation pixels, in percent.
 
     Frobenius norm of the masked residual over the Frobenius norm of the
-    masked truth, times 100.
+    masked truth, times 100. A non-finite value on the mask is an error.
     """
     truth_values, imputed_values = _gather(truth, imputed, eval_mask)
-    return _scores(truth_values, imputed_values, _truth_norm(truth_values))[0]
+    return _scores(truth_values, imputed_values, _truth_norm(truth_values), "the imputation")[0]
 
 
 def margin_confidence(margins: np.ndarray) -> tuple:
@@ -83,7 +89,7 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray) -> 
     taken against the ``BASELINE`` model (positive means better than the
     baseline); ties count as "not better". Win counts against the baseline
     and loss counts against ``FULL_MODEL`` are only filled in when those
-    models are present.
+    models are present; a non-finite value on the masks is an error.
     """
     truth = np.asarray(truth, dtype=float)
     eval_masks = np.asarray(eval_masks, dtype=bool)
@@ -109,10 +115,10 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray) -> 
         if not pixels.size:
             raise ValueError(f"evaluation mask is empty at frame {t}")
         truth_values = truth[t].take(pixels)
-        truth_norm = _truth_norm(truth_values)
+        truth_norm = _truth_norm(truth_values, f"frame {t} of the truth")
         for name, frames in models.items():
             report.frame_rse[name][t], report.frame_mse[name][t] = _scores(
-                truth_values, frames[t].take(pixels), truth_norm)
+                truth_values, frames[t].take(pixels), truth_norm, f"frame {t} of model {name!r}")
     for name in models:
         report.mean_rse[name] = float(report.frame_rse[name].mean())
         report.mean_mse[name] = float(report.frame_mse[name].mean())

@@ -39,7 +39,6 @@ class MissingnessSpec:
     fraction: float = 0.5
     patch_size: int = 45
     shift: int = 6
-    bbox: tuple = None
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -50,10 +49,6 @@ class MissingnessSpec:
             raise ValueError("patch_size must be at least 1")
         if self.shift < 1:
             raise ValueError("shift must be at least 1")
-        if self.bbox is not None:
-            r0, r1, c0, c1 = self.bbox
-            if not (r0 <= r1 and c0 <= c1):
-                raise ValueError(f"malformed bounding box {self.bbox}")
 
 
 def default_bbox(m: int, n: int) -> tuple:
@@ -121,8 +116,7 @@ def generate(spec: MissingnessSpec, dims) -> tuple:
     else:
         if spec.patch_size > m or spec.patch_size > n:
             raise ValueError(f"patch size {spec.patch_size} exceeds frame dims ({m}, {n})")
-        bbox = spec.bbox if spec.bbox is not None else default_bbox(m, n)
-        path = perimeter_path(bbox)
+        path = perimeter_path(default_bbox(m, n))
         centers = np.empty((T, 2), dtype=int)
         if spec.pattern == "random-patch":
             for t in range(T):

@@ -57,10 +57,6 @@ class ImputedVideo:
     frames: np.ndarray
     effective_ranks: np.ndarray
 
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=float)
-        self.effective_ranks = np.asarray(self.effective_ranks, dtype=int)
-
 
 def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig,
               products: np.ndarray = None) -> float:

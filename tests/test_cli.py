@@ -14,6 +14,7 @@ from vista import io as vio
 from vista.cli import MODELS, PROFILES, effective_lambdas, main, resolve_config
 from vista.missingness import default_bbox, perimeter_path
 from vista.synthetic import make_demo_video
+from vista.video import MaskedVideo
 
 
 @pytest.fixture(scope="module")
@@ -499,12 +500,14 @@ def test_readme_option_table_matches_the_parser():
 
 
 def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):
-    # Each run uses all of its command's fields but these: the pattern run no
-    # holdout, the soft model no lambda2 or lambda3, and a run with lambda3 = 0
+    # Each run uses all of its command's fields but these: the pattern runs no
+    # holdout, the random pattern no patch size and the patch pattern no
+    # fraction, the soft model no lambda2 or lambda3, and a run with lambda3 = 0
     # no spherical-harmonics field.
     fit = {"rank", "max_iter", "tol", "boxcox_lambda", "boxcox_offset"}
     expected = {
-        "sim": {"input", "output_dir", "pattern", "fraction", "patch_size", "seed"},
+        "sim": {"input", "output_dir", "pattern", "fraction", "seed"},
+        "patch": {"input", "output_dir", "pattern", "patch_size", "seed"},
         "imp": {"input", "output_dir", "model", "lambda1", *fit, "seed", "keep_observed"},
         "eval": {"truth", "eval_mask", "output_dir", "level"},
         "grid": {"input", "output_dir", *fit, "holdout", "seed",
@@ -512,6 +515,8 @@ def test_manifest_records_the_fields_the_command_reads(tmp_path, truth_file):
     }
     run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "sim",
          "--pattern", "random", "--seed", "1"])
+    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "patch",
+         "--pattern", "temporal-patch", "--patch-size", "9", "--seed", "1"])
     run(["impute", "--input", tmp_path / "sim" / "masked.vmc", "--output-dir", tmp_path / "imp",
          "--model", "soft", "--rank", "2", "--max-iter", "3"])
     run(["evaluate", "--truth", truth_file, "--eval-mask", tmp_path / "sim" / "test_mask.vmc",
@@ -531,6 +536,58 @@ def test_simulate_holdout_manifest_leaves_out_the_pattern_fields(tmp_path, truth
     manifest = vio.read_manifest(tmp_path / "h" / "manifest.txt")
     assert manifest["holdout"] == "0.3"
     assert not {"pattern", "fraction", "patch_size"} & set(manifest)
+
+
+def test_simulate_pattern_that_empties_a_frame_leaves_no_output_directory(tmp_path, capsys):
+    small = tmp_path / "small.vmc"
+    vio.write_frames(small, make_demo_video(4, 4, 3, seed=1))
+    argv = ["simulate", "--input", small, "--output-dir", tmp_path / "sim", "--seed", "1"]
+    fails([*argv, "--pattern", "random", "--fraction", "0.99"], capsys,
+          "frame 0 has no observed entries: pattern random at fraction 0.99 drops all of its pixels")
+    assert not (tmp_path / "sim").exists()
+    # A patch as large as the frame; the first stderr line warns of the non-preset size.
+    assert main([str(a) for a in [*argv, "--pattern", "random-patch", "--patch-size", "4"]]) == 2
+    assert re.fullmatch(r"warning: .*\nvista: error: frame \d+ has no observed entries: pattern "
+                        r"random-patch at patch size 4 drops all of its pixels\n",
+                        capsys.readouterr().err)
+    assert not (tmp_path / "sim").exists()
+
+
+def test_evaluate_scores_a_holdout_split_of_a_masked_video(tmp_path, truth_file):
+    # The truth is the masked video itself: NaN off its observed pixels, and
+    # the evaluation mask holds only observed ones.
+    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "sim",
+         "--pattern", "random", "--fraction", "0.3", "--seed", "4"])
+    masked = tmp_path / "sim" / "masked.vmc"
+    run(["simulate", "--input", masked, "--output-dir", tmp_path / "split",
+         "--holdout", "0.2", "--seed", "5"])
+    run(["impute", "--input", tmp_path / "split" / "masked.vmc", "--output-dir", tmp_path / "imp",
+         "--model", "soft", "--rank", "3", "--max-iter", "10"])
+    run(["evaluate", "--truth", masked, "--eval-mask", tmp_path / "split" / "test_mask.vmc",
+         "--imputed", f"soft={tmp_path / 'imp' / 'imputed.vmc'}", "--output-dir", tmp_path / "ev"])
+    truth = vio.read_video(masked).to_dense()
+    imputed = vio.read_frames(tmp_path / "imp" / "imputed.vmc")
+    test = vio.read_mask(tmp_path / "split" / "test_mask.vmc")
+    assert np.isnan(truth).any() and not np.isnan(truth[test]).any()
+    expected = np.mean([100.0 * np.linalg.norm(imputed[t][test[t]] - truth[t][test[t]])
+                        / np.linalg.norm(truth[t][test[t]]) for t in range(truth.shape[0])])
+    reported = float(vio.read_manifest(tmp_path / "ev" / "manifest.txt")["result_rse_soft"])
+    assert reported == pytest.approx(expected, rel=1e-12)
+
+
+def test_evaluate_rejects_a_nan_truth_at_an_evaluation_pixel(tmp_path, truth_file, capsys):
+    # An imputation must be fully observed (read_frames); the truth may hold
+    # NaN, but only off the evaluation mask.
+    frames = vio.read_frames(truth_file)
+    frames[1, 5, 8] = np.nan
+    vio.write_video(tmp_path / "nan.vmc", MaskedVideo.from_dense(frames))
+    mask = np.zeros(frames.shape, dtype=bool)
+    mask[:, 5, 7:9] = True
+    vio.write_mask(tmp_path / "mask.vmc", mask)
+    fails(["evaluate", "--truth", tmp_path / "nan.vmc", "--eval-mask", tmp_path / "mask.vmc",
+           "--imputed", f"soft={truth_file}", "--output-dir", tmp_path / "ev"],
+          capsys, "frame 1 of the truth is not finite on the evaluation mask")
+    assert not (tmp_path / "ev").exists()
 
 
 def test_soft_manifest_replays_as_full_despite_unused_bad_sh_values(tmp_path, truth_file):

@@ -131,6 +131,25 @@ def test_compare_models_rejects_empty_evaluation_frame(rng):
         compare_models({"soft": truth, "full": truth}, truth, masks)
 
 
+def test_non_finite_values_on_the_mask_are_named_and_nan_off_it_is_allowed(rng):
+    truth, masks = make_inputs(rng)
+    off = np.argwhere(~masks[0])[0]
+    truth[(0, *off)] = np.nan
+    compare_models({"soft": truth}, truth, masks)
+    on = np.argwhere(masks[2])[0]
+    for value in (np.nan, np.inf):
+        bad = truth.copy()
+        bad[(2, *on)] = value
+        with pytest.raises(ValueError, match="frame 2 of model 'full' is not finite"):
+            compare_models({"soft": truth, "full": bad}, truth, masks)
+        with pytest.raises(ValueError, match="frame 2 of the truth is not finite"):
+            compare_models({"soft": truth}, bad, masks)
+        with pytest.raises(ValueError, match="the imputation is not finite"):
+            rse(truth, bad, masks)
+        with pytest.raises(ValueError, match="the truth is not finite"):
+            rse(bad, truth, masks)
+
+
 def test_compare_models_rejects_shape_mismatch(rng):
     truth, masks = make_inputs(rng)
     with pytest.raises(ValueError):

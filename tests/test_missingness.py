@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from vista.missingness import (
     MissingnessSpec,
+    _stamp_patch,
     apply,
     default_bbox,
     generate,
@@ -101,15 +102,15 @@ def test_temporal_patch_adjacent_overlap_geometry():
 
 
 def test_patch_crops_at_rows_and_wraps_columns():
-    spec = MissingnessSpec(pattern="random-patch", patch_size=21,
-                           bbox=(0, 0, 58, 58), rng_seed=1)
-    dropped, centers = generate(spec, (40, 60, 1))
-    assert tuple(centers[0]) == (0, 58)
-    # rows 0..10 present (top rows cropped), columns wrap past the seam
-    assert dropped[0, :11, 58].all()
-    assert not dropped[0, 11:, 58].any()
-    assert dropped[0, 0, (58 + 10) % 60]
-    assert dropped[0, 0, 58 - 10]
+    # A 21-pixel patch at the top or bottom row and beside the column seam:
+    # the rows past the frame edge are cropped, the columns wrap around.
+    for center, rows in (((0, 58), range(0, 11)), ((39, 1), range(29, 40))):
+        dropped = np.zeros((40, 60), dtype=bool)
+        _stamp_patch(dropped, center, 21)
+        expected = np.zeros_like(dropped)
+        cols = [(center[1] + d) % 60 for d in range(-10, 11)]
+        expected[np.ix_(list(rows), cols)] = True
+        np.testing.assert_array_equal(dropped, expected)
 
 
 def test_patch_larger_than_frame_rejected():
