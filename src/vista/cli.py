@@ -200,11 +200,7 @@ def cmd_simulate(args) -> int:
     out = Path(cfg.output_dir)
     entries = _config_entries(cfg, args, unused)
     if spec is None:
-        video = vio.read_video(cfg.input)
-        train, test = holdout(video, cfg.holdout, cfg.seed)
-        out.mkdir(parents=True, exist_ok=True)
-        vio.write_video(out / "masked.vmc", train)
-        vio.write_mask(out / "test_mask.vmc", test)
+        masked, test = holdout(vio.read_video(cfg.input), cfg.holdout, cfg.seed)
         entries["result_test_pixels"] = str(int(test.sum()))
     else:
         if patch and cfg.patch_size not in PRESET_PATCH_SIZES:
@@ -212,22 +208,22 @@ def cmd_simulate(args) -> int:
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)
         frames = vio.read_frames(cfg.input)
         T, m, n = frames.shape
-        dropped, centers = generate(spec, (m, n, T))
+        test, centers = generate(spec, (m, n, T))
         try:
-            masked = MaskedVideo(frames, ~dropped)
+            masked = MaskedVideo(frames, ~test)
         except ValueError as exc:  # a frame left with no observed pixel
             setting = f"patch size {cfg.patch_size}" if patch else f"fraction {cfg.fraction!r}"
             raise ValueError(f"{exc}: pattern {cfg.pattern} at {setting} drops all "
                              "of its pixels") from None
         del frames  # hold one (T, m, n) copy of the video while writing
-        out.mkdir(parents=True, exist_ok=True)
-        vio.write_video(out / "masked.vmc", masked)
-        vio.write_mask(out / "test_mask.vmc", dropped)
-        entries["result_dropped_pixels"] = str(int(dropped.sum()))
+        entries["result_dropped_pixels"] = str(int(test.sum()))
         if centers is not None:
             bbox = default_bbox(m, n)
             entries["result_bbox"] = ",".join(str(v) for v in bbox)
             entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
+    out.mkdir(parents=True, exist_ok=True)
+    vio.write_video(out / "masked.vmc", masked)
+    vio.write_mask(out / "test_mask.vmc", test)
     _finish_manifest(out / "manifest.txt", entries)
     print(f"simulate: wrote {out / 'masked.vmc'} and {out / 'test_mask.vmc'}")
     return 0
@@ -338,13 +334,14 @@ def _parse_grid(name: str, text: str) -> list:
 
 def cmd_gridsearch(args) -> int:
     cfg = resolve_config(args)
-    frac = cfg.holdout if cfg.holdout is not None else 0.2
-    check_fraction(frac, "holdout fraction")
+    if cfg.holdout is None:
+        cfg.holdout = 0.2
+    check_fraction(cfg.holdout, "holdout fraction")
     stages = ("lambda1", "lambda2", "lambda3")
     grids = [_parse_grid(stage, getattr(cfg, stage + "_grid")) for stage in stages]
     _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
-    train, test = holdout(video, frac, cfg.seed)
+    train, test = holdout(video, cfg.holdout, cfg.seed)
     aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v) if max(grids[2]) > 0 else None
     # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best
     # value and the other penalty at 0.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .video import FactorSequence, MaskedVideo, PenaltyConfig, fill_in
+from .video import FactorSequence, MaskedVideo, PenaltyConfig
 
 _TINY = np.finfo(float).tiny
 
@@ -115,14 +115,14 @@ def _update(t: int, solved: np.ndarray, basis: np.ndarray, filled: np.ndarray,
 def update_left(t: int, left: np.ndarray, right: np.ndarray,
                 video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the left factor."""
-    filled = fill_in(video.frames[t], video.masks[t], left[t], right[t])
+    filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
     return _update(t, left, right, filled, aux, cfg, flip=False)
 
 
 def update_right(t: int, left: np.ndarray, right: np.ndarray,
                  video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the right factor."""
-    filled = fill_in(video.frames[t], video.masks[t], left[t], right[t])
+    filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
     return _update(t, right, left, filled, aux, cfg, flip=True)
 
 
@@ -187,6 +187,12 @@ def _check_rank(rank: int, m: int, n: int) -> None:
         raise ValueError(f"rank {rank} exceeds min(m, n) = {min(m, n)}")
 
 
+def _check_factors(factors: FactorSequence, video: MaskedVideo) -> None:
+    if factors.dims != video.dims:
+        raise ValueError(f"factor dims {factors.dims} do not match video dims {video.dims}")
+    _check_rank(factors.rank, video.dims.m, video.dims.n)
+
+
 def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> ImputedVideo:
     """Terminal spectral cleanup of the factored imputation.
 
@@ -195,16 +201,16 @@ def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> I
     which spans the product's row space whenever the left factor has full
     column rank), then soft-threshold the singular values of the projection
     by ``shrinkage``. The effective rank is the number of singular values
-    that survive. The rank may not exceed min(m, n).
+    that survive. The factors must match the video's dims, and the rank may
+    not exceed min(m, n).
     """
-    m, n, T = factors.dims
-    _check_rank(factors.rank, m, n)
-    frames = np.empty((T, m, n))
-    effective = np.empty(T, dtype=int)
-    for t in range(T):
+    _check_factors(factors, video)
+    frames = np.matmul(factors.left, np.swapaxes(factors.right, 1, 2))
+    np.putmask(frames, video.masks, video.frames)
+    effective = np.empty(len(frames), dtype=int)
+    for t in range(len(frames)):
         right_basis, _ = np.linalg.qr(factors.right[t])
-        filled = fill_in(video.frames[t], video.masks[t], factors.left[t], factors.right[t])
-        projected = filled @ right_basis
+        projected = frames[t] @ right_basis
         try:
             u, sigma, rt = np.linalg.svd(projected, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -295,13 +301,10 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
         raise ValueError("lambda3 > 0 requires an auxiliary video")
     if aux is not None:
         aux.check_matches(video)
-    m, n, T = video.dims
     if factors is None:
         factors = _spectral_start(video, aux, cfg)
-    elif factors.dims != video.dims:
-        raise ValueError(f"factor dims {factors.dims} do not match video dims {video.dims}")
     else:
-        _check_rank(factors.rank, m, n)
+        _check_factors(factors, video)
     state = SolverState(factors=factors.copy())
     for _ in range(cfg.max_iter):
         sweep(state, video, aux, cfg)

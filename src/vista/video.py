@@ -1,4 +1,4 @@
-"""Data containers for masked matrix sequences and the fill-in of missing entries."""
+"""Data containers for masked matrix sequences."""
 
 from __future__ import annotations
 
@@ -13,21 +13,6 @@ class Dims(NamedTuple):
     m: int
     n: int
     T: int
-
-
-def fill_in(frame: np.ndarray, mask: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Observed entries from the frame, missing entries from ``left @ right.T``."""
-    frame = np.asarray(frame, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    if frame.shape != mask.shape:
-        raise ValueError(f"frame shape {frame.shape} does not match mask shape {mask.shape}")
-    if left.shape[0] != frame.shape[0] or right.shape[0] != frame.shape[1] \
-            or left.shape[1] != right.shape[1]:
-        raise ValueError(
-            f"factor shapes {left.shape}, {right.shape} incompatible with frame {frame.shape}")
-    return np.where(mask, frame, left @ right.T)
 
 
 class MaskedVideo:

@@ -351,6 +351,16 @@ def test_gridsearch_manifest_counts_points_that_ran_out_of_sweeps(tmp_path, trut
     assert manifest["result_unconverged_points"] == "4"
 
 
+def test_gridsearch_manifest_records_the_default_holdout(tmp_path, truth_file):
+    run(["gridsearch", "--input", truth_file, "--output-dir", tmp_path / "a",
+         "--lambda1-grid", "0.5,0.9", "--lambda2-grid", "0.05", "--lambda3-grid", "0",
+         "--rank", "3", "--max-iter", "5", "--seed", "2"])
+    assert vio.read_manifest(tmp_path / "a" / "manifest.txt")["holdout"] == "0.2"
+    run(["gridsearch", "--config", tmp_path / "a" / "manifest.txt", "--output-dir", tmp_path / "b"])
+    for name in ("gridsearch.csv", "best.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_cli_import_loads_no_scipy():
     # numpy and scipy each bundle an OpenBLAS with its own thread pool, and
     # the two pools contend on the solver's small calls.
@@ -388,11 +398,12 @@ def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkey
     (["gridsearch", "--lambda3-grid", "0.01,-0.1"],
      "lambda3 grid values must be finite and non-negative, got -0.1"),
     (["gridsearch", "--lambda2-grid", "0.05,abc"], "lambda2 grid '0.05,abc': .*'abc'"),
+    (["gridsearch", "--lambda1-grid", ","], "empty lambda1 grid ','"),
     (["simulate", "--pattern", "random", "--holdout", "0.3"],
      "give --pattern or --holdout, not both"),
 ], ids=["simulate-holdout-nan", "simulate-fraction-1.5", "gridsearch-holdout-0",
         "gridsearch-lambda1-nan", "gridsearch-lambda1-0", "gridsearch-lambda3-negative",
-        "gridsearch-lambda2-text", "simulate-pattern-and-holdout"])
+        "gridsearch-lambda2-text", "gridsearch-lambda1-empty", "simulate-pattern-and-holdout"])
 def test_bad_fraction_fails_before_any_work(tmp_path, capsys, argv, named):
     # The input does not exist: a read before the check would fail differently.
     fails([*argv, "--input", tmp_path / "missing.vmc", "--output-dir", tmp_path / "out"],
@@ -689,11 +700,13 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
      "holdout fraction 0.0001 moves 0 of the 2400 observed pixels of frame 0"),
     (["gridsearch", "--input", "TRUTH", "--holdout", "0.9999", "--sh-lmax", "3"],
      "holdout fraction 0.9999 moves 2400 of the 2400 observed pixels of frame 0"),
+    (["impute", "--input", "RESERVED"], r"reserved\.vmc: reserved header word must be zero, got 7$"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
         "impute-singular-sh-fit", "evaluate-wrong-shape", "impute-sh-lmax-negative",
         "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan",
-        "simulate-holdout-empties-test", "gridsearch-holdout-empties-training"])
+        "simulate-holdout-empties-test", "gridsearch-holdout-empties-training",
+        "impute-reserved-header-word"])
 def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
                                                           argv, named):
     # 20 observed pixels a frame cannot fix 25 unridged coefficients.
@@ -701,8 +714,11 @@ def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, 
     vio.write_frames(tiny, np.random.default_rng(0).uniform(1.0, 2.0, size=(2, 4, 5)))
     mask = tmp_path / "mask.vmc"
     vio.write_mask(mask, np.ones(vio.read_frames(truth_file).shape, dtype=bool))
+    reserved = tmp_path / "reserved.vmc"  # header bytes 16..19 must be zero
+    data = tiny.read_bytes()
+    reserved.write_bytes(data[:16] + (7).to_bytes(4, "little") + data[20:])
     for name, path in (("MISSING", tmp_path / "missing.vmc"), ("TRUTH", truth_file),
-                       ("TINY", tiny), ("MASK", mask)):
+                       ("TINY", tiny), ("MASK", mask), ("RESERVED", reserved)):
         argv = [a.replace(name, str(path)) for a in argv]
     fails([*argv, "--output-dir", tmp_path / "fo" / "out"], capsys, named)
     assert not (tmp_path / "fo").exists()

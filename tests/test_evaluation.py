@@ -152,8 +152,10 @@ def test_non_finite_values_on_the_mask_are_named_and_nan_off_it_is_allowed(rng):
 
 def test_compare_models_rejects_shape_mismatch(rng):
     truth, masks = make_inputs(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="model 'soft' frames have shape"):
         compare_models({"soft": truth[:, :, :-1]}, truth, masks)
+    with pytest.raises(ValueError, match="truth and evaluation masks must share one shape"):
+        compare_models({"soft": truth}, truth, masks[:-1])
 
 
 def test_csv_outputs(tmp_path, rng):

@@ -24,6 +24,8 @@ def test_spec_validation():
         MissingnessSpec(pattern="random", fraction=1.0)
     with pytest.raises(ValueError):
         MissingnessSpec(pattern="random-patch", patch_size=0)
+    with pytest.raises(ValueError, match="shift must be at least 1"):
+        MissingnessSpec(pattern="temporal", shift=0)
 
 
 def test_random_drop_count_within_binomial_interval():

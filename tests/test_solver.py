@@ -14,7 +14,7 @@ from vista.solver import (
     update_left,
     update_right,
 )
-from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig, fill_in
+from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig
 
 from conftest import random_aux, random_video
 import oracles
@@ -77,7 +77,7 @@ def test_weighted_label_single_frame_boundary(rng):
     right = rng.normal(size=(1, 4, 2))
     cfg = PenaltyConfig(lambda1=0.9, lambda2=5.0, lambda3=0.3, rank=2)
     label = oracles.weighted_label(0, left, right, video, aux, cfg)
-    filled = fill_in(video.frames[0], video.masks[0], left[0], right[0])
+    filled = np.where(video.masks[0], video.frames[0], left[0] @ right[0].T)
     np.testing.assert_allclose(label, filled + 0.3 * aux.frames[0], rtol=1e-13)
 
 
@@ -88,7 +88,7 @@ def test_weighted_label_reduces_to_filled_matrix(rng):
     cfg = PenaltyConfig(lambda1=0.9, rank=2)
     label = oracles.weighted_label(1, left, right, video, None, cfg)
     np.testing.assert_array_equal(
-        label, fill_in(video.frames[1], video.masks[1], left[1], right[1]))
+        label, np.where(video.masks[1], video.frames[1], left[1] @ right[1].T))
 
 
 def test_weighted_label_middle_frame_frozen_hand_case():
@@ -389,6 +389,20 @@ def test_finalize_and_solve_reject_rank_above_min_dims(rng):
         finalize(factors, video, 0.5)
     with pytest.raises(ValueError, match="rank 4 exceeds min"):
         solve(video, None, PenaltyConfig(lambda1=0.9, rank=4), factors=factors)
+
+
+@pytest.mark.parametrize("m, n, T", [(5, 3, 2), (3, 5, 3), (3, 4, 2)])
+def test_finalize_and_solve_reject_factors_of_other_dims(rng, m, n, T):
+    # (5, 3, 2) has as many pixels as the (3, 5, 2) video, so a flat fill
+    # would accept it silently.
+    video = random_video(rng, 3, 5, 2)
+    factors = FactorSequence(rng.normal(size=(T, m, 2)), rng.normal(size=(T, n, 2)))
+    message = (rf"factor dims Dims\(m={m}, n={n}, T={T}\) do not match "
+               r"video dims Dims\(m=3, n=5, T=2\)")
+    with pytest.raises(ValueError, match=message):
+        finalize(factors, video, 0.5)
+    with pytest.raises(ValueError, match=message):
+        solve(video, None, PenaltyConfig(lambda1=0.9, rank=2), factors=factors)
 
 
 # -------------------------------------------------------------------- solve

@@ -6,33 +6,9 @@ from vista.video import (
     FactorSequence,
     MaskedVideo,
     PenaltyConfig,
-    fill_in,
 )
 
 from conftest import random_video
-
-
-def test_fill_in_full_mask_returns_frame(rng):
-    frame = rng.normal(size=(4, 3))
-    left = rng.normal(size=(4, 2))
-    right = rng.normal(size=(3, 2))
-    np.testing.assert_array_equal(fill_in(frame, np.ones((4, 3), bool), left, right), frame)
-
-
-def test_fill_in_zero_factors_is_observed_projection(rng):
-    frame = rng.normal(size=(4, 3))
-    mask = rng.random((4, 3)) > 0.5
-    out = fill_in(frame, mask, np.zeros((4, 2)), np.zeros((3, 2)))
-    np.testing.assert_array_equal(out, np.where(mask, frame, 0.0))
-
-
-def test_fill_in_definitional():
-    frame = np.array([[1.0, 0.0], [0.0, 4.0]])
-    mask = np.array([[True, False], [False, True]])
-    left = np.array([[3.0], [3.0]])
-    right = np.array([[3.0], [3.0]])
-    np.testing.assert_array_equal(fill_in(frame, mask, left, right),
-                                  [[1.0, 9.0], [9.0, 4.0]])
 
 
 def test_masked_video_zeroes_unobserved_and_is_readonly():
