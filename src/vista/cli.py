@@ -28,7 +28,7 @@ from .missingness import MissingnessSpec, check_fraction, default_bbox, generate
 from .solver import solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
-from .video import MaskedVideo, PenaltyConfig
+from .video import PenaltyConfig
 
 PROFILES = {
     "storm": (0.9, 0.2, 0.021),
@@ -200,29 +200,29 @@ def cmd_simulate(args) -> int:
     out = Path(cfg.output_dir)
     entries = _config_entries(cfg, args, unused)
     if spec is None:
-        masked, test = holdout(vio.read_video(cfg.input), cfg.holdout, cfg.seed)
+        train, test = holdout(vio.read_video(cfg.input), cfg.holdout, cfg.seed)
+        payload = train.to_dense()
         entries["result_test_pixels"] = str(int(test.sum()))
     else:
         if patch and cfg.patch_size not in PRESET_PATCH_SIZES:
             print(f"warning: patch size {cfg.patch_size} is not one of the presets "
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)
-        frames = vio.read_frames(cfg.input)
-        T, m, n = frames.shape
+        payload = vio.read_frames(cfg.input)
+        T, m, n = payload.shape
         test, centers = generate(spec, (m, n, T))
-        try:
-            masked = MaskedVideo(frames, ~test)
-        except ValueError as exc:  # a frame left with no observed pixel
+        emptied = np.flatnonzero(test.reshape(T, -1).all(axis=1))
+        if emptied.size:
             setting = f"patch size {cfg.patch_size}" if patch else f"fraction {cfg.fraction!r}"
-            raise ValueError(f"{exc}: pattern {cfg.pattern} at {setting} drops all "
-                             "of its pixels") from None
-        del frames  # hold one (T, m, n) copy of the video while writing
+            raise ValueError(f"frame {emptied[0]} has no observed entries: pattern "
+                             f"{cfg.pattern} at {setting} drops all of its pixels")
+        np.putmask(payload, test, np.nan)  # the container's missing marker, written in place
         entries["result_dropped_pixels"] = str(int(test.sum()))
         if centers is not None:
             bbox = default_bbox(m, n)
             entries["result_bbox"] = ",".join(str(v) for v in bbox)
             entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
     out.mkdir(parents=True, exist_ok=True)
-    vio.write_video(out / "masked.vmc", masked)
+    vio._write_payload(out / "masked.vmc", payload)
     vio.write_mask(out / "test_mask.vmc", test)
     _finish_manifest(out / "manifest.txt", entries)
     print(f"simulate: wrote {out / 'masked.vmc'} and {out / 'test_mask.vmc'}")

@@ -91,39 +91,60 @@ def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConf
     return total
 
 
-def _update(t: int, solved: np.ndarray, basis: np.ndarray, filled: np.ndarray,
-            aux, cfg: PenaltyConfig, flip: bool) -> np.ndarray:
-    # Minimizer of frame t's majorized surrogate in solved[t], basis fixed:
-    # (weight B'B + lambda1 I) X' = (label B)'. The right-factor update is the
-    # left-factor update of the transposed frame (flip). The label is never
-    # formed: each lambda2 neighbor s contributes solved[s] (basis[s]' B),
-    # which is its product applied to B through an r-by-r Gram.
-    b = basis[t]
-    T = solved.shape[0]
-    rhs = (filled.T if flip else filled) @ b
+def _systems(basis: np.ndarray, aux, cfg: PenaltyConfig, flip: bool) -> tuple:
+    # Within a half-cycle the fixed factor does not change, so everything that
+    # depends only on it is built at once, in batched calls: the inverse of
+    # weight_t B_t'B_t + lambda1 I, the neighbour cross Grams B_t' B_{t+1} that
+    # carry the lambda2 terms, and the auxiliary right-hand sides lambda3 aux_t B_t.
+    T, _, r = basis.shape
+    frames = np.arange(T)
+    weight = 1.0 + cfg.lambda2 * np.add(frames > 0, frames < T - 1, dtype=int) + cfg.lambda3
+    grams = np.matmul(np.swapaxes(basis, 1, 2), basis)
+    grams *= weight[:, None, None]
+    grams += cfg.lambda1 * np.eye(r)
+    cross = np.matmul(np.swapaxes(basis[:-1], 1, 2), basis[1:])
+    aux_rhs = None
     if cfg.lambda3 != 0.0:
-        rhs += cfg.lambda3 * ((aux.frames[t].T if flip else aux.frames[t]) @ b)
+        aux_rhs = np.matmul(np.swapaxes(aux.frames, 1, 2) if flip else aux.frames, basis)
+        aux_rhs *= cfg.lambda3
+    return np.linalg.inv(grams), cross, aux_rhs
+
+
+def _update(t: int, solved: np.ndarray, basis: np.ndarray, filled: np.ndarray,
+            cfg: PenaltyConfig, flip: bool, systems: tuple) -> np.ndarray:
+    # Minimizer of frame t's majorized surrogate in solved[t], basis fixed:
+    # X = (label B) (weight B'B + lambda1 I)^-1, with the inverse, the cross
+    # Grams and the auxiliary term taken from ``systems`` (see _systems). The
+    # right-factor update is the left-factor update of the transposed frame
+    # (flip). The label is never formed: each lambda2 neighbor s contributes
+    # solved[s] (basis[s]' B), which is its product applied to B through an
+    # r-by-r Gram.
+    inverse, cross, aux_rhs = systems
+    rhs = (filled.T if flip else filled) @ basis[t]
+    if aux_rhs is not None:
+        rhs += aux_rhs[t]
     if cfg.lambda2 != 0.0:
-        for s in (t - 1, t + 1):
-            if 0 <= s < T:
-                rhs += cfg.lambda2 * (solved[s] @ (basis[s].T @ b))
-    weight = 1.0 + cfg.lambda2 * (int(t > 0) + int(t < T - 1)) + cfg.lambda3
-    gram = weight * (b.T @ b) + cfg.lambda1 * np.eye(b.shape[1])
-    return np.linalg.solve(gram, rhs.T).T
+        if t > 0:
+            rhs += cfg.lambda2 * (solved[t - 1] @ cross[t - 1])
+        if t < len(cross):
+            rhs += cfg.lambda2 * (solved[t + 1] @ cross[t].T)
+    return rhs @ inverse[t]
 
 
 def update_left(t: int, left: np.ndarray, right: np.ndarray,
                 video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the left factor."""
     filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
-    return _update(t, left, right, filled, aux, cfg, flip=False)
+    return _update(t, left, right, filled, cfg, flip=False,
+                   systems=_systems(right, aux, cfg, flip=False))
 
 
 def update_right(t: int, left: np.ndarray, right: np.ndarray,
                  video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the right factor."""
     filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
-    return _update(t, right, left, filled, aux, cfg, flip=True)
+    return _update(t, right, left, filled, cfg, flip=True,
+                   systems=_systems(left, aux, cfg, flip=True))
 
 
 def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
@@ -136,10 +157,11 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
     half-cycle, and with ``record_factors`` a snapshot of the factors is
     kept per sweep.
 
-    One (T, m, n) cache holds every frame's current product. Each update
-    overwrites its own entry with the fill-in, solves, and then refreshes
-    the entry, so the cache matches the factors between updates; the change
-    statistic and the objective are taken from it.
+    One (T, m, n) cache holds every frame's current product. Each half-cycle
+    first builds every frame's r-by-r system from its fixed factor. Each
+    update then overwrites its own cache entry with the fill-in, solves, and
+    refreshes the entry, so the cache matches the factors between updates;
+    the change statistic and the objective are taken from it.
     """
     factors = state.factors
     left, right = factors.left, factors.right
@@ -157,9 +179,10 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
     start_norms = np.maximum(np.einsum("tij,tij->t", start, start), _TINY)
     phases = []
     for solved, basis, flip in ((left, right, False), (right, left, True)):
+        systems = _systems(basis, aux, cfg, flip)
         for t in range(T):
-            np.putmask(cache[t], video.masks[t], video.frames[t])
-            solved[t] = _update(t, solved, basis, cache[t], aux, cfg, flip)
+            np.copyto(cache[t], video.frames[t], where=video.masks[t])
+            solved[t] = _update(t, solved, basis, cache[t], cfg, flip, systems)
             np.matmul(left[t], right[t].T, out=cache[t])
         if record_phases or flip:
             phases.append(objective(video, aux, factors, cfg, products=cache))
@@ -206,7 +229,7 @@ def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> I
     """
     _check_factors(factors, video)
     frames = np.matmul(factors.left, np.swapaxes(factors.right, 1, 2))
-    np.putmask(frames, video.masks, video.frames)
+    np.copyto(frames, video.frames, where=video.masks)
     effective = np.empty(len(frames), dtype=int)
     for t in range(len(frames)):
         right_basis, _ = np.linalg.qr(factors.right[t])

@@ -6,16 +6,31 @@ associated Legendre functions evaluated by the standard three-term
 recurrence (Condon-Shortley phase absorbed). Coefficients are stored flat
 in the order (0,0), (1,-1), (1,0), (1,1), (2,-2), ... so that (l, m) lives
 at index l*(l+1) + m.
+
+On a grid of one colatitude per row and one azimuth per column, every basis
+function is a latitude profile times a longitude profile (the separation
+behind Driscoll & Healy, Adv. Appl. Math. 1994). The fit works from those
+two one-dimensional tables and never forms the (rows*cols, K) design matrix:
+each frame's masked Gram is assembled one block per pair of orders from a
+single matmul of the masks with the products of the longitude profiles, and
+the right-hand side and the render pass through the longitude table and then
+the latitude table. Its cost, O(T rows cols P + T rows K^2) for P =
+(2 l_max + 1)(l_max + 1) order pairs, does not depend on how many pixels
+are missing. ``basis_matrix`` builds the design matrix from the same tables
+for callers that want it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .video import AuxiliaryVideo, MaskedVideo
+
+_CHUNK = 16  # frames fitted per batch in build_auxiliary
 
 
 def coeff_count(l_max: int) -> int:
@@ -102,28 +117,54 @@ def _norm_assoc_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Tables(NamedTuple):
+    """The basis as latitude and longitude tables, coefficients grouped by order.
+
+    ``lon`` is (cols, 2 l_max + 1): column l_max + m holds 1 for m = 0,
+    sqrt(2) cos(m phi) for m > 0 and sqrt(2) sin(|m| phi) for m < 0.
+    Coefficients run order by order (m = -l_max..l_max, and l = |m|..l_max
+    within an order); ``blocks[o]`` is the slice of order column o, and
+    ``lat[o]`` is its (len(block), rows) array of normalized Legendre values,
+    one row per coefficient. ``canonical[k]`` is the index l(l+1)+m of
+    coefficient k. The basis value of coefficient k = blocks[o][q] at cell
+    (i, j) is ``lat[o][q, i] * lon[j, o]``.
+    """
+
+    lat: list
+    lon: np.ndarray
+    blocks: list
+    canonical: np.ndarray
+
+
+def _tables(grid: SphericalGrid, l_max: int) -> _Tables:
+    if l_max < 0:
+        raise ValueError(f"spherical-harmonics degree cap must be non-negative, got {l_max!r}")
+    legendre = _norm_assoc_legendre(l_max, np.cos(grid.theta))
+    orders = range(-l_max, l_max + 1)
+    lon = np.empty((len(grid.phi), len(orders)))
+    lon[:, l_max] = 1.0
+    for m in range(1, l_max + 1):
+        lon[:, l_max + m] = np.sqrt(2.0) * np.cos(m * grid.phi)
+        lon[:, l_max - m] = np.sqrt(2.0) * np.sin(m * grid.phi)
+    lat = [np.ascontiguousarray(legendre[abs(m):, abs(m)]) for m in orders]
+    bounds = np.cumsum([0] + [len(block) for block in lat])
+    canonical = np.array([coeff_index(l, m) for m in orders for l in range(abs(m), l_max + 1)])
+    return _Tables(lat, lon, [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])], canonical)
+
+
 def basis_matrix(grid: SphericalGrid, l_max: int) -> np.ndarray:
     """Design matrix: one row per grid cell (row-major), one column per (l, m).
 
-    Exploits the separable grid: each column is an outer product of a
-    Legendre profile over rows and a trigonometric profile over columns.
+    Each column is the outer product of a latitude and a longitude profile
+    from the separable tables that the fit uses; the fit never forms this
+    matrix.
     """
-    if l_max < 0:
-        raise ValueError(f"spherical-harmonics degree cap must be non-negative, got {l_max!r}")
+    tables = _tables(grid, l_max)
     rows, cols = grid.shape
-    legendre = _norm_assoc_legendre(l_max, np.cos(grid.theta))
-    design = np.empty((coeff_count(l_max), rows, cols))
-    ones = np.ones(cols)
-    for l in range(l_max + 1):
-        design[coeff_index(l, 0)] = np.outer(legendre[l, 0], ones)
-    # The m != 0 columns share trig profiles, so build each profile once.
-    for m in range(1, l_max + 1):
-        cos_profile = np.sqrt(2.0) * np.cos(m * grid.phi)
-        sin_profile = np.sqrt(2.0) * np.sin(m * grid.phi)
-        for l in range(m, l_max + 1):
-            design[coeff_index(l, m)] = np.outer(legendre[l, m], cos_profile)
-            design[coeff_index(l, -m)] = np.outer(legendre[l, m], sin_profile)
-    return design.reshape(coeff_count(l_max), rows * cols).T
+    design = np.empty((rows, cols, coeff_count(l_max)))
+    for o, (lat, block) in enumerate(zip(tables.lat, tables.blocks)):
+        design[:, :, tables.canonical[block]] = lat.T[:, None, :] * tables.lon[None, :, o, None]
+    return design.reshape(rows * cols, -1)
 
 
 def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
@@ -136,9 +177,10 @@ def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
         raise ValueError(f"frame shape {frame.shape} does not match mask shape {mask.shape}")
     if not mask.any():
         raise ValueError("cannot fit a frame with zero observed pixels")
-    design = basis_matrix(grid, l_max)
-    coeffs = _fit_frames(design, np.where(mask, frame, 0.0)[None], mask[None], v)
-    return ShModel(l_max=l_max, coeffs=coeffs[0])
+    tables = _tables(grid, l_max)
+    coeffs = np.empty(coeff_count(l_max))
+    coeffs[tables.canonical] = _fit(tables, np.where(mask, frame, 0.0)[None], mask[None], v)[0]
+    return ShModel(l_max=l_max, coeffs=coeffs)
 
 
 def _check_ridge(v: float) -> None:
@@ -146,26 +188,33 @@ def _check_ridge(v: float) -> None:
         raise ValueError(f"ridge weight v must be finite and non-negative, got {v!r}")
 
 
-def _fit_frames(design: np.ndarray, frames: np.ndarray, masks: np.ndarray,
-                v: float) -> np.ndarray:
-    """Ridge coefficients of T masked frames at once, as a (T, K) array.
+def _fit(tables: _Tables, frames: np.ndarray, masks: np.ndarray, v: float) -> np.ndarray:
+    """Ridge coefficients of T masked frames at once, as a (T, K) array in table order.
 
-    ``frames`` must be 0 at missing pixels. The Gram of the full design is
-    formed once; each frame subtracts the Gram of its missing rows, or forms
-    the Gram of its observed rows when those are fewer.
+    ``frames`` must be 0 at missing pixels. For the p-th pair of orders
+    a <= b, ``weights[p, t, i]`` sums ``lon[j, a] * lon[j, b]`` over the
+    observed columns j of row i of frame t: one matmul of the masks with a
+    (cols, pairs) table. Gram block (a, b) of frame t is then
+    ``lat[a] diag(weights[p, t]) lat[b]'``. The right-hand side contracts
+    ``frames @ lon`` with ``lat`` order by order.
     """
-    full_gram = design.T @ design
-    flat = masks.reshape(len(masks), -1)
-    grams = np.empty((len(flat),) + full_gram.shape)
-    for t, observed in enumerate(flat):
-        missing = np.flatnonzero(~observed)
-        if 2 * missing.size <= observed.size:
-            rows = design[missing]
-            grams[t] = full_gram - rows.T @ rows
-        else:
-            rows = design[observed]
-            grams[t] = rows.T @ rows
-    grams += v * np.eye(design.shape[1])
+    lat, lon, blocks, _ = tables
+    T, rows, cols = frames.shape
+    K = blocks[-1].stop
+    first, second = np.triu_indices(lon.shape[1])
+    weights = ((lon[:, first] * lon[:, second]).T
+               @ masks.reshape(T * rows, cols).T.astype(float)).reshape(-1, T, rows)
+    grams = np.empty((T, K, K))
+    for w, a, b in zip(weights, first, second):
+        # One 2-D matmul over all T frames: (T*ka, rows) @ (rows, kb).
+        block = ((lat[a] * w[:, None, :]).reshape(-1, rows) @ lat[b].T).reshape(T, -1, len(lat[b]))
+        grams[:, blocks[a], blocks[b]] = block
+        grams[:, blocks[b], blocks[a]] = block.swapaxes(1, 2)
+    projected = frames @ lon
+    rhs = np.empty((T, K))
+    for o, block in enumerate(blocks):
+        rhs[:, block] = projected[:, :, o] @ lat[o].T
+    grams += v * np.eye(K)
     # The Cholesky factorization only checks definiteness: a fit with fewer
     # independent observed pixels than coefficients and no ridge must fail
     # rather than return an arbitrary solution.
@@ -173,15 +222,25 @@ def _fit_frames(design: np.ndarray, frames: np.ndarray, masks: np.ndarray,
         np.linalg.cholesky(grams)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"spherical-harmonics fit is singular: {exc}") from exc
-    rhs = frames.reshape(len(flat), -1) @ design
     return np.linalg.solve(grams, rhs[..., None])[..., 0]
 
 
 def build_auxiliary(video: MaskedVideo, l_max: int = 11, v: float = 0.1) -> AuxiliaryVideo:
-    """Per-frame fit-and-render of a masked video on its cell-centered global grid."""
+    """Per-frame fit-and-render of a masked video on its cell-centered global grid.
+
+    Frames are fitted and rendered a few at a time from the separable tables,
+    so the work does not depend on how many pixels are missing and the
+    temporaries do not grow with T.
+    """
     _check_ridge(v)
     m, n, T = video.dims
-    design = basis_matrix(SphericalGrid.from_shape(m, n), l_max)
-    coeffs = _fit_frames(design, video.frames, video.masks, v)
-    frames = (coeffs @ design.T).reshape(T, m, n)
+    tables = _tables(SphericalGrid.from_shape(m, n), l_max)
+    frames = np.empty((T, m, n))
+    for start in range(0, T, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        coeffs = _fit(tables, video.frames[part], video.masks[part], v)
+        profiles = np.empty((len(coeffs), m, tables.lon.shape[1]))
+        for o, block in enumerate(tables.blocks):
+            profiles[:, :, o] = coeffs[:, block] @ tables.lat[o]
+        np.matmul(profiles, tables.lon.T, out=frames[part])
     return AuxiliaryVideo(np.maximum(frames, 0.0, out=frames))

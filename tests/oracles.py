@@ -240,6 +240,28 @@ def render(model, grid, clamp_negative=True):
     return np.maximum(values, 0.0) if clamp_negative else values
 
 
+def sh_ridge_fit(design, frames, masks, v):
+    """Ridge coefficients of T masked frames from a dense design, as a (T, K) array.
+
+    ``design`` is the (cells, K) matrix of ``vista.spherical.basis_matrix``.
+    Each frame's normal equations are formed from its observed rows alone:
+    ``(D_obs' D_obs + v I) c = D_obs' x_obs``.
+    """
+    coeffs = np.empty((len(frames), design.shape[1]))
+    for t, (frame, mask) in enumerate(zip(frames, masks)):
+        rows = design[np.asarray(mask).ravel()]
+        gram = rows.T @ rows + v * np.eye(design.shape[1])
+        coeffs[t] = np.linalg.solve(gram, rows.T @ np.asarray(frame)[mask])
+    return coeffs
+
+
+def sh_auxiliary(design, frames, masks, v):
+    """The auxiliary video from the dense fit: render each frame and clamp it at 0."""
+    coeffs = sh_ridge_fit(design, frames, masks, v)
+    rendered = (coeffs @ design.T).reshape(np.shape(frames))
+    return np.maximum(rendered, 0.0)
+
+
 def mse(truth, imputed, mask):
     """Mean squared residual over the mask's pixels, by an explicit loop."""
     total, count = 0.0, 0

@@ -88,6 +88,18 @@ def test_simulate_warns_on_nonpreset_patch_size(tmp_path, truth_file, capsys):
     assert "not one of the presets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern", ["random", "temporal-patch"])
+def test_simulate_pattern_writes_the_input_with_nan_at_dropped_pixels(tmp_path, truth_file,
+                                                                      pattern):
+    # simulate writes the payload directly; it must match the MaskedVideo write byte for byte.
+    out = tmp_path / "p"
+    run(["simulate", "--input", truth_file, "--output-dir", out, "--pattern", pattern,
+         "--patch-size", "15", "--seed", "4"])
+    dropped = vio.read_mask(out / "test_mask.vmc")
+    vio.write_video(tmp_path / "expected.vmc", MaskedVideo(vio.read_frames(truth_file), ~dropped))
+    assert (out / "masked.vmc").read_bytes() == (tmp_path / "expected.vmc").read_bytes()
+
+
 def test_simulate_holdout_mode(tmp_path, truth_file):
     out = tmp_path / "h"
     run(["simulate", "--input", truth_file, "--output-dir", out,

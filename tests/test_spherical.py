@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from vista.spherical import (
@@ -104,8 +108,8 @@ def test_fit_with_mask_uses_only_observed_pixels(rng):
 
 @pytest.mark.parametrize("missing", [0.2, 0.8])
 def test_fit_matches_ridge_on_observed_rows(rng, missing):
-    # Covers both ways the Gram is formed: full minus missing rows, and
-    # observed rows alone when more than half of the pixels are missing.
+    # A few missing pixels and a few observed ones: the separable Gram's cost
+    # does not depend on which, and neither may its result.
     grid = SphericalGrid.from_shape(18, 30)
     frame = rng.normal(size=(18, 30))
     mask = rng.random((18, 30)) > missing
@@ -114,6 +118,73 @@ def test_fit_matches_ridge_on_observed_rows(rng, missing):
     expected = np.linalg.solve(gram, rows.T @ frame[mask])
     model = fit_frame(frame, mask, grid, 4, 0.3)
     np.testing.assert_allclose(model.coeffs, expected, rtol=1e-10, atol=1e-12)
+
+
+def _mask(kind, rng, m, n):
+    if kind == "patch":
+        mask = np.ones((m, n), bool)
+        mask[m // 4: m // 4 + max(1, m // 2), n // 3: n // 3 + max(1, n // 2)] = False
+        mask[0, 0] = True
+    elif kind == "random 60%":
+        mask = rng.random((m, n)) > 0.6
+        mask[-1, -1] = True
+    elif kind == "full":
+        mask = np.ones((m, n), bool)
+    else:  # one observed pixel
+        mask = np.zeros((m, n), bool)
+        mask[m // 2, n // 2] = True
+    return mask
+
+
+def _assert_close(actual, expected):
+    # rtol 1e-10, with the frame's scale as the floor for values near zero.
+    np.testing.assert_allclose(actual, expected, rtol=1e-10,
+                               atol=1e-10 * max(np.abs(expected).max(), 1e-300))
+
+
+@pytest.mark.parametrize("kind", ["patch", "random 60%", "full", "one pixel"])
+@pytest.mark.parametrize("m,n", [(13, 24), (12, 25), (1, 9), (8, 1), (1, 1)])
+@pytest.mark.parametrize("l_max", [0, 1, 6])
+def test_separable_fit_matches_dense_design_oracle(rng, kind, m, n, l_max):
+    grid = SphericalGrid.from_shape(m, n)
+    design = basis_matrix(grid, l_max)
+    frames = 1.0 + np.abs(rng.normal(size=(3, m, n)))
+    masks = np.stack([_mask(kind, rng, m, n) for _ in range(3)])
+    frames[~masks] = 0.0
+    v = 0.1
+    _assert_close(build_auxiliary(MaskedVideo(frames, masks), l_max, v).frames,
+                  oracles.sh_auxiliary(design, frames, masks, v))
+    # fit_frame returns the coefficients in canonical l(l+1)+m order.
+    expected = oracles.sh_ridge_fit(design, frames[:1], masks[:1], v)[0]
+    _assert_close(fit_frame(frames[0], masks[0], grid, l_max, v).coeffs, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 9), n=st.integers(1, 9), T=st.integers(1, 3), l_max=st.integers(0, 4),
+       v=st.sampled_from([0.05, 1.0]), seed=st.integers(0, 2**32 - 1),
+       missing=st.floats(0.0, 0.95))
+def test_separable_fit_matches_dense_oracle_on_any_shape_and_mask(m, n, T, l_max, v, seed,
+                                                                   missing):
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(T, m, n))
+    masks = rng.random((T, m, n)) >= missing
+    masks[:, rng.integers(m), rng.integers(n)] = True
+    frames[~masks] = 0.0
+    expected = oracles.sh_auxiliary(basis_matrix(SphericalGrid.from_shape(m, n), l_max),
+                                    frames, masks, v)
+    _assert_close(build_auxiliary(MaskedVideo(frames, masks), l_max, v).frames, expected)
+
+
+def test_build_auxiliary_never_forms_the_design_matrix(rng):
+    # At 181x361 and l_max 11 the (cells, K) design alone is 75 MB.
+    video = MaskedVideo(rng.random((2, 181, 361)), rng.random((2, 181, 361)) > 0.5)
+    tracemalloc.start()
+    try:
+        build_auxiliary(video, l_max=11, v=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"build_auxiliary allocated {peak / 2**20:.1f} MiB"
 
 
 def test_unregularized_fit_with_too_few_pixels_is_singular(rng):
