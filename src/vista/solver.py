@@ -35,9 +35,6 @@ class SolverState:
     imputation products over sweep k+1.
     ``phase_history`` and ``factor_history`` are only populated when
     :func:`sweep` is called with ``record_phases`` or ``record_factors``.
-    ``workspace`` holds two (T, m, n) buffers that :func:`sweep` refills
-    every sweep, so that no sweep allocates them afresh; it carries no
-    information from one sweep to the next.
     """
 
     factors: FactorSequence
@@ -47,7 +44,6 @@ class SolverState:
     change_history: list = field(default_factory=list)
     phase_history: list = field(default_factory=list)
     factor_history: list = field(default_factory=list)
-    workspace: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -58,26 +54,22 @@ class ImputedVideo:
     effective_ranks: np.ndarray
 
 
-def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig,
-              products: np.ndarray = None) -> float:
+def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig) -> float:
     """Evaluate the four-term objective at the given factors.
 
-    ``products``, when given, must hold every ``left[t] @ right[t].T`` as one
-    (T, m, n) array; the sweep passes its cache so that no product is formed
-    twice. Each residual is formed exactly, as a difference in one reused
-    (m, n) buffer.
+    Each frame's product is formed in a reused (m, n) buffer, and each
+    residual exactly, as a difference in another.
     """
     if cfg.lambda3 > 0 and aux is None:
         raise ValueError("lambda3 > 0 requires an auxiliary video")
     if aux is not None:
         aux.check_matches(video)
     left, right = factors.left, factors.right
-    buffer = np.empty(video.frames.shape[1:])
+    buffer, product, prev_product = (np.empty(video.frames.shape[1:]) for _ in range(3))
     flat = buffer.reshape(-1)
     total = 0.5 * cfg.lambda1 * float(np.vdot(left, left) + np.vdot(right, right))
-    prev_product = None
     for t in range(video.dims.T):
-        product = left[t] @ right[t].T if products is None else products[t]
+        np.matmul(left[t], right[t].T, out=product)
         np.subtract(video.frames[t], product, out=buffer)
         np.multiply(buffer, video.masks[t], out=buffer)
         total += 0.5 * float(flat @ flat)
@@ -87,7 +79,7 @@ def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConf
         if cfg.lambda3 != 0.0:
             np.subtract(aux.frames[t], product, out=buffer)
             total += 0.5 * cfg.lambda3 * float(flat @ flat)
-        prev_product = product
+        product, prev_product = prev_product, product
     return total
 
 
@@ -157,38 +149,39 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
     half-cycle, and with ``record_factors`` a snapshot of the factors is
     kept per sweep.
 
-    One (T, m, n) cache holds every frame's current product. Each half-cycle
-    first builds every frame's r-by-r system from its fixed factor. Each
-    update then overwrites its own cache entry with the fill-in, solves, and
-    refreshes the entry, so the cache matches the factors between updates;
-    the change statistic and the objective are taken from it.
+    The sweep works in (m, n) scratch and allocates no (T, m, n) array.
+    Each half-cycle first builds every frame's r-by-r system from its fixed
+    factor. Each update then forms its frame's current product in one
+    buffer, overwrites the observed pixels with the frame, and solves. A
+    frame's change is taken as soon as its right factor is updated, against
+    the product of a copy of the factors made at the start of the sweep.
     """
     factors = state.factors
     left, right = factors.left, factors.right
-    T = video.dims.T
-    if state.workspace is None or state.workspace[0].shape != video.frames.shape:
-        state.workspace = (np.empty(video.frames.shape), np.empty(video.frames.shape))
-    cache, start = state.workspace
-    np.matmul(left, np.swapaxes(right, 1, 2), out=cache)
     if not state.objective_history:
-        state.objective_history.append(objective(video, aux, factors, cfg, products=cache))
+        state.objective_history.append(objective(video, aux, factors, cfg))
     if record_factors and not state.factor_history:
         state.factor_history.append(factors.copy())
 
-    np.copyto(start, cache)
-    start_norms = np.maximum(np.einsum("tij,tij->t", start, start), _TINY)
+    start = factors.copy()
+    filled, before = np.empty(video.frames.shape[1:]), np.empty(video.frames.shape[1:])
+    changes = np.empty(video.dims.T)
     phases = []
     for solved, basis, flip in ((left, right, False), (right, left, True)):
         systems = _systems(basis, aux, cfg, flip)
-        for t in range(T):
-            np.copyto(cache[t], video.frames[t], where=video.masks[t])
-            solved[t] = _update(t, solved, basis, cache[t], cfg, flip, systems)
-            np.matmul(left[t], right[t].T, out=cache[t])
+        for t in range(video.dims.T):
+            np.matmul(left[t], right[t].T, out=filled)
+            np.copyto(filled, video.frames[t], where=video.masks[t])
+            solved[t] = _update(t, solved, basis, filled, cfg, flip, systems)
+            if flip:
+                np.matmul(start.left[t], start.right[t].T, out=before)
+                norm = max(float(np.vdot(before, before)), _TINY)
+                before -= np.matmul(left[t], right[t].T, out=filled)
+                changes[t] = float(np.vdot(before, before)) / norm
         if record_phases or flip:
-            phases.append(objective(video, aux, factors, cfg, products=cache))
+            phases.append(objective(video, aux, factors, cfg))
 
-    delta = np.subtract(cache, start, out=start)
-    state.change_history.append(np.einsum("tij,tij->t", delta, delta) / start_norms)
+    state.change_history.append(changes)
     state.objective_history.append(phases[-1])
     if record_phases:
         state.phase_history.append(tuple(phases))
@@ -339,5 +332,4 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
         if check_convergence(state, cfg.tol):
             state.converged = True
             break
-    state.workspace = None
     return finalize(state.factors, video, cfg.lambda1), state

@@ -217,11 +217,13 @@ def _fit(tables: _Tables, frames: np.ndarray, masks: np.ndarray, v: float) -> np
     grams += v * np.eye(K)
     # The Cholesky factorization only checks definiteness: a fit with fewer
     # independent observed pixels than coefficients and no ridge must fail
-    # rather than return an arbitrary solution.
-    try:
-        np.linalg.cholesky(grams)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"spherical-harmonics fit is singular: {exc}") from exc
+    # rather than return an arbitrary solution. With v > 0 every Gram is at
+    # least v I, so only v = 0 is checked.
+    if v == 0:
+        try:
+            np.linalg.cholesky(grams)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"spherical-harmonics fit is singular: {exc}") from exc
     return np.linalg.solve(grams, rhs[..., None])[..., 0]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,16 +222,61 @@ def test_sweep_objective_strictly_decreases_from_random_init(rng):
 
 
 def test_sweep_objective_matches_recomputation_from_factors(rng):
-    # The sweep takes its objective from a product cache; a stale cache entry
-    # would make the recorded value drift from the factors'.
     video = random_video(rng, 7, 9, 5)
     aux = random_aux(rng, video)
     cfg = PenaltyConfig(lambda1=0.6, lambda2=0.3, lambda3=0.1, rank=3, rng_seed=4)
     state = make_state(init_factors(7, 9, 5, 3, 4))
     for _ in range(4):
         sweep(state, video, aux, cfg)
-        recomputed = objective(video, aux, state.factors, cfg)
-        assert state.objective_history[-1] == pytest.approx(recomputed, rel=1e-12)
+        assert state.objective_history[-1] == objective(video, aux, state.factors, cfg)
+
+
+@pytest.mark.parametrize("T, lam2, lam3", [(1, 0.3, 0.1), (5, 0.0, 0.0), (5, 0.3, 0.1)])
+def test_sweep_change_matches_dense_recomputation(rng, T, lam2, lam3):
+    # Factors changed between two sweeps are the next sweep's start: a sweep
+    # keeps no state of its own, so its change is measured from them.
+    video = random_video(rng, 7, 9, T)
+    aux = random_aux(rng, video)
+    cfg = PenaltyConfig(lambda1=0.6, lambda2=lam2, lambda3=lam3, rank=3, rng_seed=4)
+    state = make_state(init_factors(7, 9, T, 3, 4))
+    starts = []
+    for k in range(4):
+        if k:
+            state.factors.right[...] += 0.1 * rng.normal(size=state.factors.right.shape)
+        starts.append(state.factors.copy())
+        sweep(state, video, aux, cfg, record_factors=True)
+
+    def products(factors):
+        return np.matmul(factors.left, np.swapaxes(factors.right, 1, 2))
+
+    for k, changes in enumerate(state.change_history):
+        before, after = products(starts[k]), products(state.factor_history[k + 1])
+        dense = np.sum((after - before) ** 2, axis=(1, 2)) / np.sum(before ** 2, axis=(1, 2))
+        np.testing.assert_allclose(changes, dense, rtol=1e-12, atol=0)
+
+
+def test_sweep_and_solve_allocate_no_video_sized_array_beyond_the_output(rng):
+    # One (T, m, n) float array is the unit: the state holds only factors and
+    # histories after its sweeps, and solve's peak is finalize's output.
+    video = random_video(rng, 40, 50, 30)
+    cfg = PenaltyConfig(lambda1=0.5, lambda2=0.1, lambda3=0.0, rank=2, rng_seed=1, max_iter=5)
+    size = video.frames.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = make_state(init_factors(40, 50, 30, 2, 1))
+        for _ in range(3):
+            sweep(state, video, None, cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del state
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve(video, None, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * size
+    assert peak < 1.5 * size
 
 
 def test_sweep_update_chain_is_non_increasing(rng):
