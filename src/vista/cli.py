@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import io as vio
 from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
-from .missingness import MissingnessSpec, check_fraction, default_bbox, generate, holdout
+from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
@@ -73,8 +73,7 @@ class RunConfig:
     sh_v: float = _option(0.1, "spherical-harmonics ridge weight")
     boxcox_lambda: float = _option(0.5, "power-transform exponent")
     boxcox_offset: float = _option(1e-3, "positive offset added before the power transform")
-    pattern: str = _option(None, "missingness pattern",
-                           choices=("random", "temporal", "random-patch", "temporal-patch"))
+    pattern: str = _option(None, "missingness pattern", choices=PATTERNS)
     fraction: float = _option(0.5, "scattered-missing fraction")
     patch_size: int = _option(45, "missing-patch side")
     holdout: float = _option(None, "observed-pixel holdout fraction")
@@ -188,22 +187,18 @@ def cmd_simulate(args) -> int:
     if (cfg.pattern is None) == (cfg.holdout is None):
         raise ValueError("simulate needs --pattern or --holdout" if cfg.pattern is None
                          else "give --pattern or --holdout, not both")
-    spec = None
+    out = Path(cfg.output_dir)
     if cfg.holdout is not None:
         check_fraction(cfg.holdout, "holdout fraction")
-        unused = ("pattern", "fraction", "patch_size")
-    else:
-        spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
-                               patch_size=cfg.patch_size, rng_seed=cfg.seed)
-        patch = cfg.pattern.endswith("patch")
-        unused = ("holdout", "fraction" if patch else "patch_size")
-    out = Path(cfg.output_dir)
-    entries = _config_entries(cfg, args, unused)
-    if spec is None:
+        entries = _config_entries(cfg, args, ("pattern", "fraction", "patch_size"))
         train, test = holdout(vio.read_video(cfg.input), cfg.holdout, cfg.seed)
         payload = train.to_dense()
         entries["result_test_pixels"] = str(int(test.sum()))
     else:
+        spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
+                               patch_size=cfg.patch_size, rng_seed=cfg.seed)
+        patch = cfg.pattern.endswith("patch")
+        entries = _config_entries(cfg, args, ("holdout", "fraction" if patch else "patch_size"))
         if patch and cfg.patch_size not in PRESET_PATCH_SIZES:
             print(f"warning: patch size {cfg.patch_size} is not one of the presets "
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)

@@ -15,19 +15,6 @@ BASELINE = "soft"
 FULL_MODEL = "full"
 
 
-def _gather(truth, imputed, eval_mask) -> tuple:
-    """The evaluation pixels of truth and imputation, after the shape and empty-mask checks."""
-    truth = np.asarray(truth, dtype=float)
-    imputed = np.asarray(imputed, dtype=float)
-    eval_mask = np.asarray(eval_mask, dtype=bool)
-    if truth.shape != imputed.shape or truth.shape != eval_mask.shape:
-        raise ValueError("truth, imputation, and mask shapes must match")
-    pixels = np.flatnonzero(eval_mask)
-    if not pixels.size:
-        raise ValueError("evaluation mask is empty")
-    return truth.take(pixels), imputed.take(pixels)
-
-
 def _truth_norm(truth_values: np.ndarray, what: str = "the truth"):
     denom = np.linalg.norm(truth_values)
     if denom == 0.0:
@@ -52,8 +39,17 @@ def rse(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> float:
     Frobenius norm of the masked residual over the Frobenius norm of the
     masked truth, times 100. A non-finite value on the mask is an error.
     """
-    truth_values, imputed_values = _gather(truth, imputed, eval_mask)
-    return _scores(truth_values, imputed_values, _truth_norm(truth_values), "the imputation")[0]
+    truth = np.asarray(truth, dtype=float)
+    imputed = np.asarray(imputed, dtype=float)
+    eval_mask = np.asarray(eval_mask, dtype=bool)
+    if truth.shape != imputed.shape or truth.shape != eval_mask.shape:
+        raise ValueError("truth, imputation, and mask shapes must match")
+    pixels = np.flatnonzero(eval_mask)
+    if not pixels.size:
+        raise ValueError("evaluation mask is empty")
+    truth_values = truth.take(pixels)
+    return _scores(truth_values, imputed.take(pixels), _truth_norm(truth_values),
+                   "the imputation")[0]
 
 
 def margin_confidence(margins: np.ndarray) -> tuple:
@@ -76,8 +72,7 @@ class EvalReport:
     mean_rse: dict = field(default_factory=dict)
     mean_mse: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
-    margin_mean: dict = field(default_factory=dict)
-    margin_ci: dict = field(default_factory=dict)
+    margin_ci: dict = field(default_factory=dict)  # name -> (mean, lo, hi)
     better_than_baseline: dict = field(default_factory=dict)
     worse_than_full: dict = field(default_factory=dict)
 
@@ -95,16 +90,14 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray) -> 
     eval_masks = np.asarray(eval_masks, dtype=bool)
     if truth.shape != eval_masks.shape:
         raise ValueError("truth and evaluation masks must share one shape")
+    report = EvalReport(models=list(results))
+    T = truth.shape[0]
     models = {}
     for name, frames in results.items():
-        frames = np.asarray(frames, dtype=float)
+        frames = models[name] = np.asarray(frames, dtype=float)
         if frames.shape != truth.shape:
             raise ValueError(f"model {name!r} frames have shape {frames.shape}, "
                              f"expected {truth.shape}")
-        models[name] = frames
-    report = EvalReport(models=list(results))
-    T = truth.shape[0]
-    for name in models:
         report.frame_rse[name] = np.empty(T)
         report.frame_mse[name] = np.empty(T)
     # One pass over the frames: each frame's evaluation pixels are located
@@ -127,9 +120,7 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray) -> 
         for name in results:
             margins = base - report.frame_rse[name]
             report.margins[name] = margins
-            center, lo, hi = margin_confidence(margins)
-            report.margin_mean[name] = center
-            report.margin_ci[name] = (lo, hi)
+            report.margin_ci[name] = margin_confidence(margins)
             report.better_than_baseline[name] = int(np.count_nonzero(margins > 0))
     if FULL_MODEL in results:
         full = report.frame_rse[FULL_MODEL]
@@ -170,8 +161,6 @@ def write_margins(path, report: EvalReport, level: str = "") -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["model", "level", "margin_mean", "ci_lo", "ci_hi"])
         for name in report.models:
-            if name == BASELINE or name not in report.margin_mean:
+            if name == BASELINE or name not in report.margin_ci:
                 continue
-            lo, hi = report.margin_ci[name]
-            writer.writerow([name, level, format(report.margin_mean[name], ".17g"),
-                             format(lo, ".17g"), format(hi, ".17g")])
+            writer.writerow([name, level, *(format(v, ".17g") for v in report.margin_ci[name])])

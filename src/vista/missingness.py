@@ -44,8 +44,9 @@ class MissingnessSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
-        check_fraction(self.fraction, "fraction")
-        if self.patch_size < 1:
+        if not self.pattern.endswith("patch"):  # each pattern checks only the field it reads
+            check_fraction(self.fraction, "fraction")
+        elif self.patch_size < 1:
             raise ValueError("patch_size must be at least 1")
         if self.shift < 1:
             raise ValueError("shift must be at least 1")

@@ -79,8 +79,10 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     pooled /= std
     frames = np.zeros_like(video.frames)
     frames[video.masks] = pooled[:observed]
+    transformed = MaskedVideo(frames, video.masks)
+    del frames  # MaskedVideo holds its own copy; free this one before the auxiliary copy
     out_aux = None if aux is None else AuxiliaryVideo(pooled[observed:].reshape(aux.frames.shape))
-    return MaskedVideo(frames, video.masks), out_aux, params
+    return transformed, out_aux, params
 
 
 def invert(frames: np.ndarray, params: TransformParams):

@@ -561,6 +561,21 @@ def test_simulate_holdout_manifest_leaves_out_the_pattern_fields(tmp_path, truth
     assert not {"pattern", "fraction", "patch_size"} & set(manifest)
 
 
+@pytest.mark.parametrize("pattern, unused", [
+    (["--pattern", "temporal-patch", "--patch-size", "9"], ["--fraction", "1.5"]),
+    (["--pattern", "random"], ["--patch-size", "0"]),
+], ids=["patch-fraction-1.5", "random-patch-size-0"])
+def test_simulate_pattern_does_not_check_an_option_it_never_reads(tmp_path, truth_file,
+                                                                   pattern, unused):
+    argv = ["simulate", "--input", truth_file, *pattern, "--seed", "2"]
+    run([*argv, "--output-dir", tmp_path / "plain"])
+    run([*argv, *unused, "--output-dir", tmp_path / "unused"])
+    for name in ("masked.vmc", "test_mask.vmc"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "unused" / name).read_bytes()
+    assert unused[0][2:].replace("-", "_") not in vio.read_manifest(
+        tmp_path / "unused" / "manifest.txt")
+
+
 def test_simulate_pattern_that_empties_a_frame_leaves_no_output_directory(tmp_path, capsys):
     small = tmp_path / "small.vmc"
     vio.write_frames(small, make_demo_video(4, 4, 3, seed=1))

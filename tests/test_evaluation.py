@@ -39,6 +39,13 @@ def test_rse_errors():
         rse(truth, truth, np.ones((2, 2), bool))
 
 
+@pytest.mark.parametrize("imputed_shape, mask_shape", [((2, 3), (2, 2)), ((2, 2), (2, 3))],
+                         ids=["imputation", "mask"])
+def test_rse_rejects_shape_mismatch(imputed_shape, mask_shape):
+    with pytest.raises(ValueError, match="truth, imputation, and mask shapes must match"):
+        rse(np.ones((2, 2)), np.ones(imputed_shape), np.ones(mask_shape, bool))
+
+
 def test_rse_scale_equivariance(rng):
     truth = rng.normal(size=(6, 7))
     imputed = rng.normal(size=(6, 7))
@@ -69,6 +76,8 @@ def test_margin_confidence_matches_textbook_formula(rng):
     assert center == pytest.approx(margins.mean())
     assert lo == pytest.approx(margins.mean() - half)
     assert hi == pytest.approx(margins.mean() + half)
+    # One frame has no spread: the interval is the point.
+    assert margin_confidence([2.5]) == (2.5, 2.5, 2.5)
 
 
 def make_inputs(rng, T=5):
@@ -185,3 +194,38 @@ def test_csv_outputs(tmp_path, rng):
         rows = list(csv.reader(handle))
     assert len(rows) == 1 + 3  # three non-baseline models
     assert all(r[1] == "0.5" for r in rows[1:])
+
+
+def test_csv_bytes_on_a_hand_checked_case(tmp_path):
+    # Two frames of one row; the third pixel is off the mask, where the
+    # models' 100 must not count. Truth norms are 5 and 10 on the mask.
+    truth = np.array([[[3.0, 4.0, 7.0]], [[6.0, 8.0, 7.0]]])
+    masks = np.array([[[True, True, False]]] * 2)
+    results = {
+        "soft": [[[1.5, 2.0, 100.0]], [[7.5, 10.0, 100.0]]],  # residuals (1.5, 2): 50%, 25%
+        "ts": [[[3.0, 4.0, 100.0]], [[3.0, 4.0, 100.0]]],  # 0%, then (3, 4) of 10: 50%
+        "full": [[[2.25, 5.0, 100.0]], [[6.0, 8.0, 100.0]]],  # (0.75, 1) of 5: 25%, then 0%
+    }
+    report = compare_models({k: np.array(v) for k, v in results.items()}, truth, masks)
+    write_frame_metrics(tmp_path / "frame_metrics.csv", report)
+    write_summary(tmp_path / "summary.csv", report)
+    write_margins(tmp_path / "margins.csv", report, level="0.5")
+    assert (tmp_path / "frame_metrics.csv").read_bytes() == (
+        b"model,t,rse_pct,mse\n"
+        b"soft,0,50,3.125\n"
+        b"soft,1,25,3.125\n"
+        b"ts,0,0,0\n"
+        b"ts,1,50,12.5\n"
+        b"full,0,25,0.78125\n"
+        b"full,1,0,0\n")
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"model,rse_pct,mse,better_than_baseline,worse_than_full\n"
+        b"soft,37.5,3.125,0,2\n"
+        b"ts,25,6.25,1,1\n"
+        b"full,12.5,0.390625,2,0\n")
+    # ts margins (50, -25): mean 12.5, half-width Z95 * 37.5 = 73.49864942025202.
+    # full margins (25, 25) have zero spread, so the interval is the point.
+    assert (tmp_path / "margins.csv").read_bytes() == (
+        b"model,level,margin_mean,ci_lo,ci_hi\n"
+        b"ts,0.5,12.5,-60.998649420252022,85.998649420252022\n"
+        b"full,0.5,25,25,25\n")

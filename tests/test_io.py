@@ -82,6 +82,14 @@ def test_manifest_round_trip(tmp_path):
         vio.read_manifest(path)
 
 
+@pytest.mark.parametrize("text", ["\nalpha=1\nbeta=two\n", "alpha=1\n\n\nbeta=two",
+                                  "alpha=1\nbeta=two\n\n"], ids=["first", "middle", "last"])
+def test_manifest_reader_skips_blank_lines(tmp_path, text):
+    path = tmp_path / "manifest.txt"
+    path.write_text(text)
+    assert vio.read_manifest(path) == {"alpha": "1", "beta": "two"}
+
+
 # Finite doubles of every kind, with -0.0 and subnormals drawn explicitly.
 _values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),

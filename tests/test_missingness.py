@@ -26,6 +26,9 @@ def test_spec_validation():
         MissingnessSpec(pattern="random-patch", patch_size=0)
     with pytest.raises(ValueError, match="shift must be at least 1"):
         MissingnessSpec(pattern="temporal", shift=0)
+    # A pattern does not check the field it never reads.
+    MissingnessSpec(pattern="temporal-patch", fraction=1.5)
+    MissingnessSpec(pattern="random", patch_size=0)
 
 
 def test_random_drop_count_within_binomial_interval():
@@ -139,6 +142,12 @@ def test_apply_returns_masked_video_and_exact_drop_set(rng):
     np.testing.assert_array_equal(video.frames[video.masks], frames[~dropped])
     with pytest.raises(ValueError):
         apply(np.full((1, 4, 4), np.nan), spec)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (1, 2, 4, 5)], ids=["2-d", "4-d"])
+def test_apply_rejects_a_video_that_is_not_three_dimensional(shape):
+    with pytest.raises(ValueError, match=f"expected a \\(T, m, n\\) array, got ndim={len(shape)}"):
+        apply(np.ones(shape), MissingnessSpec(pattern="random"))
 
 
 def test_holdout_partitions_observed_set(rng):

@@ -320,3 +320,17 @@ def test_grid_validation():
         SphericalGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]))  # theta hits the pole
     with pytest.raises(ValueError):
         SphericalGrid(np.array([1.0, 0.5]), np.array([0.0, 1.0]))  # not monotone
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SphericalGrid(np.full((2, 2), 1.0), [0.0, 1.0]),
+     "theta and phi must be one-dimensional"),
+    (lambda: ShModel(l_max=1, coeffs=np.zeros(3)), r"expected 4 coefficients, got \(3,\)"),
+    (lambda: ShModel(l_max=1, coeffs=[0.0, np.nan, 0.0, 0.0]), "coefficients must be finite"),
+    (lambda: fit_frame(np.ones((3, 4)), np.ones((4, 3), bool), SphericalGrid.from_shape(3, 4),
+                       1, 0.1),
+     r"frame shape \(3, 4\) does not match mask shape \(4, 3\)"),
+], ids=["grid-2d-axis", "model-coeff-count", "model-non-finite", "fit-shape-mismatch"])
+def test_malformed_spherical_inputs_are_rejected_by_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

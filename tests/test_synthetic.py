@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vista.synthetic import make_demo_video
 
@@ -26,3 +27,9 @@ def test_demo_video_bump_moves():
     peaks = [np.unravel_index(np.argmax(b), b.shape) for b in bumps]
     assert len(set(peaks)) > 1
     assert all(b.max() > 10.0 for b in bumps)
+
+
+@pytest.mark.parametrize("amplitude", [-50.0, -1e3])
+def test_demo_video_rejects_parameters_that_make_a_non_positive_pixel(amplitude):
+    with pytest.raises(ValueError, match="demo video parameters produced non-positive values"):
+        make_demo_video(20, 30, 3, seed=1, bump_amplitude=amplitude)

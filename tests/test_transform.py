@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -45,6 +47,24 @@ def test_fit_transform_pools_auxiliary_pixels(rng):
     assert pooled.std() == pytest.approx(1.0, rel=1e-12)
     # the observed population alone is deliberately not zero-mean here
     assert abs(out_v.frames[out_v.masks].mean()) > 1e-6
+
+
+@pytest.mark.parametrize("with_aux, bound", [(True, 4.5), (False, 3.5)])
+def test_fit_transform_peak_memory_in_video_arrays(rng, with_aux, bound):
+    # One (T, m, n) float array is the unit. Beyond its outputs (a video and,
+    # given one, an auxiliary), the call holds the pooled buffer and one
+    # zero-filled temporary, which must be gone before the auxiliary is copied.
+    video = random_video(rng, 40, 50, 30, missing=0.3, positive=True)
+    aux = AuxiliaryVideo(1.0 + np.abs(rng.normal(size=video.frames.shape))) if with_aux else None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fit_transform(video, aux, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out[0].frames.shape == video.frames.shape
+    assert peak / video.frames.nbytes < bound
 
 
 def test_fit_transform_rejects_constant_video():

@@ -64,6 +64,26 @@ def test_factor_sequence_validation(rng):
         FactorSequence(rng.normal(size=(3, 4, 2)), rng.normal(size=(2, 5, 2)))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MaskedVideo(np.ones((2, 3)), np.ones((2, 3), bool)),
+     r"frames must be a \(T, m, n\) array, got ndim=2"),
+    (lambda: MaskedVideo(np.ones((1, 2, 3)), np.ones((1, 3, 2), bool)),
+     r"frames shape \(1, 2, 3\) does not match masks shape \(1, 3, 2\)"),
+    (lambda: MaskedVideo(np.ones((1, 0, 3)), np.ones((1, 0, 3), bool)),
+     r"all dimensions must be positive, got \(1, 0, 3\)"),
+    (lambda: AuxiliaryVideo(np.ones((2, 3))), r"frames must be a \(T, m, n\) array, got ndim=2"),
+    (lambda: FactorSequence(np.ones((2, 3)), np.ones((1, 3, 2))),
+     r"factors must be \(T, rows, rank\) arrays"),
+    (lambda: FactorSequence(np.ones((1, 2, 0)), np.ones((1, 3, 0))), "rank must be at least 1"),
+    (lambda: FactorSequence(np.ones((1, 2, 1)), np.full((1, 3, 1), np.inf)),
+     "factor entries must be finite"),
+], ids=["masked-ndim", "masked-shape", "masked-empty-dim", "aux-ndim", "factors-ndim",
+        "factors-rank-0", "factors-non-finite"])
+def test_containers_reject_malformed_arrays_by_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_factor_sequence_copy_shares_no_memory(rng):
     factors = FactorSequence(rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 5, 2)))
     copied = factors.copy()
