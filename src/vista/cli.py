@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -292,10 +293,14 @@ def cmd_evaluate(args) -> int:
         if name in paths:
             raise ValueError(f"model name {name!r} is given more than once")
         paths[name] = path
-    truth = vio._read_payload(cfg.truth)  # NaN is allowed off the evaluation mask
-    masks = vio.read_mask(cfg.eval_mask)
-    results = {name: vio.read_frames(path) for name, path in paths.items()}
-    report = compare_models(results, truth, masks)
+    # Every input is read frame by frame while it is scored; the truth may
+    # hold NaN off the evaluation mask.
+    with ExitStack() as stack:
+        truth = stack.enter_context(vio.FrameReader(cfg.truth))
+        masks = stack.enter_context(vio.FrameReader(cfg.eval_mask, "mask"))
+        results = {name: stack.enter_context(vio.FrameReader(path, "finite"))
+                   for name, path in paths.items()}
+        report = compare_models(results, truth, masks)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_frame_metrics(out / "frame_metrics.csv", report)

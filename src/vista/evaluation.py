@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import FrameReader
+
 # Two-sided 95% normal quantile, used for the margin error bars.
 Z95 = 1.959963984540054
 # Margins and win counts are taken against BASELINE, loss counts against FULL_MODEL.
@@ -77,24 +79,33 @@ class EvalReport:
     worse_than_full: dict = field(default_factory=dict)
 
 
-def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray) -> EvalReport:
+def _frames(source, dtype):
+    "A ``FrameReader`` as it is, anything else as a (T, m, n) array; both iterate over frames."
+    return source if isinstance(source, FrameReader) else np.asarray(source, dtype=dtype)
+
+
+def compare_models(results: dict, truth, eval_masks) -> EvalReport:
     """Score every model on identical evaluation masks.
 
-    ``results`` maps model name to its (T, m, n) imputation. Margins are
-    taken against the ``BASELINE`` model (positive means better than the
-    baseline); ties count as "not better". Win counts against the baseline
-    and loss counts against ``FULL_MODEL`` are only filled in when those
-    models are present; a non-finite value on the masks is an error.
+    ``results`` maps model name to its (T, m, n) imputation. Each input,
+    the truth and the masks included, is either a (T, m, n) array or an
+    ``io.FrameReader`` (a mask reader opened with ``check="mask"``); shapes
+    are checked before any reader's payload is read, and then all inputs
+    are read together, one frame at a time.
+    Margins are taken against the ``BASELINE`` model (positive means better
+    than the baseline); ties count as "not better". Win counts against the
+    baseline and loss counts against ``FULL_MODEL`` are only filled in when
+    those models are present; a non-finite value on the masks is an error.
     """
-    truth = np.asarray(truth, dtype=float)
-    eval_masks = np.asarray(eval_masks, dtype=bool)
+    truth = _frames(truth, float)
+    eval_masks = _frames(eval_masks, bool)
     if truth.shape != eval_masks.shape:
         raise ValueError("truth and evaluation masks must share one shape")
     report = EvalReport(models=list(results))
     T = truth.shape[0]
     models = {}
     for name, frames in results.items():
-        frames = models[name] = np.asarray(frames, dtype=float)
+        frames = models[name] = _frames(frames, float)
         if frames.shape != truth.shape:
             raise ValueError(f"model {name!r} frames have shape {frames.shape}, "
                              f"expected {truth.shape}")
@@ -103,15 +114,16 @@ def compare_models(results: dict, truth: np.ndarray, eval_masks: np.ndarray) -> 
     # One pass over the frames: each frame's evaluation pixels are located
     # once and the truth there is scored against every model. Flat indices
     # gather faster than a boolean mask, in the same order.
-    for t in range(T):
-        pixels = np.flatnonzero(eval_masks[t])
+    for t, (truth_frame, mask, *model_frames) in enumerate(
+            zip(truth, eval_masks, *models.values())):
+        pixels = np.flatnonzero(mask)
         if not pixels.size:
             raise ValueError(f"evaluation mask is empty at frame {t}")
-        truth_values = truth[t].take(pixels)
+        truth_values = truth_frame.take(pixels)
         truth_norm = _truth_norm(truth_values, f"frame {t} of the truth")
-        for name, frames in models.items():
+        for name, frame in zip(models, model_frames):
             report.frame_rse[name][t], report.frame_mse[name][t] = _scores(
-                truth_values, frames[t].take(pixels), truth_norm, f"frame {t} of model {name!r}")
+                truth_values, frame.take(pixels), truth_norm, f"frame {t} of model {name!r}")
     for name in models:
         report.mean_rse[name] = float(report.frame_rse[name].mean())
         report.mean_mse[name] = float(report.frame_mse[name].mean())

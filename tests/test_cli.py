@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +615,68 @@ def test_evaluate_scores_a_holdout_split_of_a_masked_video(tmp_path, truth_file)
     assert reported == pytest.approx(expected, rel=1e-12)
 
 
+def _evaluate_inputs(directory, shape, seed):
+    """Truth, 0/1 evaluation mask and two perturbed imputations written as .vmc files."""
+    rng = np.random.default_rng(seed)
+    truth = rng.uniform(1.0, 2.0, size=shape)
+    mask = rng.random(shape) < 0.3
+    mask[:, 0, 0] = True
+    paths = {name: directory / f"{name}.vmc" for name in ("truth", "mask", "soft", "full")}
+    vio.write_frames(paths["truth"], truth)
+    vio.write_mask(paths["mask"], mask)
+    vio.write_frames(paths["soft"], truth + rng.normal(scale=0.1, size=shape))
+    vio.write_frames(paths["full"], truth + rng.normal(scale=0.05, size=shape))
+    return paths
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_evaluate_reads_its_inputs_from_pipes(tmp_path):
+    # A pipe reports size 0 and cannot seek, so evaluate must read each input
+    # once, front to back, while the writers feed them.
+    paths = _evaluate_inputs(tmp_path, (5, 7, 9), seed=8)
+    argv = ["evaluate", "--truth", paths["truth"], "--imputed", f"full={paths['full']}"]
+    run([*argv, "--eval-mask", paths["mask"], "--imputed", f"soft={paths['soft']}",
+         "--output-dir", tmp_path / "files"])
+    writers = []
+    for name in ("mask", "soft"):
+        fifo = tmp_path / f"{name}.pipe"
+        os.mkfifo(fifo)
+        writers.append(threading.Thread(target=fifo.write_bytes, args=(paths[name].read_bytes(),),
+                                        daemon=True))
+        writers[-1].start()
+    run([*argv, "--eval-mask", tmp_path / "mask.pipe", "--imputed", f"soft={tmp_path / 'soft.pipe'}",
+         "--output-dir", tmp_path / "pipes"])
+    for writer in writers:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    for name in ("frame_metrics.csv", "summary.csv", "margins.csv"):
+        assert (tmp_path / "pipes" / name).read_bytes() == (tmp_path / "files" / name).read_bytes()
+
+
+def test_evaluate_holds_a_few_frames_not_its_inputs(tmp_path):
+    # The command's fixed costs (the parser, the csv module's 128 KiB record
+    # buffer) do not depend on T, so they are measured on a one-frame input
+    # and taken off; reading the four 64-frame inputs whole would add 252 frames.
+    m, n = 40, 60
+
+    def peak(T):
+        paths = _evaluate_inputs(tmp_path / str(T), (T, m, n), seed=9)
+        argv = ["evaluate", "--truth", paths["truth"], "--eval-mask", paths["mask"],
+                "--imputed", f"soft={paths['soft']}", "--imputed", f"full={paths['full']}",
+                "--output-dir", tmp_path / str(T) / "ev"]
+        tracemalloc.start()
+        try:
+            run(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (tmp_path / "1").mkdir()
+    (tmp_path / "64").mkdir()
+    peak(1)  # warm-up: first-call allocations of the modules the command uses
+    assert peak(64) - peak(1) < 8 * m * n * 8
+
+
 def test_evaluate_rejects_a_nan_truth_at_an_evaluation_pixel(tmp_path, truth_file, capsys):
     # An imputation must be fully observed (read_frames); the truth may hold
     # NaN, but only off the evaluation mask.
@@ -728,12 +792,22 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
     (["gridsearch", "--input", "TRUTH", "--holdout", "0.9999", "--sh-lmax", "3"],
      "holdout fraction 0.9999 moves 2400 of the 2400 observed pixels of frame 0"),
     (["impute", "--input", "RESERVED"], r"reserved\.vmc: reserved header word must be zero, got 7$"),
+    # evaluate streams its inputs, so these faults sit in the last frame it reads.
+    (["evaluate", "--truth", "TRUTH", "--eval-mask", "MASK", "--imputed", "soft=CUT"],
+     r"cut\.vmc: payload for dims \(40, 60, 4\) needs 76800 bytes, got 76792$"),
+    (["evaluate", "--truth", "TRUTH", "--eval-mask", "LONG", "--imputed", "soft=TRUTH"],
+     r"long\.vmc: payload for dims \(40, 60, 4\) needs 76800 bytes, got 76808$"),
+    (["evaluate", "--truth", "TRUTH", "--eval-mask", "HALF", "--imputed", "soft=TRUTH"],
+     r"half\.vmc: mask file must contain only 0 and 1$"),
+    (["evaluate", "--truth", "TRUTH", "--eval-mask", "MASK", "--imputed", "soft=TRUTH",
+      "--imputed", "full=INF"], r"inf\.vmc: expected a fully observed video with finite values$"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
         "impute-singular-sh-fit", "evaluate-wrong-shape", "impute-sh-lmax-negative",
         "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan",
         "simulate-holdout-empties-test", "gridsearch-holdout-empties-training",
-        "impute-reserved-header-word"])
+        "impute-reserved-header-word", "evaluate-truncated-imputation", "evaluate-long-mask",
+        "evaluate-half-mask-value", "evaluate-infinite-imputation"])
 def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
                                                           argv, named):
     # 20 observed pixels a frame cannot fix 25 unridged coefficients.
@@ -744,8 +818,16 @@ def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, 
     reserved = tmp_path / "reserved.vmc"  # header bytes 16..19 must be zero
     data = tiny.read_bytes()
     reserved.write_bytes(data[:16] + (7).to_bytes(4, "little") + data[20:])
+    # Faults at the end of the payload: one value short, one value over, and
+    # a last value of 0.5 in a mask or inf in an imputation.
+    cut, long, half, inf = (tmp_path / f"{name}.vmc" for name in ("cut", "long", "half", "inf"))
+    cut.write_bytes(truth_file.read_bytes()[:-8])
+    long.write_bytes(mask.read_bytes() + np.array([1.0], dtype="<f8").tobytes())
+    half.write_bytes(mask.read_bytes()[:-8] + np.array([0.5], dtype="<f8").tobytes())
+    inf.write_bytes(truth_file.read_bytes()[:-8] + np.array([np.inf], dtype="<f8").tobytes())
     for name, path in (("MISSING", tmp_path / "missing.vmc"), ("TRUTH", truth_file),
-                       ("TINY", tiny), ("MASK", mask), ("RESERVED", reserved)):
+                       ("TINY", tiny), ("MASK", mask), ("RESERVED", reserved), ("CUT", cut),
+                       ("LONG", long), ("HALF", half), ("INF", inf)):
         argv = [a.replace(name, str(path)) for a in argv]
     fails([*argv, "--output-dir", tmp_path / "fo" / "out"], capsys, named)
     assert not (tmp_path / "fo").exists()

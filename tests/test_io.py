@@ -1,10 +1,11 @@
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -72,6 +73,18 @@ def test_frames_and_mask_helpers(tmp_path, rng):
     np.testing.assert_array_equal(vio.read_mask(tmp_path / "mask.vmc"), mask)
 
 
+def test_write_mask_holds_one_float_frame(tmp_path, rng):
+    T, m, n = 64, 40, 60
+    mask = rng.random((T, m, n)) > 0.5
+    tracemalloc.start()
+    try:
+        vio.write_mask(tmp_path / "mask.vmc", mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * n * 8  # a float copy of the whole mask would take 64 frames
+
+
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.txt"
     entries = {"alpha": "1", "beta": "two", "gamma_path": "/x/y=z"}
@@ -118,6 +131,21 @@ def test_binary_round_trip_is_bit_exact(tmp_path_factory, data):
 
     vio.write_frames(path, frames)
     np.testing.assert_array_equal(_bits(vio.read_frames(path)), _bits(frames))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mask=hnp.arrays(np.bool_, _shapes))
+@example(mask=np.ones((1, 1, 1), dtype=bool))
+@example(mask=np.zeros((3, 1, 4), dtype=bool))
+@example(mask=np.eye(5, dtype=bool)[None, :, :1])
+def test_write_mask_matches_write_frames_and_round_trips(tmp_path_factory, mask):
+    directory = tmp_path_factory.mktemp("mask")
+    vio.write_mask(directory / "mask.vmc", mask)
+    vio.write_frames(directory / "frames.vmc", mask.astype(float))
+    assert (directory / "mask.vmc").read_bytes() == (directory / "frames.vmc").read_bytes()
+    back = vio.read_mask(directory / "mask.vmc")
+    assert back.dtype == bool
+    np.testing.assert_array_equal(back, mask)
 
 
 def test_every_truncation_is_rejected_naming_the_path(tmp_path, rng):
