@@ -122,6 +122,12 @@ def _command_fields(args) -> list:
     return [name for name in _FIELDS if hasattr(args, name)]
 
 
+def _check_one_line(option: str, text: str) -> None:
+    "A line break in a value would split its manifest line, so that no --config could replay it."
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"{option} must not contain a line break, got {text!r}")
+
+
 def resolve_config(args) -> RunConfig:
     """Defaults < --config < --profile < flags, for the fields the command's parser defines.
 
@@ -142,10 +148,12 @@ def resolve_config(args) -> RunConfig:
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
-    for name in ("input", "truth", "eval_mask"):
-        if name in own and getattr(cfg, name) is None:
-            flag = "--" + name.replace("_", "-")
+    for name in own:
+        value, flag = getattr(cfg, name), "--" + name.replace("_", "-")
+        if value is None and name in ("input", "truth", "eval_mask"):
             raise ValueError(f"no {flag} video: give {flag} or a {name}= line in --config")
+        if isinstance(value, str):
+            _check_one_line(flag, value)
     return cfg
 
 
@@ -290,6 +298,7 @@ def cmd_evaluate(args) -> int:
         name, _, path = item.partition("=")
         if not (name and path):
             raise ValueError(f"--imputed expects name=path, got {item!r}")
+        _check_one_line("--imputed name", name)
         if name in paths:
             raise ValueError(f"model name {name!r} is given more than once")
         paths[name] = path
@@ -415,12 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a bad value, file or singular fit prints one line and returns 2."""
+    """Run one command; a bad value or file, a singular fit or a failed allocation prints one
+    line and returns 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
-        print(f"vista: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"vista: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

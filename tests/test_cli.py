@@ -415,9 +415,15 @@ def test_impute_rejects_nan_penalty_before_any_work(tmp_path, truth_file, monkey
     (["gridsearch", "--lambda1-grid", ","], "empty lambda1 grid ','"),
     (["simulate", "--pattern", "random", "--holdout", "0.3"],
      "give --pattern or --holdout, not both"),
+    # A line break would split the value's manifest line, which --config could not replay.
+    (["gridsearch", "--lambda2-grid", "0.05\n0.2"],
+     r"--lambda2-grid must not contain a line break, got '0\.05\\n0\.2'"),
+    (["gridsearch", "--lambda1-grid", "0.9\r"],
+     r"--lambda1-grid must not contain a line break, got '0\.9\\r'"),
 ], ids=["simulate-holdout-nan", "simulate-fraction-1.5", "gridsearch-holdout-0",
         "gridsearch-lambda1-nan", "gridsearch-lambda1-0", "gridsearch-lambda3-negative",
-        "gridsearch-lambda2-text", "gridsearch-lambda1-empty", "simulate-pattern-and-holdout"])
+        "gridsearch-lambda2-text", "gridsearch-lambda1-empty", "simulate-pattern-and-holdout",
+        "gridsearch-lambda2-grid-line-break", "gridsearch-lambda1-grid-carriage-return"])
 def test_bad_fraction_fails_before_any_work(tmp_path, capsys, argv, named):
     # The input does not exist: a read before the check would fail differently.
     fails([*argv, "--input", tmp_path / "missing.vmc", "--output-dir", tmp_path / "out"],
@@ -425,14 +431,20 @@ def test_bad_fraction_fails_before_any_work(tmp_path, capsys, argv, named):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["--imputed", "full=a.vmc", "--imputed", "full=b.vmc"], "full"),
-], ids=["imputed-twice"])
-def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, capsys, argv, name):
+@pytest.mark.parametrize("argv, named", [
+    (["--imputed", "full=a.vmc", "--imputed", "full=b.vmc"],
+     "model name 'full' is given more than once"),
+    # Each of these values would be written to the manifest across two lines.
+    (["--imputed", "fu\nll=a.vmc"], r"--imputed name must not contain a line break, got 'fu\\nll'"),
+    (["--imputed", "soft=a.vmc", "--level", "a\nb"],
+     r"--level must not contain a line break, got 'a\\nb'"),
+    (["--imputed", "soft=a.vmc", "--truth", "t\r\nx.vmc"],
+     r"--truth must not contain a line break, got 't\\r\\nx\.vmc'"),
+], ids=["imputed-twice", "imputed-name-line-break", "level-line-break", "truth-line-break"])
+def test_evaluate_rejects_repeated_model_name_before_any_work(tmp_path, capsys, argv, named):
     # No input exists: a read before the check would fail differently.
     fails(["evaluate", "--truth", tmp_path / "truth.vmc", "--eval-mask", tmp_path / "mask.vmc",
-           *argv, "--output-dir", tmp_path / "out"], capsys,
-          f"model name '{name}' is given more than once")
+           *argv, "--output-dir", tmp_path / "out"], capsys, named)
     assert not (tmp_path / "out").exists()
 
 
@@ -508,6 +520,23 @@ def test_impute_failure_prints_one_line(tmp_path, capsys, argv, named):
     fails(["impute", *[paths.get(a, a) for a in argv], "--output-dir", tmp_path / "out"],
           capsys, named)
     assert not (tmp_path / "out" / "auxiliary.vmc").exists()
+
+
+@pytest.mark.parametrize("error, named", [
+    (MemoryError("Unable to allocate 1.38 TiB for an array with shape (24, 181, 361, 10000)"),
+     r"vista: error: Unable to allocate 1\.38 TiB for an array"),
+    (MemoryError(), "vista: error: MemoryError$"),
+], ids=["numpy-message", "no-message"])
+def test_failed_allocation_prints_one_line(tmp_path, truth_file, monkeypatch, capsys, error,
+                                           named):
+    # Whether a huge request is refused depends on the host's overcommit
+    # policy, so the allocation failure is raised by a stand-in.
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "build_auxiliary", refuse)
+    fails(["impute", "--input", truth_file, "--output-dir", tmp_path / "out"], capsys, named)
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_option_table_matches_the_parser():
@@ -781,6 +810,9 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
       "--rank", "2"], "spherical-harmonics fit is singular"),
     (["evaluate", "--truth", "TRUTH", "--eval-mask", "MASK", "--imputed", "soft=TINY"],
      "model 'soft' frames have shape"),
+    # A header with no payload: the shape is checked before any payload byte is read.
+    (["evaluate", "--truth", "TRUTH", "--eval-mask", "MASK", "--imputed", "soft=HEADONLY"],
+     "model 'soft' frames have shape"),
     (["impute", "--input", "TRUTH", "--sh-lmax", "-1"],
      "spherical-harmonics degree cap must be non-negative, got -1"),
     (["impute", "--input", "TRUTH", "--boxcox-offset", "-5", "--sh-lmax", "3"],
@@ -803,8 +835,8 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
       "--imputed", "full=INF"], r"inf\.vmc: expected a fully observed video with finite values$"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
-        "impute-singular-sh-fit", "evaluate-wrong-shape", "impute-sh-lmax-negative",
-        "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan",
+        "impute-singular-sh-fit", "evaluate-wrong-shape", "evaluate-header-only-imputation",
+        "impute-sh-lmax-negative", "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan",
         "simulate-holdout-empties-test", "gridsearch-holdout-empties-training",
         "impute-reserved-header-word", "evaluate-truncated-imputation", "evaluate-long-mask",
         "evaluate-half-mask-value", "evaluate-infinite-imputation"])
@@ -818,6 +850,8 @@ def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, 
     reserved = tmp_path / "reserved.vmc"  # header bytes 16..19 must be zero
     data = tiny.read_bytes()
     reserved.write_bytes(data[:16] + (7).to_bytes(4, "little") + data[20:])
+    headonly = tmp_path / "headonly.vmc"  # the 20-byte header of a (2, 4, 5) video
+    headonly.write_bytes(data[:20])
     # Faults at the end of the payload: one value short, one value over, and
     # a last value of 0.5 in a mask or inf in an imputation.
     cut, long, half, inf = (tmp_path / f"{name}.vmc" for name in ("cut", "long", "half", "inf"))
@@ -827,7 +861,7 @@ def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, 
     inf.write_bytes(truth_file.read_bytes()[:-8] + np.array([np.inf], dtype="<f8").tobytes())
     for name, path in (("MISSING", tmp_path / "missing.vmc"), ("TRUTH", truth_file),
                        ("TINY", tiny), ("MASK", mask), ("RESERVED", reserved), ("CUT", cut),
-                       ("LONG", long), ("HALF", half), ("INF", inf)):
+                       ("LONG", long), ("HALF", half), ("INF", inf), ("HEADONLY", headonly)):
         argv = [a.replace(name, str(path)) for a in argv]
     fails([*argv, "--output-dir", tmp_path / "fo" / "out"], capsys, named)
     assert not (tmp_path / "fo").exists()

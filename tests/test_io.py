@@ -148,6 +148,47 @@ def test_write_mask_matches_write_frames_and_round_trips(tmp_path_factory, mask)
     np.testing.assert_array_equal(back, mask)
 
 
+def _read_each_frame(path, check=None):
+    "The frames an iterating ``FrameReader`` yields, copied out of its reused buffer."
+    with vio.FrameReader(path, check) as reader:
+        return np.stack([frame.copy() for frame in reader])
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=hnp.arrays(np.float64, _shapes, elements=st.floats(allow_infinity=False)),
+       k=st.integers(1, 100), longer=st.booleans())
+@example(frames=np.full((1, 3, 4), np.nan), k=8 * 12, longer=False)  # T = 1, cut a whole frame
+@example(frames=np.arange(12.0).reshape(3, 1, 4), k=8 * 4, longer=True)  # m = 1, a frame over
+@example(frames=np.arange(6.0).reshape(2, 3, 1), k=5, longer=False)  # n = 1, off a boundary
+@example(frames=np.full((2, 2, 2), np.nan)[:, ::-1], k=3, longer=True)  # a strided array
+def test_the_writer_and_both_read_paths_agree(tmp_path_factory, frames, k, longer):
+    T, m, n = frames.shape
+    header = b"VMC1" + b"".join(d.to_bytes(4, "little") for d in (m, n, T, 0))
+    path = tmp_path_factory.mktemp("agree") / "video.vmc"
+    vio._write_payload(path, frames)  # NaN included, bit for bit
+    assert path.read_bytes() == header + np.ascontiguousarray(frames, "<f8").tobytes()
+    np.testing.assert_array_equal(_bits(_read_each_frame(path)), _bits(frames))
+
+    full = np.nan_to_num(frames, nan=-0.0)
+    vio.write_frames(path, full)
+    np.testing.assert_array_equal(_bits(vio.read_frames(path)),
+                                  _bits(_read_each_frame(path, "finite")))
+
+    # A payload cut short or extended by k bytes, at or off a frame boundary.
+    size = 8 * T * m * n
+    data = path.read_bytes()
+    if longer:
+        path.write_bytes(data + b"\x00" * k)
+    else:
+        path.write_bytes(data[:len(data) - min(k, size)])
+    message = (f"{path}: payload for dims ({m}, {n}, {T}) needs {size} bytes, "
+               f"got {size + k if longer else size - min(k, size)}")
+    for read in (vio.read_frames, lambda path: _read_each_frame(path, "finite")):
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        assert str(exc.value) == message
+
+
 def test_every_truncation_is_rejected_naming_the_path(tmp_path, rng):
     path = tmp_path / "cut.vmc"
     vio.write_video(path, random_video(rng, 2, 3, 2))
