@@ -26,7 +26,7 @@ from . import __version__
 from . import io as vio
 from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
 from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox, generate, holdout
-from .solver import solve
+from .solver import check_rank, solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
 from .video import PenaltyConfig
@@ -254,6 +254,7 @@ def cmd_impute(args) -> int:
     lams = effective_lambdas(cfg)
     _penalty_config(cfg, *lams)  # penalties, rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
+    check_rank(cfg.rank, *video.dims[:2])
     aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
     frames_out, state, clamped = _complete(video, aux_raw, cfg, lams, {})
     if cfg.keep_observed:
@@ -263,7 +264,9 @@ def cmd_impute(args) -> int:
     if aux_raw is not None:
         vio.write_frames(out / "auxiliary.vmc", aux_raw.frames)
     vio.write_frames(out / "imputed.vmc", frames_out)
-    _write_diagnostics(out / "diagnostics.csv", state)
+    vio.write_table(out / "diagnostics.csv", ["sweep", "objective", "max_rel_change"],
+                    zip(range(state.sweeps + 1), state.objective_history,
+                        [math.nan, *(float(np.max(c)) for c in state.change_history)]))
     unused = [name for name in ("lambda2", "lambda3") if name not in MODEL_PENALTIES[cfg.model]]
     if aux_raw is None:
         unused += ["sh_lmax", "sh_v"]
@@ -280,15 +283,6 @@ def cmd_impute(args) -> int:
     print(f"impute: model={cfg.model} sweeps={state.sweeps} converged={state.converged} "
           f"-> {out / 'imputed.vmc'}")
     return 0
-
-
-def _write_diagnostics(path, state) -> None:
-    with open(path, "w") as handle:
-        handle.write("sweep,objective,max_rel_change\n")
-        handle.write(f"0,{state.objective_history[0]!r},nan\n")
-        for k in range(state.sweeps):
-            change = float(np.max(state.change_history[k]))
-            handle.write(f"{k + 1},{state.objective_history[k + 1]!r},{change!r}\n")
 
 
 def cmd_evaluate(args) -> int:
@@ -350,6 +344,7 @@ def cmd_gridsearch(args) -> int:
     grids = [_parse_grid(stage, getattr(cfg, stage + "_grid")) for stage in stages]
     _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
+    check_rank(cfg.rank, *video.dims[:2])
     train, test = holdout(video, cfg.holdout, cfg.seed)
     aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v) if max(grids[2]) > 0 else None
     # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best
@@ -370,10 +365,7 @@ def cmd_gridsearch(args) -> int:
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "gridsearch.csv", "w") as handle:
-        handle.write("stage,lambda1,lambda2,lambda3,rse_pct\n")
-        for stage, l1, l2, l3, s in rows:
-            handle.write(f"{stage},{l1!r},{l2!r},{l3!r},{s!r}\n")
+    vio.write_table(out / "gridsearch.csv", ["stage", *stages, "rse_pct"], rows)
     vio.write_manifest(out / "best.txt", {stage: repr(b) for stage, b in zip(stages, best)})
     entries["result_best_lambdas"] = ",".join(map(repr, best))
     entries["result_unconverged_points"] = str(unconverged)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .io import write_table
 
 # Two-sided 95% normal quantile, used for the margin error bars.
 Z95 = 1.959963984540054
@@ -134,35 +135,21 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
 
 def write_frame_metrics(path, report: EvalReport) -> None:
     """One CSV row per (model, frame): model, t, rse_pct, mse."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "t", "rse_pct", "mse"])
-        for name in report.models:
-            for t, (r, e) in enumerate(zip(report.frame_rse[name], report.frame_mse[name])):
-                writer.writerow([name, t, format(r, ".17g"), format(e, ".17g")])
+    write_table(path, ["model", "t", "rse_pct", "mse"], (
+        [name, t, format(r, ".17g"), format(e, ".17g")] for name in report.models
+        for t, (r, e) in enumerate(zip(report.frame_rse[name], report.frame_mse[name]))))
 
 
 def write_summary(path, report: EvalReport) -> None:
     """One CSV row per model with aggregate metrics and win/loss counts."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "rse_pct", "mse", "better_than_baseline", "worse_than_full"])
-        for name in report.models:
-            writer.writerow([
-                name,
-                format(report.mean_rse[name], ".17g"),
-                format(report.mean_mse[name], ".17g"),
-                report.better_than_baseline.get(name, ""),
-                report.worse_than_full.get(name, ""),
-            ])
+    write_table(path, ["model", "rse_pct", "mse", "better_than_baseline", "worse_than_full"], (
+        [name, format(report.mean_rse[name], ".17g"), format(report.mean_mse[name], ".17g"),
+         report.better_than_baseline.get(name, ""), report.worse_than_full.get(name, "")]
+        for name in report.models))
 
 
 def write_margins(path, report: EvalReport, level: str = "") -> None:
     """Plot-ready margins vs the baseline: model, level, mean, ci_lo, ci_hi."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "level", "margin_mean", "ci_lo", "ci_hi"])
-        for name in report.models:
-            if name == BASELINE or name not in report.margin_ci:
-                continue
-            writer.writerow([name, level, *(format(v, ".17g") for v in report.margin_ci[name])])
+    write_table(path, ["model", "level", "margin_mean", "ci_lo", "ci_hi"], (
+        [name, level, *(format(v, ".17g") for v in report.margin_ci[name])]
+        for name in report.models if name != BASELINE and name in report.margin_ci))

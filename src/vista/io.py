@@ -1,4 +1,6 @@
-"""File formats: binary masked-video container and run manifests.
+"""File formats: binary masked-video container, CSV tables and run manifests.
+
+This is the one module that opens files.
 
 Binary container layout (everything little-endian):
 
@@ -14,13 +16,14 @@ platforms.
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 from itertools import repeat
 
 import numpy as np
 
-from .video import MaskedVideo
+from .video import MaskedVideo, check_shape
 
 _MAGIC = b"VMC1"
 _HEADER = struct.Struct("<4sIIII")
@@ -75,9 +78,9 @@ class FrameReader:
         self.shape = T, m, n
         self._needs = f"{path}: payload for dims ({m}, {n}, {T}) needs {8 * m * n * T} bytes"
 
-    def _empty(self, shape) -> np.ndarray:
+    def _empty(self, shape, dtype="<f8") -> np.ndarray:
         try:
-            return np.empty(shape, dtype="<f8")
+            return np.empty(shape, dtype)
         except (MemoryError, ValueError) as exc:
             raise ValueError(f"{self._needs}, more than can be allocated") from exc
 
@@ -131,17 +134,10 @@ def read_video(path) -> MaskedVideo:
     return MaskedVideo.from_dense(_read_whole(path))
 
 
-def _check_dims(array: np.ndarray) -> None:
-    if array.ndim != 3:
-        raise ValueError(f"frames must be a (T, m, n) array, got ndim={array.ndim}")
-    if min(array.shape) < 1:
-        raise ValueError(f"all dimensions must be positive, got {array.shape}")
-
-
 def write_frames(path, frames: np.ndarray) -> None:
     "Write a fully observed (T, m, n) array."
     frames = np.asarray(frames, dtype=float)
-    _check_dims(frames)
+    check_shape(frames)
     if not np.isfinite(frames).all():
         raise ValueError("observed entries must be finite")
     _write_payload(path, frames)
@@ -155,22 +151,30 @@ def read_frames(path) -> np.ndarray:
 def write_mask(path, mask: np.ndarray) -> None:
     "Store a boolean (T, m, n) mask as a fully observed 0/1 video."
     mask = np.asarray(mask, dtype=bool)
-    _check_dims(mask)
+    check_shape(mask)
     _write_payload(path, mask)
 
 
 def read_mask(path) -> np.ndarray:
     "Read a 0/1 video as a boolean (T, m, n) mask, frame by frame."
     with FrameReader(path, "mask") as reader:
-        mask = np.empty(reader.shape, dtype=bool)
+        mask = reader._empty(reader.shape, bool)
         for t, frame in enumerate(reader):
             mask[t] = frame
     return mask
 
 
+def write_table(path, header, rows) -> None:
+    "A CSV file: the header, then each row; minimal quoting and ``\\n`` line ends everywhere."
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_manifest(path, entries: dict) -> None:
     "Key=value text file; keys keep their insertion order."
-    with open(path, "w") as handle:
+    with open(path, "w", newline="") as handle:
         for key, value in entries.items():
             handle.write(f"{key}={value}\n")
 

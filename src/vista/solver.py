@@ -198,7 +198,7 @@ def check_convergence(state: SolverState, tol: float) -> bool:
     return bool(np.max(state.change_history[-1]) < tol)
 
 
-def _check_rank(rank: int, m: int, n: int) -> None:
+def check_rank(rank: int, m: int, n: int) -> None:
     if rank > min(m, n):
         raise ValueError(f"rank {rank} exceeds min(m, n) = {min(m, n)}")
 
@@ -206,7 +206,7 @@ def _check_rank(rank: int, m: int, n: int) -> None:
 def _check_factors(factors: FactorSequence, video: MaskedVideo) -> None:
     if factors.dims != video.dims:
         raise ValueError(f"factor dims {factors.dims} do not match video dims {video.dims}")
-    _check_rank(factors.rank, video.dims.m, video.dims.n)
+    check_rank(factors.rank, video.dims.m, video.dims.n)
 
 
 def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> ImputedVideo:
@@ -244,7 +244,7 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
 
 def init_factors(m: int, n: int, T: int, rank: int, seed) -> FactorSequence:
     """Seeded start: per-frame orthonormal-column factor pairs (QR of Gaussians)."""
-    _check_rank(rank, m, n)
+    check_rank(rank, m, n)
     rng = np.random.default_rng(seed)
     left = np.empty((T, m, rank))
     right = np.empty((T, n, rank))
@@ -265,7 +265,7 @@ def _spectral_start(video: MaskedVideo, aux, cfg: PenaltyConfig) -> FactorSequen
     # a weak frame back toward its neighbours.
     m, n, T = video.dims
     rank = cfg.rank
-    _check_rank(rank, m, n)
+    check_rank(rank, m, n)
     k = min(rank + 5, m, n)
     rng = np.random.default_rng(cfg.rng_seed)
     left = np.empty((T, m, rank))

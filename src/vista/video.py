@@ -15,6 +15,14 @@ class Dims(NamedTuple):
     T: int
 
 
+def check_shape(frames: np.ndarray) -> None:
+    "Raise unless ``frames`` is a (T, m, n) array with every dimension positive."
+    if frames.ndim != 3:
+        raise ValueError(f"frames must be a (T, m, n) array, got ndim={frames.ndim}")
+    if min(frames.shape) < 1:
+        raise ValueError(f"all dimensions must be positive, got {frames.shape}")
+
+
 class MaskedVideo:
     """A length-T sequence of m-by-n matrices with per-entry observation masks.
 
@@ -26,12 +34,9 @@ class MaskedVideo:
     def __init__(self, frames, masks):
         frames = np.asarray(frames, dtype=float)
         masks = np.array(masks, dtype=bool)
-        if frames.ndim != 3:
-            raise ValueError(f"frames must be a (T, m, n) array, got ndim={frames.ndim}")
+        check_shape(frames)
         if frames.shape != masks.shape:
             raise ValueError(f"frames shape {frames.shape} does not match masks shape {masks.shape}")
-        if frames.shape[0] < 1 or frames.shape[1] < 1 or frames.shape[2] < 1:
-            raise ValueError(f"all dimensions must be positive, got {frames.shape}")
         observed_per_frame = masks.reshape(masks.shape[0], -1).sum(axis=1)
         empty = np.flatnonzero(observed_per_frame == 0)
         if empty.size:
@@ -71,8 +76,7 @@ class AuxiliaryVideo:
 
     def __init__(self, frames):
         frames = np.array(frames, dtype=float)
-        if frames.ndim != 3:
-            raise ValueError(f"frames must be a (T, m, n) array, got ndim={frames.ndim}")
+        check_shape(frames)
         if not np.isfinite(frames).all():
             raise ValueError("auxiliary frames must be fully observed and finite")
         self.frames = frames

@@ -539,6 +539,19 @@ def test_failed_allocation_prints_one_line(tmp_path, truth_file, monkeypatch, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["impute", "gridsearch"])
+def test_over_large_rank_fails_right_after_reading(tmp_path, truth_file, monkeypatch, capsys,
+                                                   command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the rank check")
+
+    for name in ("build_auxiliary", "fit_transform", "holdout"):
+        monkeypatch.setattr(cli, name, unreachable)
+    fails([command, "--input", truth_file, "--rank", "50", "--sh-lmax", "3",
+           "--output-dir", tmp_path / "out"], capsys, r"rank 50 exceeds min\(m, n\) = 40$")
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_option_table_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| command | options |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
@@ -773,7 +786,8 @@ def _replay_case(command, tmp_path, truth_file):
     if command == "evaluate":
         shifted = tmp_path / "shifted.vmc"
         vio.write_frames(shifted, 1.01 * vio.read_frames(truth_file))
-        imputed = ["--imputed", f"soft={shifted}", "--imputed", f"full={truth_file}"]
+        imputed = ["--imputed", f"soft={shifted}", "--imputed", f"full={truth_file}",
+                   "--imputed", f"a,b={shifted}"]
         return (["evaluate", "--truth", truth_file, "--eval-mask", sim / "test_mask.vmc",
                  *imputed, "--level", "scattered"],
                 imputed, ["frame_metrics.csv", "summary.csv", "margins.csv"])
@@ -793,6 +807,23 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
     assert (manifest_without_timestamps(tmp_path / "a" / "manifest.txt")
             == manifest_without_timestamps(tmp_path / "b" / "manifest.txt"))
+    # Every text output is written in one format: `\n` line ends, CSV with minimal quoting.
+    for path in (tmp_path / "a").iterdir():
+        if path.suffix != ".vmc":
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path.name
+    if command == "evaluate":
+        for name in ("summary.csv", "frame_metrics.csv"):
+            assert '\n"a,b",' in (tmp_path / "a" / name).read_text(), name
+            with open(tmp_path / "a" / name, newline="") as handle:
+                assert "a,b" in {row[0] for row in csv.reader(handle)}, name
+    if command == "impute":
+        with open(tmp_path / "a" / "diagnostics.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["sweep", "objective", "max_rel_change"] and len(rows) > 1
+        for k, (sweep, objective, change) in enumerate(rows):
+            assert sweep == str(k) and objective == repr(float(objective))
+            assert change == ("nan" if k == 0 else repr(float(change)))
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -1,7 +1,9 @@
+import ast
 import os
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,10 +212,14 @@ def test_trailing_bytes_are_rejected(tmp_path, rng, extra):
 
 
 def test_read_rejects_unallocatable_dims(tmp_path):
-    path = tmp_path / "huge.vmc"
-    path.write_bytes(b"VMC1" + (2**32 - 1).to_bytes(4, "little") * 3 + b"\x00" * 12)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        vio.read_video(path)
+    # numpy refuses this size before it asks for memory, whatever the host's overcommit policy.
+    path, side = tmp_path / "huge.vmc", 2**32 - 1
+    path.write_bytes(b"VMC1" + side.to_bytes(4, "little") * 3 + b"\x00" * 4)
+    named = (f"{path}: payload for dims ({side}, {side}, {side}) needs {8 * side**3} bytes, "
+             "more than can be allocated")
+    for read in (vio.read_video, vio.read_frames, vio.read_mask):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read(path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -255,3 +261,12 @@ def test_write_frames_rejects_non_finite_and_bad_shapes(tmp_path):
         vio.write_frames(path, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="positive"):
         vio.write_frames(path, np.zeros((0, 2, 2)))
+
+
+def test_only_io_opens_files():
+    opens = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(vio.__file__).parent.glob("*.py")) if path.name != "io.py"
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in opens]
+    assert calls == []

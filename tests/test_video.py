@@ -72,13 +72,15 @@ def test_factor_sequence_validation(rng):
     (lambda: MaskedVideo(np.ones((1, 0, 3)), np.ones((1, 0, 3), bool)),
      r"all dimensions must be positive, got \(1, 0, 3\)"),
     (lambda: AuxiliaryVideo(np.ones((2, 3))), r"frames must be a \(T, m, n\) array, got ndim=2"),
+    (lambda: AuxiliaryVideo(np.ones((2, 0, 3))),
+     r"all dimensions must be positive, got \(2, 0, 3\)"),
     (lambda: FactorSequence(np.ones((2, 3)), np.ones((1, 3, 2))),
      r"factors must be \(T, rows, rank\) arrays"),
     (lambda: FactorSequence(np.ones((1, 2, 0)), np.ones((1, 3, 0))), "rank must be at least 1"),
     (lambda: FactorSequence(np.ones((1, 2, 1)), np.full((1, 3, 1), np.inf)),
      "factor entries must be finite"),
-], ids=["masked-ndim", "masked-shape", "masked-empty-dim", "aux-ndim", "factors-ndim",
-        "factors-rank-0", "factors-non-finite"])
+], ids=["masked-ndim", "masked-shape", "masked-empty-dim", "aux-ndim", "aux-empty-dim",
+        "factors-ndim", "factors-rank-0", "factors-non-finite"])
 def test_containers_reject_malformed_arrays_by_message(build, message):
     with pytest.raises(ValueError, match=message):
         build()
