@@ -131,7 +131,9 @@ def write_video(path, video: MaskedVideo) -> None:
 
 
 def read_video(path) -> MaskedVideo:
-    return MaskedVideo.from_dense(_read_whole(path))
+    "Read a video with NaN at missing pixels; the read buffer becomes its frames, NaN zeroed."
+    frames = _read_whole(path)
+    return MaskedVideo._adopt(frames, ~np.isnan(frames))
 
 
 def write_frames(path, frames: np.ndarray) -> None:

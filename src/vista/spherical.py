@@ -245,4 +245,4 @@ def build_auxiliary(video: MaskedVideo, l_max: int = 11, v: float = 0.1) -> Auxi
         for o, block in enumerate(tables.blocks):
             profiles[:, :, o] = coeffs[:, block] @ tables.lat[o]
         np.matmul(profiles, tables.lon.T, out=frames[part])
-    return AuxiliaryVideo(np.maximum(frames, 0.0, out=frames))
+    return AuxiliaryVideo._adopt(np.maximum(frames, 0.0, out=frames))

@@ -32,13 +32,36 @@ class TransformParams:
             raise ValueError(f"std must be finite and positive, got {self.std!r}")
 
 
+def _power(values: np.ndarray, lam: float) -> None:
+    "Apply (y**lam - 1)/lam, or log for lam = 0, to ``values`` in place."
+    if lam == 0.0:
+        np.log(values, out=values)
+    else:
+        np.power(values, lam, out=values)
+        values -= 1.0
+        values /= lam
+
+
+def _transformed(source: np.ndarray, params: TransformParams) -> np.ndarray:
+    "A new array: ``source`` offset, power-transformed and standardized by ``params``."
+    out = source + params.offset
+    # The pooled pass already reported any overflow of a pooled pixel; a
+    # missing pixel (the bare offset) may overflow here, and is zeroed later.
+    with np.errstate(over="ignore"):
+        _power(out, params.boxcox_lambda)
+    out -= params.mean
+    out /= params.std
+    return out
+
+
 def fit_transform(video: MaskedVideo, aux, lam: float,
                   offset: float = 1e-3):
     """Transform a video (and optional auxiliary) and fit the pooled standardization.
 
     Returns (transformed MaskedVideo, transformed AuxiliaryVideo or None,
     TransformParams). The same (mean, std) standardizes both datasets, so
-    their values stay directly comparable inside the solver.
+    their values stay directly comparable inside the solver. The transformed
+    video shares ``video``'s read-only masks.
     """
     if not (offset > 0 and math.isfinite(offset)):
         raise ValueError(f"power-transform offset must be finite and positive, got {offset!r}")
@@ -49,39 +72,42 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     # One buffer holds the observed pixels in C order, then every auxiliary
     # pixel: the contiguous values a concatenation of the two parts would
     # hold, so the pooled mean and std are bit-equal to that reduction's.
+    # It is filled a frame at a time and reduced in place.
     observed = int(np.count_nonzero(video.masks))
     pooled = np.empty(observed + (0 if aux is None else aux.frames.size))
-    np.compress(video.masks.ravel(), video.frames.ravel(), out=pooled[:observed])
+    start = 0
+    for frame, mask in zip(video.frames, video.masks):
+        stop = start + int(np.count_nonzero(mask))
+        pooled[start:stop] = frame[mask]
+        start = stop
     if aux is not None:
         pooled[observed:] = aux.frames.ravel()
     pooled += offset
-    bad = np.flatnonzero(~(pooled > 0))
-    if bad.size:
-        k = int(bad[0])
+    positive = pooled > 0
+    if not positive.all():
+        k = int(np.argmin(positive))  # the first pixel that is not
         if k < observed:
             kind, flat = "pixel", np.flatnonzero(video.masks)[k]
         else:
             kind, flat = "auxiliary pixel", k - observed
         t, i, j = np.unravel_index(flat, video.masks.shape)
         raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
-    if lam == 0.0:
-        np.log(pooled, out=pooled)
-    else:
-        np.power(pooled, lam, out=pooled)
-        pooled -= 1.0
-        pooled /= lam
-    mean = float(pooled.mean())
-    std = float(pooled.std())
+    del positive
+    _power(pooled, lam)
+    # np.mean's and np.std's own steps, in place: the same sums of the same
+    # values in the same order, so the same two floats.
+    mean = float(np.add.reduce(pooled) / pooled.size)
+    pooled -= mean
+    np.square(pooled, out=pooled)
+    std = float(np.sqrt(np.add.reduce(pooled) / pooled.size))
+    del pooled
     if std == 0.0:
         raise ValueError("pooled pixels have zero variance; cannot standardize")
     params = TransformParams(boxcox_lambda=lam, mean=mean, std=std, offset=offset)
-    pooled -= mean
-    pooled /= std
-    frames = np.zeros_like(video.frames)
-    frames[video.masks] = pooled[:observed]
-    transformed = MaskedVideo(frames, video.masks)
-    del frames  # MaskedVideo holds its own copy; free this one before the auxiliary copy
-    out_aux = None if aux is None else AuxiliaryVideo(pooled[observed:].reshape(aux.frames.shape))
+    # Each output is built from its source by the steps its pooled pixels
+    # took, so it holds the values they held, and is adopted, not copied.
+    transformed = MaskedVideo._adopt(_transformed(video.frames, params), video.masks)
+    out_aux = None if aux is None else AuxiliaryVideo._adopt(_transformed(aux.frames, params))
     return transformed, out_aux, params
 
 

@@ -32,8 +32,17 @@ class MaskedVideo:
     """
 
     def __init__(self, frames, masks):
-        frames = np.asarray(frames, dtype=float)
-        masks = np.array(masks, dtype=bool)
+        self._hold(np.asarray(frames, dtype=float), np.array(masks, dtype=bool), copy=True)
+
+    @classmethod
+    def _adopt(cls, frames: np.ndarray, masks: np.ndarray) -> "MaskedVideo":
+        """Take over float ``frames`` and bool ``masks`` uncopied, checked as by the
+        constructor: missing entries are zeroed in place, and both turn read-only."""
+        video = cls.__new__(cls)
+        video._hold(frames, masks, copy=False)
+        return video
+
+    def _hold(self, frames: np.ndarray, masks: np.ndarray, copy: bool) -> None:
         check_shape(frames)
         if frames.shape != masks.shape:
             raise ValueError(f"frames shape {frames.shape} does not match masks shape {masks.shape}")
@@ -41,11 +50,15 @@ class MaskedVideo:
         empty = np.flatnonzero(observed_per_frame == 0)
         if empty.size:
             raise ValueError(f"frame {empty[0]} has no observed entries")
-        # np.where makes the owned copy; missing entries are 0 there, so the
+        # Missing entries become 0 (in an owned copy, or in place), so the
         # finiteness check covers exactly the observed ones.
-        self.frames = np.where(masks, frames, 0.0)
-        if not np.isfinite(self.frames).all():
+        if copy:
+            frames = np.where(masks, frames, 0.0)
+        else:
+            np.copyto(frames, 0.0, where=~masks)
+        if not np.isfinite(frames).all():
             raise ValueError("observed entries must be finite")
+        self.frames = frames
         self.masks = masks
         self.frames.flags.writeable = False
         self.masks.flags.writeable = False
@@ -75,7 +88,16 @@ class AuxiliaryVideo:
     """A fully observed companion sequence with the same (T, m, n) layout."""
 
     def __init__(self, frames):
-        frames = np.array(frames, dtype=float)
+        self._hold(np.array(frames, dtype=float))
+
+    @classmethod
+    def _adopt(cls, frames: np.ndarray) -> "AuxiliaryVideo":
+        "Take over float ``frames`` uncopied, checked as by the constructor; it turns read-only."
+        aux = cls.__new__(cls)
+        aux._hold(frames)
+        return aux
+
+    def _hold(self, frames: np.ndarray) -> None:
         check_shape(frames)
         if not np.isfinite(frames).all():
             raise ValueError("auxiliary frames must be fully observed and finite")

@@ -1,8 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -49,11 +50,12 @@ def test_fit_transform_pools_auxiliary_pixels(rng):
     assert abs(out_v.frames[out_v.masks].mean()) > 1e-6
 
 
-@pytest.mark.parametrize("with_aux, bound", [(True, 4.5), (False, 3.5)])
+@pytest.mark.parametrize("with_aux, bound", [(True, 2.2), (False, 1.2)])
 def test_fit_transform_peak_memory_in_video_arrays(rng, with_aux, bound):
-    # One (T, m, n) float array is the unit. Beyond its outputs (a video and,
-    # given one, an auxiliary), the call holds the pooled buffer and one
-    # zero-filled temporary, which must be gone before the auxiliary is copied.
+    # One (T, m, n) float array is the unit. The pooled buffer (the observed
+    # pixels, plus every auxiliary pixel) is freed before the outputs are
+    # built, and each output is built once and kept: the peak is the outputs
+    # themselves plus boolean temporaries of one eighth of the unit.
     video = random_video(rng, 40, 50, 30, missing=0.3, positive=True)
     aux = AuxiliaryVideo(1.0 + np.abs(rng.normal(size=video.frames.shape))) if with_aux else None
     tracemalloc.start()
@@ -184,8 +186,26 @@ def _separately_transformed(video, aux, lam, offset=1e-3):
     return pooled
 
 
+def _larger_inputs(shape, with_aux, lam):
+    """Inputs above numpy's 128-element pairwise-summation block, with sizes that
+    leave remainders after its SIMD-width steps."""
+    rng = np.random.default_rng(shape)
+    masks = rng.random(shape) < 0.7
+    masks[:, 0, 0] = True
+    aux = AuxiliaryVideo(rng.uniform(0.0, 100.0, shape)) if with_aux else None
+    return MaskedVideo(rng.uniform(0.0, 100.0, shape), masks), aux, lam
+
+
 @settings(max_examples=80, deadline=None)
 @given(_pooled_inputs())
+@example(_larger_inputs((3, 13, 17), False, 0.0))
+@example(_larger_inputs((3, 13, 17), False, 0.5))
+@example(_larger_inputs((3, 13, 17), True, 0.0))
+@example(_larger_inputs((3, 13, 17), True, 0.5))
+@example(_larger_inputs((2, 37, 41), False, 0.0))
+@example(_larger_inputs((2, 37, 41), False, 0.5))
+@example(_larger_inputs((2, 37, 41), True, 0.0))
+@example(_larger_inputs((2, 37, 41), True, 0.5))
 def test_pooled_moments_equal_those_of_the_concatenated_parts(inputs):
     video, aux, lam = inputs
     pooled = _separately_transformed(video, aux, lam)
@@ -246,3 +266,15 @@ def test_non_positive_auxiliary_pixel_is_named(data):
     with pytest.raises(ValueError, match=rf"^auxiliary pixel \(t={t}, i={i}, j={j}\) "
                                          "is non-positive after offset 0.001$"):
         fit_transform(video, AuxiliaryVideo(frames), 0.5)
+
+
+def test_missing_pixels_do_not_warn_of_overflow(rng):
+    # A missing pixel holds the bare offset, and 1e-3 ** -200 overflows where
+    # no observed pixel's power does; the output is 0 there and warns of nothing.
+    masks = np.ones((2, 3, 4), bool)
+    masks[0, 1, 2] = False
+    video = MaskedVideo(1.0 + rng.random((2, 3, 4)), masks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _, _ = fit_transform(video, None, -200.0)
+    assert out.frames[0, 1, 2] == 0.0 and np.isfinite(out.frames).all()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from vista.io import read_video, write_video
+from vista.spherical import build_auxiliary
+from vista.transform import fit_transform
 from vista.video import (
     AuxiliaryVideo,
     FactorSequence,
@@ -64,26 +67,37 @@ def test_factor_sequence_validation(rng):
         FactorSequence(rng.normal(size=(3, 4, 2)), rng.normal(size=(2, 5, 2)))
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: MaskedVideo(np.ones((2, 3)), np.ones((2, 3), bool)),
+@pytest.mark.parametrize("container, arrays, message", [
+    (MaskedVideo, lambda: (np.ones((2, 3)), np.ones((2, 3), bool)),
      r"frames must be a \(T, m, n\) array, got ndim=2"),
-    (lambda: MaskedVideo(np.ones((1, 2, 3)), np.ones((1, 3, 2), bool)),
+    (MaskedVideo, lambda: (np.ones((1, 2, 3)), np.ones((1, 3, 2), bool)),
      r"frames shape \(1, 2, 3\) does not match masks shape \(1, 3, 2\)"),
-    (lambda: MaskedVideo(np.ones((1, 0, 3)), np.ones((1, 0, 3), bool)),
+    (MaskedVideo, lambda: (np.ones((1, 0, 3)), np.ones((1, 0, 3), bool)),
      r"all dimensions must be positive, got \(1, 0, 3\)"),
-    (lambda: AuxiliaryVideo(np.ones((2, 3))), r"frames must be a \(T, m, n\) array, got ndim=2"),
-    (lambda: AuxiliaryVideo(np.ones((2, 0, 3))),
+    (MaskedVideo, lambda: (np.ones((2, 1, 2)), np.array([[[True, False]], [[False, False]]])),
+     "frame 1 has no observed entries"),
+    (MaskedVideo, lambda: (np.array([[[np.nan, 1.0]]]), np.ones((1, 1, 2), bool)),
+     "observed entries must be finite"),
+    (AuxiliaryVideo, lambda: (np.ones((2, 3)),), r"frames must be a \(T, m, n\) array, got ndim=2"),
+    (AuxiliaryVideo, lambda: (np.ones((2, 0, 3)),),
      r"all dimensions must be positive, got \(2, 0, 3\)"),
-    (lambda: FactorSequence(np.ones((2, 3)), np.ones((1, 3, 2))),
+    (AuxiliaryVideo, lambda: (np.array([[[1.0, np.inf]]]),),
+     "auxiliary frames must be fully observed and finite"),
+    (FactorSequence, lambda: (np.ones((2, 3)), np.ones((1, 3, 2))),
      r"factors must be \(T, rows, rank\) arrays"),
-    (lambda: FactorSequence(np.ones((1, 2, 0)), np.ones((1, 3, 0))), "rank must be at least 1"),
-    (lambda: FactorSequence(np.ones((1, 2, 1)), np.full((1, 3, 1), np.inf)),
+    (FactorSequence, lambda: (np.ones((1, 2, 0)), np.ones((1, 3, 0))), "rank must be at least 1"),
+    (FactorSequence, lambda: (np.ones((1, 2, 1)), np.full((1, 3, 1), np.inf)),
      "factor entries must be finite"),
-], ids=["masked-ndim", "masked-shape", "masked-empty-dim", "aux-ndim", "aux-empty-dim",
+], ids=["masked-ndim", "masked-shape", "masked-empty-dim", "masked-empty-frame",
+        "masked-non-finite", "aux-ndim", "aux-empty-dim", "aux-non-finite",
         "factors-ndim", "factors-rank-0", "factors-non-finite"])
-def test_containers_reject_malformed_arrays_by_message(build, message):
-    with pytest.raises(ValueError, match=message):
-        build()
+def test_containers_reject_malformed_arrays_by_message(container, arrays, message):
+    # The video containers' adopting path, which takes the arrays without
+    # copying them, runs the same checks as the public constructor.
+    builds = [container] + ([container._adopt] if hasattr(container, "_adopt") else [])
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build(*arrays())
 
 
 def test_factor_sequence_copy_shares_no_memory(rng):
@@ -134,6 +148,28 @@ def test_masked_video_neither_aliases_nor_freezes_caller_arrays(rng):
     masks[...] = True
     np.testing.assert_array_equal(video.frames, stored_frames)
     np.testing.assert_array_equal(video.masks, stored_masks)
+
+
+def test_adopted_outputs_are_read_only_and_share_no_caller_memory(rng, tmp_path):
+    frames = 1.0 + rng.random((3, 8, 10))
+    masks = rng.random((3, 8, 10)) > 0.3
+    masks[:, 0, 0] = True
+    video = MaskedVideo(frames, masks)
+    aux = build_auxiliary(video, l_max=2)
+    transformed, aux_t, _ = fit_transform(video, aux, 0.5)
+    write_video(tmp_path / "video.vmc", video)
+    read = read_video(tmp_path / "video.vmc")
+    np.testing.assert_array_equal(read.frames, video.frames)
+    # Each output array against the arrays its caller owns or passed in; the
+    # masks of a transformed video are its input's, read-only in both.
+    for output, inputs in [(aux.frames, (frames, masks, video.frames)),
+                           (transformed.frames, (frames, video.frames, aux.frames)),
+                           (transformed.masks, (masks,)),
+                           (aux_t.frames, (frames, video.frames, aux.frames)),
+                           (read.frames, (frames, video.frames)),
+                           (read.masks, (masks, video.masks))]:
+        assert not output.flags.writeable
+        assert not any(np.shares_memory(output, array) for array in inputs)
 
 
 def test_every_public_name_resolves():
