@@ -79,7 +79,8 @@ class RunConfig:
     patch_size: int = _option(45, "missing-patch side")
     holdout: float = _option(None, "observed-pixel holdout fraction")
     seed: int = _option(0, "random seed")
-    keep_observed: bool = _option(False, "copy observed pixels through to the output")
+    keep_observed: bool = _option(False, "copy observed pixels through to the output (holds the "
+                                         "read video through the solve: one more (T, m, n) array)")
     level: str = _option("", "label for the margins report rows")
 
 
@@ -233,17 +234,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _complete(video, aux_raw, cfg: RunConfig, lams, fitted: dict) -> tuple:
-    """Transform, solve and invert at one penalty triple: (frames, SolverState, clamp count).
+def _fitted(video, aux_raw, cfg: RunConfig, lams, cache: dict) -> tuple:
+    """The transform for one penalty triple: (transformed video, transformed auxiliary, params).
 
-    The transform pools ``aux_raw`` in only when lambda3 > 0. ``fitted`` keeps
+    The transform pools ``aux_raw`` in only when lambda3 > 0. ``cache`` keeps
     each of those two variants, so a caller that solves many triples fits each once.
+    The result holds no reference to ``video``'s frames.
     """
     with_aux = lams[2] > 0
-    if with_aux not in fitted:
-        fitted[with_aux] = fit_transform(video, aux_raw if with_aux else None,
-                                         cfg.boxcox_lambda, cfg.boxcox_offset)
-    transformed, aux_t, params = fitted[with_aux]
+    if with_aux not in cache:
+        cache[with_aux] = fit_transform(video, aux_raw if with_aux else None,
+                                        cfg.boxcox_lambda, cfg.boxcox_offset)
+    return cache[with_aux]
+
+
+def _complete(transform: tuple, cfg: RunConfig, lams) -> tuple:
+    """Solve and invert ``_fitted``'s transform at one penalty triple.
+
+    Returns (frames, SolverState, clamp count).
+    """
+    transformed, aux_t, params = transform
     imputed, state = solve(transformed, aux_t, _penalty_config(cfg, *lams))
     frames, clamped = invert(imputed.frames, params)
     return frames, state, clamped
@@ -256,9 +266,14 @@ def cmd_impute(args) -> int:
     video = vio.read_video(cfg.input)
     check_rank(cfg.rank, *video.dims[:2])
     aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
-    frames_out, state, clamped = _complete(video, aux_raw, cfg, lams, {})
-    if cfg.keep_observed:
-        np.copyto(frames_out, video.frames, where=video.masks)
+    transform = _fitted(video, aux_raw, cfg, lams, {})
+    # Only --keep-observed reads the raw frames again; otherwise they are
+    # freed here, one (T, m, n) array less through the solve.
+    kept = video if cfg.keep_observed else None
+    del video
+    frames_out, state, clamped = _complete(transform, cfg, lams)
+    if kept is not None:
+        np.copyto(frames_out, kept.frames, where=kept.masks)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if aux_raw is not None:
@@ -357,7 +372,7 @@ def cmd_gridsearch(args) -> int:
         for value in grid:
             lams = [best[0] if best else 0.0, 0.0, 0.0]
             lams[k] = value
-            frames, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
+            frames, state, _ = _complete(_fitted(train, aux_raw, cfg, lams, fitted), cfg, lams)
             unconverged += not state.converged
             scores.append(compare_models({"point": frames}, video.frames, test).mean_rse["point"])
             rows.append((stage, *lams, scores[-1]))

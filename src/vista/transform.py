@@ -94,6 +94,9 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
         raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
     del positive
     _power(pooled, lam)
+    # A constant population's computed std can be a rounding residue above 0.
+    if pooled.min() == pooled.max():
+        raise ValueError("pooled pixels have zero variance; cannot standardize")
     # np.mean's and np.std's own steps, in place: the same sums of the same
     # values in the same order, so the same two floats.
     mean = float(np.add.reduce(pooled) / pooled.size)
@@ -101,8 +104,6 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     np.square(pooled, out=pooled)
     std = float(np.sqrt(np.add.reduce(pooled) / pooled.size))
     del pooled
-    if std == 0.0:
-        raise ValueError("pooled pixels have zero variance; cannot standardize")
     params = TransformParams(boxcox_lambda=lam, mean=mean, std=std, offset=offset)
     # Each output is built from its source by the steps its pooled pixels
     # took, so it holds the values they held, and is adopted, not copied.
@@ -117,7 +118,8 @@ def invert(frames: np.ndarray, params: TransformParams):
     De-standardizes, inverts the power transform (clamping values outside
     the invertible domain and counting them), removes the offset, and
     clamps the final result at zero. ``frames`` must be a writable float
-    array; pass a copy to keep it. Returns (frames, clamp count).
+    array of one or more dimensions; pass a copy to keep it. Returns
+    (frames, clamp count).
     """
     lam = params.boxcox_lambda
     frames *= params.std
@@ -128,7 +130,8 @@ def invert(frames: np.ndarray, params: TransformParams):
     else:
         frames *= lam
         frames += 1.0
-        clamped = int(np.count_nonzero(frames <= 0))
+        # Counted a frame at a time: one frame's boolean temporary, not (T, m, n).
+        clamped = sum(int(np.count_nonzero(frame <= 0)) for frame in frames)
         np.maximum(frames, 0.0 if lam > 0 else np.finfo(float).tiny, out=frames)
         np.power(frames, 1.0 / lam, out=frames)
     frames -= params.offset

@@ -1,15 +1,23 @@
 import argparse
 import csv
+import gc
 import os
 import re
 import subprocess
 import sys
 import threading
+import tempfile
 import tracemalloc
+import weakref
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vista import cli
 from vista import io as vio
@@ -219,6 +227,65 @@ def test_keep_observed_passes_values_through(tmp_path, truth_file):
     masked = vio.read_video(sim / "masked.vmc")
     imputed = vio.read_frames(out / "imputed.vmc")
     np.testing.assert_array_equal(imputed[masked.masks], masked.frames[masked.masks])
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["dropped", "kept"])
+def test_solve_holds_the_read_frames_only_for_keep_observed(tmp_path, truth_file, monkeypatch,
+                                                            keep):
+    # Nothing but --keep-observed reads the raw frames after the transform,
+    # so without it they are freed before the solve.
+    real_read, real_solve = vio.read_video, cli.solve
+    refs, alive = [], []
+
+    def read(path):
+        video = real_read(path)
+        refs.append(weakref.ref(video.frames))
+        return video
+
+    def solve(*args, **kwargs):
+        gc.collect()
+        alive.append(refs[0]() is not None)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(vio, "read_video", read)
+    monkeypatch.setattr(cli, "solve", solve)
+    run(["impute", "--input", truth_file, "--output-dir", tmp_path / "imp", "--model", "full",
+         "--rank", "4", "--sh-lmax", "4", "--max-iter", "10", *(["--keep-observed"] * keep)])
+    assert alive == [keep]
+
+
+# At the edges of the shape: a dimension of 1, and rank = min(m, n).
+_edge_shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)).filter(
+    lambda shape: 1 in shape)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=_edge_shapes, data=st.data())
+def test_impute_at_the_edges_keeps_observed_pixels_and_rejects_zero_variance(shape, data):
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(1, 9)))
+    missing = data.draw(hnp.arrays(bool, shape))
+    missing[:, 0, 0] = False  # every frame keeps a pixel
+    rank = str(min(shape[1:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        vio.write_video(tmp / "in.vmc", MaskedVideo(values, ~missing))
+        outputs = []
+        for keep in ([], ["--keep-observed"]):
+            out = tmp / f"out{len(outputs)}"
+            run(["impute", "--input", tmp / "in.vmc", "--output-dir", out, "--model", "full",
+                 "--rank", rank, "--sh-lmax", "2", "--max-iter", "20", *keep])
+            outputs.append(vio.read_frames(out / "imputed.vmc"))
+        dropped, kept = outputs
+        assert dropped[missing].tobytes() == kept[missing].tobytes()
+        assert kept[~missing].tobytes() == values[~missing].tobytes()
+        vio.write_video(tmp / "flat.vmc", MaskedVideo(np.full(shape, 5.0), ~missing))
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main(["impute", "--input", str(tmp / "flat.vmc"), "--output-dir",
+                         str(tmp / "flat"), "--model", "soft", "--rank", rank])
+        assert (code, err.getvalue()) == (
+            2, "vista: error: pooled pixels have zero variance; cannot standardize\n")
+        assert not (tmp / "flat").exists()
 
 
 def test_evaluate_self_scores_zero_and_has_table_shape(tmp_path, truth_file):

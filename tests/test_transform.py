@@ -75,6 +75,16 @@ def test_fit_transform_rejects_constant_video():
         fit_transform(video, None, 0.5)
 
 
+def test_fit_transform_rejects_a_constant_whose_computed_std_is_not_zero():
+    # 13 pixels of 5.0: their transformed mean does not round back to their
+    # value, so np.std's steps give about 9e-16, not 0.
+    masks = np.ones((1, 4, 4), dtype=bool)
+    masks[0, 1:4, 2] = False
+    video = MaskedVideo(np.full((1, 4, 4), 5.0), masks)
+    with pytest.raises(ValueError, match="pooled pixels have zero variance"):
+        fit_transform(video, None, 0.5)
+
+
 def test_fit_transform_names_offending_pixel():
     frames = np.ones((2, 3, 3))
     frames[1, 2, 0] = -5.0
@@ -133,6 +143,23 @@ def test_invert_clamps_out_of_domain_and_counts():
     np.testing.assert_allclose(restored[0, 1:], [1.0 - 1e-3, 2.25 - 1e-3], rtol=1e-15)
 
 
+def test_invert_counts_clamps_a_frame_at_a_time(rng):
+    # The clamp count holds one frame's boolean temporary at a time; a count
+    # over all of (T, m, n) at once held T of them, 30 here.
+    frames = rng.normal(size=(30, 40, 50))
+    params = TransformParams(boxcox_lambda=0.5, mean=0.1, std=1.3, offset=1e-3)
+    expected = int(np.count_nonzero((frames * params.std + params.mean) * 0.5 + 1.0 <= 0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, clamped = invert(frames, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert clamped == expected > 0
+    assert peak / frames[0].size < 2.0
+
+
 def test_params_reject_bad_std():
     with pytest.raises(ValueError):
         TransformParams(boxcox_lambda=0.5, mean=0.0, std=0.0, offset=0.0)
@@ -182,7 +209,11 @@ def _separately_transformed(video, aux, lam, offset=1e-3):
     if aux is not None:
         parts.append(oracles.boxcox(aux.frames.ravel() + offset, lam))
     pooled = np.concatenate(parts)
-    assume(pooled.std() > 0)
+    if pooled.min() == pooled.max():
+        # No spread to standardize by, though np.std may leave a rounding residue.
+        with pytest.raises(ValueError, match="pooled pixels have zero variance"):
+            fit_transform(video, aux, lam, offset)
+        assume(False)
     return pooled
 
 
