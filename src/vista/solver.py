@@ -12,10 +12,23 @@ update replaces the masked residual with a filled-in residual that is an
 upper bound, tight at the current iterate, which turns the step into a
 multi-target ridge regression sharing one r-by-r Gram system across all
 target rows. The per-sweep objective is therefore non-increasing.
+
+Within a half-cycle the fixed factors do not change, so each frame's label,
+its change statistic and its objective terms depend on no other frame. Those
+passes run as contiguous frame chunks, one per usable core, on plain threads
+with numpy's bundled OpenBLAS held at one thread; only the lambda2 recurrence
+and the sums over frames run in order on the calling thread. Every output is
+therefore the same for any core count and any BLAS thread setting.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +36,103 @@ import numpy as np
 from .video import FactorSequence, MaskedVideo, PenaltyConfig
 
 _TINY = np.finfo(float).tiny
+# Frames below this many pixels are not split over threads. On a 2-core Xeon a
+# 10-sweep solve took, in one chunk against two: 98 against 140 ms at 60x90x24
+# (rank 8), 188 ms either way at 90x180x24 (rank 5), and 378 against 285 ms at
+# 128x256x24 (rank 10).
+_CHUNK_PIXELS = 1 << 14
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up on first use, not at import, so a command that never solves
+    never looks, and only under ``numpy.libs``, so scipy's own OpenBLAS is
+    never touched.
+    """
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for name in sorted(os.listdir(libs)) if os.path.isdir(libs) else []:
+        if "openblas" not in name:
+            continue
+        lib = ctypes.CDLL(os.path.join(libs, name))  # numpy has loaded it already
+        for suffix in ("64_", ""):
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    # numpy's OpenBLAS at one thread inside, restored on the way out; a no-op
+    # where it cannot be found (then _chunks gives one chunk).
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _chunks(dims) -> int:
+    """Frame chunks per pass over a video of ``dims``: one per usable core, at most T.
+
+    One chunk without the BLAS pin, or for frames under ``_CHUNK_PIXELS``
+    pixels, whose passes lose more to thread start-up and hand-offs of the
+    interpreter lock than the second core gains.
+    """
+    if _blas_threads() is None or dims.m * dims.n < _CHUNK_PIXELS:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return max(1, min(dims.T, cores))
+
+
+def _frame_chunks(work, dims, *scratch) -> None:
+    """Run ``work(lo, hi, *buffers)`` over contiguous chunks [lo, hi) of the frames.
+
+    ``dims`` are those of the video the pass runs over. The calling thread
+    takes chunk 0 and a plain thread each other chunk (see ``_chunks``).
+    Each chunk gets its own buffers of the ``scratch`` shapes, allocated here
+    by the calling thread, so no worker allocates a frame-sized array. Once
+    every chunk has returned, the error of the lowest failing chunk is
+    raised; a chunk stops at its first failing frame, so that is the error
+    of the lowest failing frame.
+    """
+    T, count = dims.T, _chunks(dims)
+    bounds = [T * i // count for i in range(count + 1)]
+    buffers = [[np.empty(shape) for shape in scratch] for _ in range(count)]
+    errors = [None] * count
+
+    def run(i):
+        try:
+            work(bounds[i], bounds[i + 1], *buffers[i])
+        except Exception as exc:
+            errors[i] = exc
+
+    # Each worker runs in a copy of the caller's context, which holds numpy's
+    # floating-point error state (np.errstate).
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, count)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 @dataclass
@@ -54,40 +164,72 @@ class ImputedVideo:
     effective_ranks: np.ndarray
 
 
+@_one_blas_thread()
 def objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig) -> float:
     """Evaluate the four-term objective at the given factors.
 
     Each frame's product is formed in a reused (m, n) buffer, and each
-    residual exactly, as a difference in another.
+    residual exactly, as a difference in another. The sum is the one
+    ``sweep`` records, term for term.
     """
     if cfg.lambda3 > 0 and aux is None:
         raise ValueError("lambda3 > 0 requires an auxiliary video")
     if aux is not None:
         aux.check_matches(video)
+    return _objective(video, aux, factors, cfg)[0]
+
+
+def _objective(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig,
+               start: FactorSequence = None) -> tuple:
+    # (objective, per-frame changes or None). Each frame's terms, and with
+    # ``start`` the squared relative change of its product from start's, come
+    # from one frame pass that forms the product once; a chunk that begins
+    # at lo > 0 re-forms frame lo-1's product for the lambda2 term. The terms
+    # are then summed in frame order.
     left, right = factors.left, factors.right
-    buffer, product, prev_product = (np.empty(video.frames.shape[1:]) for _ in range(3))
-    flat = buffer.reshape(-1)
+    T = video.dims.T
+    terms = np.zeros((T, 3))
+    changes = None if start is None else np.empty(T)
+
+    def work(lo, hi, product, prev_product, buffer):
+        flat = buffer.reshape(-1)
+        if lo > 0 and cfg.lambda2 != 0.0:
+            np.matmul(left[lo - 1], right[lo - 1].T, out=prev_product)
+        for t in range(lo, hi):
+            np.matmul(left[t], right[t].T, out=product)
+            np.subtract(video.frames[t], product, out=buffer)
+            np.multiply(buffer, video.masks[t], out=buffer)
+            terms[t, 0] = flat @ flat
+            if t > 0 and cfg.lambda2 != 0.0:
+                np.subtract(product, prev_product, out=buffer)
+                terms[t, 1] = flat @ flat
+            if cfg.lambda3 != 0.0:
+                np.subtract(aux.frames[t], product, out=buffer)
+                terms[t, 2] = flat @ flat
+            if start is not None:
+                np.matmul(start.left[t], start.right[t].T, out=buffer)
+                norm = max(float(np.vdot(buffer, buffer)), _TINY)
+                buffer -= product
+                changes[t] = float(np.vdot(buffer, buffer)) / norm
+            product, prev_product = prev_product, product
+
+    shape = video.frames.shape[1:]
+    _frame_chunks(work, video.dims, shape, shape, shape)
     total = 0.5 * cfg.lambda1 * float(np.vdot(left, left) + np.vdot(right, right))
-    for t in range(video.dims.T):
-        np.matmul(left[t], right[t].T, out=product)
-        np.subtract(video.frames[t], product, out=buffer)
-        np.multiply(buffer, video.masks[t], out=buffer)
-        total += 0.5 * float(flat @ flat)
+    for t, (fit, temporal, aux_fit) in enumerate(terms.tolist()):
+        total += 0.5 * fit
         if t > 0 and cfg.lambda2 != 0.0:
-            np.subtract(product, prev_product, out=buffer)
-            total += 0.5 * cfg.lambda2 * float(flat @ flat)
+            total += 0.5 * cfg.lambda2 * temporal
         if cfg.lambda3 != 0.0:
-            np.subtract(aux.frames[t], product, out=buffer)
-            total += 0.5 * cfg.lambda3 * float(flat @ flat)
-        product, prev_product = prev_product, product
-    return total
+            total += 0.5 * cfg.lambda3 * aux_fit
+    return total, changes
 
 
-def _systems(basis: np.ndarray, aux, cfg: PenaltyConfig, flip: bool) -> tuple:
+def _systems(basis: np.ndarray, cfg: PenaltyConfig) -> tuple:
     # Within a half-cycle the fixed factor does not change, so everything that
     # depends only on it is built at once, in batched calls: the inverse of
-    # weight_t B_t'B_t + lambda1 I, the neighbour cross Grams B_t' B_{t+1} that
-    # carry the lambda2 terms, and the auxiliary right-hand sides lambda3 aux_t B_t.
+    # weight_t B_t'B_t + lambda1 I, and the neighbour cross Grams B_t' B_{t+1}
+    # that carry the lambda2 terms.
     T, _, r = basis.shape
     frames = np.arange(T)
     weight = 1.0 + cfg.lambda2 * np.add(frames > 0, frames < T - 1, dtype=int) + cfg.lambda3
@@ -95,26 +237,53 @@ def _systems(basis: np.ndarray, aux, cfg: PenaltyConfig, flip: bool) -> tuple:
     grams *= weight[:, None, None]
     grams += cfg.lambda1 * np.eye(r)
     cross = np.matmul(np.swapaxes(basis[:-1], 1, 2), basis[1:])
-    aux_rhs = None
+    return np.linalg.inv(grams), cross
+
+
+def _label(t: int, filled: np.ndarray, basis: np.ndarray, aux, cfg: PenaltyConfig,
+           flip: bool, out: np.ndarray = None, term: np.ndarray = None) -> np.ndarray:
+    # filled_t B_t + lambda3 aux_t B_t, on the transposed frames when flip,
+    # into ``out`` with ``term`` as scratch when they are given.
+    label = np.matmul(filled.T if flip else filled, basis[t], out=out)
     if cfg.lambda3 != 0.0:
-        aux_rhs = np.matmul(np.swapaxes(aux.frames, 1, 2) if flip else aux.frames, basis)
-        aux_rhs *= cfg.lambda3
-    return np.linalg.inv(grams), cross, aux_rhs
+        frame = aux.frames[t]
+        term = np.matmul(frame.T if flip else frame, basis[t], out=term)
+        term *= cfg.lambda3
+        label += term
+    return label
 
 
-def _update(t: int, solved: np.ndarray, basis: np.ndarray, filled: np.ndarray,
-            cfg: PenaltyConfig, flip: bool, systems: tuple) -> np.ndarray:
+def _labels(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig,
+            flip: bool) -> np.ndarray:
+    # Every frame's label for the half-cycle that solves for the left factors
+    # (the right ones with flip), in one frame pass from the factors at the
+    # half-cycle's start: the product with the observed pixels overwritten by
+    # the frame, applied to the fixed factor.
+    left, right = factors.left, factors.right
+    basis = left if flip else right
+    labels = np.empty((right if flip else left).shape)
+
+    def work(lo, hi, filled, term):
+        for t in range(lo, hi):
+            np.matmul(left[t], right[t].T, out=filled)
+            np.copyto(filled, video.frames[t], where=video.masks[t])
+            _label(t, filled, basis, aux, cfg, flip, labels[t], term)
+
+    _frame_chunks(work, video.dims, video.frames.shape[1:], labels.shape[1:])
+    return labels
+
+
+def _update(t: int, solved: np.ndarray, label: np.ndarray, cfg: PenaltyConfig,
+            systems: tuple) -> np.ndarray:
     # Minimizer of frame t's majorized surrogate in solved[t], basis fixed:
-    # X = (label B) (weight B'B + lambda1 I)^-1, with the inverse, the cross
-    # Grams and the auxiliary term taken from ``systems`` (see _systems). The
-    # right-factor update is the left-factor update of the transposed frame
-    # (flip). The label is never formed: each lambda2 neighbor s contributes
-    # solved[s] (basis[s]' B), which is its product applied to B through an
-    # r-by-r Gram.
-    inverse, cross, aux_rhs = systems
-    rhs = (filled.T if flip else filled) @ basis[t]
-    if aux_rhs is not None:
-        rhs += aux_rhs[t]
+    # X = (label B) (weight B'B + lambda1 I)^-1, with the inverse and the cross
+    # Grams taken from ``systems`` (see _systems) and the frame's own terms
+    # from ``label`` (see _label), which is added to in place. The right-factor
+    # update is the left-factor update of the transposed frame. Each lambda2
+    # neighbor s contributes solved[s] (basis[s]' B), which is its product
+    # applied to B through an r-by-r Gram.
+    inverse, cross = systems
+    rhs = label
     if cfg.lambda2 != 0.0:
         if t > 0:
             rhs += cfg.lambda2 * (solved[t - 1] @ cross[t - 1])
@@ -127,18 +296,19 @@ def update_left(t: int, left: np.ndarray, right: np.ndarray,
                 video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the left factor."""
     filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
-    return _update(t, left, right, filled, cfg, flip=False,
-                   systems=_systems(right, aux, cfg, flip=False))
+    return _update(t, left, _label(t, filled, right, aux, cfg, flip=False), cfg,
+                   _systems(right, cfg))
 
 
 def update_right(t: int, left: np.ndarray, right: np.ndarray,
                  video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
     """Closed-form minimizer of frame t's majorized surrogate in the right factor."""
     filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
-    return _update(t, right, left, filled, cfg, flip=True,
-                   systems=_systems(left, aux, cfg, flip=True))
+    return _update(t, right, _label(t, filled, left, aux, cfg, flip=True), cfg,
+                   _systems(left, cfg))
 
 
+@_one_blas_thread()
 def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
           record_phases: bool = False, record_factors: bool = False) -> SolverState:
     """Run one full update cycle over all left factors, then all right factors.
@@ -151,40 +321,35 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
 
     The sweep works in (m, n) scratch and allocates no (T, m, n) array.
     Each half-cycle first builds every frame's r-by-r system from its fixed
-    factor. Each update then forms its frame's current product in one
-    buffer, overwrites the observed pixels with the frame, and solves. A
-    frame's change is taken as soon as its right factor is updated, against
-    the product of a copy of the factors made at the start of the sweep.
+    factor and, in a frame pass, every frame's label from its product with
+    the observed pixels overwritten by the frame. The lambda2 recurrence then
+    solves the frames in order. After the right half-cycle one more frame
+    pass forms each frame's product once, for both its objective terms and
+    its change against the product of a copy of the factors made at the
+    start of the sweep. The frame passes run in chunks (see the module
+    docstring); the recorded values do not depend on how many.
     """
     factors = state.factors
-    left, right = factors.left, factors.right
     if not state.objective_history:
         state.objective_history.append(objective(video, aux, factors, cfg))
     if record_factors and not state.factor_history:
         state.factor_history.append(factors.copy())
 
     start = factors.copy()
-    filled, before = np.empty(video.frames.shape[1:]), np.empty(video.frames.shape[1:])
-    changes = np.empty(video.dims.T)
-    phases = []
-    for solved, basis, flip in ((left, right, False), (right, left, True)):
-        systems = _systems(basis, aux, cfg, flip)
+    for solved, basis, flip in ((factors.left, factors.right, False),
+                                (factors.right, factors.left, True)):
+        systems = _systems(basis, cfg)
+        labels = _labels(video, aux, factors, cfg, flip)
         for t in range(video.dims.T):
-            np.matmul(left[t], right[t].T, out=filled)
-            np.copyto(filled, video.frames[t], where=video.masks[t])
-            solved[t] = _update(t, solved, basis, filled, cfg, flip, systems)
-            if flip:
-                np.matmul(start.left[t], start.right[t].T, out=before)
-                norm = max(float(np.vdot(before, before)), _TINY)
-                before -= np.matmul(left[t], right[t].T, out=filled)
-                changes[t] = float(np.vdot(before, before)) / norm
-        if record_phases or flip:
-            phases.append(objective(video, aux, factors, cfg))
+            solved[t] = _update(t, solved, labels[t], cfg, systems)
+        if record_phases and not flip:
+            left_phase = objective(video, aux, factors, cfg)
+    total, changes = _objective(video, aux, factors, cfg, start)
 
     state.change_history.append(changes)
-    state.objective_history.append(phases[-1])
+    state.objective_history.append(total)
     if record_phases:
-        state.phase_history.append(tuple(phases))
+        state.phase_history.append((left_phase, total))
     if record_factors:
         state.factor_history.append(factors.copy())
     state.sweeps += 1
@@ -209,6 +374,7 @@ def _check_factors(factors: FactorSequence, video: MaskedVideo) -> None:
     check_rank(factors.rank, video.dims.m, video.dims.n)
 
 
+@_one_blas_thread()
 def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> ImputedVideo:
     """Terminal spectral cleanup of the factored imputation.
 
@@ -218,22 +384,30 @@ def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> I
     column rank), then soft-threshold the singular values of the projection
     by ``shrinkage``. The effective rank is the number of singular values
     that survive. The factors must match the video's dims, and the rank may
-    not exceed min(m, n).
+    not exceed min(m, n). The frames are cleaned in chunks (see the module
+    docstring).
     """
     _check_factors(factors, video)
-    frames = np.matmul(factors.left, np.swapaxes(factors.right, 1, 2))
-    np.copyto(frames, video.frames, where=video.masks)
+    left, right = factors.left, factors.right
+    frames = np.empty(video.frames.shape)
     effective = np.empty(len(frames), dtype=int)
-    for t in range(len(frames)):
-        right_basis, _ = np.linalg.qr(factors.right[t])
-        projected = frames[t] @ right_basis
-        try:
-            u, sigma, rt = np.linalg.svd(projected, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"SVD of projected frame failed on frame {t}: {exc}") from exc
-        sigma = np.maximum(sigma - shrinkage, 0.0)
-        frames[t] = (u * sigma) @ (rt @ right_basis.T)
-        effective[t] = int(np.count_nonzero(sigma))
+
+    def work(lo, hi):
+        for t in range(lo, hi):
+            frame = frames[t]
+            np.matmul(left[t], right[t].T, out=frame)
+            np.copyto(frame, video.frames[t], where=video.masks[t])
+            right_basis, _ = np.linalg.qr(right[t])
+            projected = frame @ right_basis
+            try:
+                u, sigma, rt = np.linalg.svd(projected, full_matrices=False)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"SVD of projected frame failed on frame {t}: {exc}") from exc
+            sigma = np.maximum(sigma - shrinkage, 0.0)
+            np.matmul(u * sigma, rt @ right_basis.T, out=frame)
+            effective[t] = int(np.count_nonzero(sigma))
+
+    _frame_chunks(work, video.dims)
     return ImputedVideo(frames, effective)
 
 
@@ -267,24 +441,31 @@ def _spectral_start(video: MaskedVideo, aux, cfg: PenaltyConfig) -> FactorSequen
     rank = cfg.rank
     check_rank(rank, m, n)
     k = min(rank + 5, m, n)
-    rng = np.random.default_rng(cfg.rng_seed)
+    tests = np.random.default_rng(cfg.rng_seed).standard_normal((T, n, k))  # in frame order
     left = np.empty((T, m, rank))
     right = np.empty((T, n, rank))
-    for t in range(T):
-        filled = video.frames[t]  # missing pixels are stored as 0
-        if aux is not None:
-            filled = np.where(video.masks[t], filled, aux.frames[t])
-        q, _ = np.linalg.qr(filled @ rng.standard_normal((n, k)))
-        for _ in range(2):
-            q, _ = np.linalg.qr(filled.T @ q)
-            q, _ = np.linalg.qr(filled @ q)
-        u, sigma, vt = np.linalg.svd(q.T @ filled, full_matrices=False)
-        root = np.sqrt(sigma[:rank])
-        left[t] = (q @ u[:, :rank]) * root
-        right[t] = vt[:rank].T * root
+
+    def work(lo, hi, buffer):
+        for t in range(lo, hi):
+            filled = video.frames[t]  # missing pixels are stored as 0
+            if aux is not None:
+                filled = buffer
+                np.copyto(filled, aux.frames[t])
+                np.copyto(filled, video.frames[t], where=video.masks[t])
+            q, _ = np.linalg.qr(filled @ tests[t])
+            for _ in range(2):
+                q, _ = np.linalg.qr(filled.T @ q)
+                q, _ = np.linalg.qr(filled @ q)
+            u, sigma, vt = np.linalg.svd(q.T @ filled, full_matrices=False)
+            root = np.sqrt(sigma[:rank])
+            left[t] = (q @ u[:, :rank]) * root
+            right[t] = vt[:rank].T * root
+
+    _frame_chunks(work, video.dims, (m, n))
     return FactorSequence(left, right)
 
 
+@_one_blas_thread()
 def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence = None):
     """Run the completion loop to convergence or the sweep budget.
 

@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vista import solver
 from vista.solver import (
     SolverState,
     check_convergence,
@@ -16,7 +24,7 @@ from vista.solver import (
     update_left,
     update_right,
 )
-from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig
+from vista.video import AuxiliaryVideo, Dims, FactorSequence, MaskedVideo, PenaltyConfig
 
 from conftest import random_aux, random_video
 import oracles
@@ -747,3 +755,186 @@ def test_init_factors_deterministic_and_orthonormal():
         np.testing.assert_allclose(a.right[t].T @ a.right[t], np.eye(3), atol=1e-12)
     with pytest.raises(ValueError):
         init_factors(4, 3, 1, 4, seed=0)
+
+
+# ------------------------------------------------------------- frame chunks
+
+def _run_in_chunks(count, video, aux, cfg):
+    with mock.patch.object(solver, "_chunks", lambda dims: count):
+        return solve(video, aux, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 7)),
+       unit=st.sampled_from("mn-"), full_rank=st.booleans(), with_aux=st.booleans(),
+       lam2=st.sampled_from([0.0, 0.1]), count=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_frame_chunks_match_one_chunk_bit_for_bit(sizes, unit, full_rank, with_aux, lam2,
+                                                  count, seed):
+    # Chunk a > 0 of the objective pass re-forms frame a-1's product for the
+    # lambda2 term; more chunks than frames leaves some of them empty.
+    m, n, T = (1 if name == unit else size for name, size in zip("mnT", sizes))
+    rng = np.random.default_rng(seed)
+    video = random_video(rng, m, n, T)
+    aux = random_aux(rng, video) if with_aux else None
+    cfg = PenaltyConfig(lambda1=0.5, lambda2=lam2, lambda3=0.05 if with_aux else 0.0,
+                        rank=min(m, n) if full_rank else 1, max_iter=3, tol=1e-300,
+                        rng_seed=seed)
+    one, one_state = _run_in_chunks(1, video, aux, cfg)
+    many, many_state = _run_in_chunks(count, video, aux, cfg)
+    np.testing.assert_array_equal(many_state.factors.left, one_state.factors.left)
+    np.testing.assert_array_equal(many_state.factors.right, one_state.factors.right)
+    assert many_state.objective_history == one_state.objective_history
+    np.testing.assert_array_equal(many_state.change_history, one_state.change_history)
+    np.testing.assert_array_equal(many.frames, one.frames)
+    np.testing.assert_array_equal(many.effective_ranks, one.effective_ranks)
+
+
+def test_many_chunks_under_fast_thread_switching_match_one_chunk(rng):
+    # More chunks than cores, switching threads as often as the interpreter
+    # allows: a chunk that wrote outside its frames would show here.
+    video = random_video(rng, 20, 30, 12)
+    aux = random_aux(rng, video)
+    cfg = PenaltyConfig(lambda1=0.5, lambda2=0.1, lambda3=0.05, rank=4, max_iter=4, tol=1e-300)
+    one, one_state = _run_in_chunks(1, video, aux, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many, many_state = _run_in_chunks(8, video, aux, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many_state.objective_history == one_state.objective_history
+    np.testing.assert_array_equal(many_state.change_history, one_state.change_history)
+    np.testing.assert_array_equal(many_state.factors.left, one_state.factors.left)
+    np.testing.assert_array_equal(many.frames, one.frames)
+
+
+_THREADS_CHILD = """
+import hashlib
+import numpy as np
+from vista.solver import solve
+from vista.synthetic import make_demo_video
+from vista.video import AuxiliaryVideo, MaskedVideo, PenaltyConfig
+
+truth = make_demo_video(120, 180, 6, seed=3)
+video = MaskedVideo(truth, np.random.default_rng(4).random(truth.shape) >= 0.3)
+aux = AuxiliaryVideo(np.roll(truth, 1, axis=0))
+cfg = PenaltyConfig(lambda1=0.5, lambda2=0.05, lambda3=0.01, rank=5, max_iter=8, tol=1e-300,
+                    rng_seed=2)
+imputed, state = solve(video, aux, cfg)
+print(np.array(state.objective_history).tobytes().hex())
+print(np.concatenate(state.change_history).tobytes().hex())
+print(hashlib.sha256(imputed.frames.tobytes()).hexdigest())
+"""
+
+
+def test_solve_is_byte_identical_at_one_and_at_default_blas_threads():
+    # The per-frame sums of squares above 10000 entries are split over
+    # OpenBLAS threads; held at one thread, they add up in the same order.
+    src = Path(solver.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(src)
+    outputs = [subprocess.run([sys.executable, "-c", _THREADS_CHILD], capture_output=True,
+                              text=True, check=True, env={**env, **extra}).stdout
+               for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+    assert outputs[0].count("\n") == 3
+    assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS (get, set), with its thread count put back after the test."""
+    pair = solver._blas_threads()
+    if pair is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    before = pair[0]()
+    yield pair
+    pair[1](before)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_restores_the_blas_thread_count(rng, blas, monkeypatch):
+    get, set_ = blas
+    seen = []
+    chunks = solver._chunks
+
+    def counting(dims):
+        seen.append(get())
+        return chunks(dims)
+
+    monkeypatch.setattr(solver, "_chunks", counting)
+    set_(2)
+    video = random_video(rng, 6, 7, 3)
+    solve(video, None, PenaltyConfig(lambda1=0.9, rank=2, max_iter=3))
+    assert get() == 2 and seen and set(seen) == {1}
+
+    start = init_factors(6, 7, 3, 2, 1)
+    diverging = FactorSequence(1e200 * start.left, 1e200 * start.right)
+    with pytest.raises(ValueError, match="diverged"):
+        solve(video, None, PenaltyConfig(lambda1=0.9, rank=2, max_iter=3), diverging)
+    assert get() == 2
+
+    start.right[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="on frame 1"):
+        finalize(start, video, 0.9)
+    assert get() == 2
+
+
+def test_finalize_raises_the_lowest_failing_frame_after_every_chunk(rng, monkeypatch):
+    monkeypatch.setattr(solver, "_chunks", lambda dims: 3)
+    video = random_video(rng, 6, 7, 6)
+    factors = init_factors(6, 7, 6, 2, 1)
+    factors.right[3, 0, 0] = factors.right[5, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="on frame 3"):
+        finalize(factors, video, 0.9)
+
+
+def test_frame_chunks_raise_only_after_every_chunk_returned(monkeypatch):
+    # Chunks [0, 2), [2, 4) and [4, 6); the last is the slowest and fails too.
+    monkeypatch.setattr(solver, "_chunks", lambda dims: 3)
+    done = []
+
+    def work(lo, hi):
+        if lo == 4:
+            time.sleep(0.05)
+        for t in range(lo, hi):
+            if t in (3, 5):
+                raise ValueError(f"frame {t}")
+            done.append(t)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^frame 3$"):
+        solver._frame_chunks(work, Dims(2, 2, 6))
+    assert sorted(done) == [0, 1, 2, 4]
+    assert threading.active_count() == threads
+
+
+def test_chunk_count_follows_cores_frames_and_frame_size(monkeypatch):
+    if solver._blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert solver._chunks(Dims(181, 361, 24)) == 3
+    assert solver._chunks(Dims(181, 361, 2)) == 2
+    assert solver._chunks(Dims(60, 90, 24)) == 1
+    monkeypatch.setattr(solver, "_blas_threads", lambda: None)
+    assert solver._chunks(Dims(181, 361, 24)) == 1
+
+
+def test_blas_lookup_waits_for_the_first_solve_and_leaves_scipy_alone():
+    src = Path(solver.__file__).resolve().parents[1]
+    code = """
+import sys
+import numpy as np
+import vista.cli
+from vista import solver
+from vista.video import MaskedVideo, PenaltyConfig
+assert solver._blas_threads.cache_info().currsize == 0
+frames = np.random.default_rng(0).random((2, 4, 5))
+solver.solve(MaskedVideo(frames, frames > 0.3), None, PenaltyConfig(lambda1=0.9, rank=2))
+assert solver._blas_threads.cache_info().currsize == 1
+assert not [name for name in sys.modules if name.startswith("scipy")]
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
