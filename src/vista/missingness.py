@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video import MaskedVideo
+from .video import MaskedVideo, check_shape
 
 PATTERNS = ("random", "temporal", "random-patch", "temporal-patch")
 
@@ -138,8 +138,7 @@ def apply(frames: np.ndarray, spec: MissingnessSpec) -> tuple:
     withheld from the masked video.
     """
     frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 3:
-        raise ValueError(f"expected a (T, m, n) array, got ndim={frames.ndim}")
+    check_shape(frames)
     if not np.isfinite(frames).all():
         raise ValueError("input video must be fully observed")
     dropped, _ = generate(spec, (frames.shape[1], frames.shape[2], frames.shape[0]))

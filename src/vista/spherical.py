@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .solver import _one_blas_thread
 from .video import AuxiliaryVideo, MaskedVideo
 
 _CHUNK = 16  # frames fitted per batch in build_auxiliary
@@ -167,6 +168,7 @@ def basis_matrix(grid: SphericalGrid, l_max: int) -> np.ndarray:
     return design.reshape(rows * cols, -1)
 
 
+@_one_blas_thread()
 def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
               l_max: int, v: float) -> ShModel:
     """Ridge least-squares fit of the observed pixels of one frame."""
@@ -227,6 +229,7 @@ def _fit(tables: _Tables, frames: np.ndarray, masks: np.ndarray, v: float) -> np
     return np.linalg.solve(grams, rhs[..., None])[..., 0]
 
 
+@_one_blas_thread()  # as solve: its matmuls and solves change bits with the thread count
 def build_auxiliary(video: MaskedVideo, l_max: int = 11, v: float = 0.1) -> AuxiliaryVideo:
     """Per-frame fit-and-render of a masked video on its cell-centered global grid.
 

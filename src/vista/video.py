@@ -32,30 +32,25 @@ class MaskedVideo:
     """
 
     def __init__(self, frames, masks):
-        self._hold(np.asarray(frames, dtype=float), np.array(masks, dtype=bool), copy=True)
+        self._hold(np.array(frames, dtype=float), np.array(masks, dtype=bool))
 
     @classmethod
     def _adopt(cls, frames: np.ndarray, masks: np.ndarray) -> "MaskedVideo":
         """Take over float ``frames`` and bool ``masks`` uncopied, checked as by the
         constructor: missing entries are zeroed in place, and both turn read-only."""
         video = cls.__new__(cls)
-        video._hold(frames, masks, copy=False)
+        video._hold(frames, masks)
         return video
 
-    def _hold(self, frames: np.ndarray, masks: np.ndarray, copy: bool) -> None:
+    def _hold(self, frames: np.ndarray, masks: np.ndarray) -> None:
         check_shape(frames)
         if frames.shape != masks.shape:
             raise ValueError(f"frames shape {frames.shape} does not match masks shape {masks.shape}")
-        observed_per_frame = masks.reshape(masks.shape[0], -1).sum(axis=1)
-        empty = np.flatnonzero(observed_per_frame == 0)
+        empty = np.flatnonzero(~masks.reshape(masks.shape[0], -1).any(axis=1))
         if empty.size:
             raise ValueError(f"frame {empty[0]} has no observed entries")
-        # Missing entries become 0 (in an owned copy, or in place), so the
-        # finiteness check covers exactly the observed ones.
-        if copy:
-            frames = np.where(masks, frames, 0.0)
-        else:
-            np.copyto(frames, 0.0, where=~masks)
+        # Missing entries become 0, so the finiteness check covers exactly the observed ones.
+        np.copyto(frames, 0.0, where=~masks)
         if not np.isfinite(frames).all():
             raise ValueError("observed entries must be finite")
         self.frames = frames

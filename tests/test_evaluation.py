@@ -159,6 +159,23 @@ def test_non_finite_values_on_the_mask_are_named_and_nan_off_it_is_allowed(rng):
             rse(bad, truth, masks)
 
 
+@pytest.mark.filterwarnings("error")
+def test_finite_values_whose_squares_overflow_are_not_finite_scores_without_a_warning(rng):
+    truth, masks = make_inputs(rng)
+    big = truth.copy()
+    big[(2, *np.argwhere(masks[2])[0])] = 1e200
+    with pytest.raises(ValueError, match="^frame 2 of model 'full' is not finite on the "
+                                         "evaluation mask$"):
+        compare_models({"soft": truth, "full": big}, truth, masks)
+    with pytest.raises(ValueError, match="^frame 2 of the truth is not finite on the "
+                                         "evaluation mask$"):
+        compare_models({"soft": truth}, big, masks)
+    with pytest.raises(ValueError, match="^the imputation is not finite on the evaluation mask$"):
+        rse(truth, big, masks)
+    with pytest.raises(ValueError, match="^the truth is not finite on the evaluation mask$"):
+        rse(big, truth, masks)
+
+
 def test_compare_models_rejects_shape_mismatch(rng):
     truth, masks = make_inputs(rng)
     with pytest.raises(ValueError, match="model 'soft' frames have shape"):

@@ -146,7 +146,7 @@ def test_apply_returns_masked_video_and_exact_drop_set(rng):
 
 @pytest.mark.parametrize("shape", [(4, 5), (1, 2, 4, 5)], ids=["2-d", "4-d"])
 def test_apply_rejects_a_video_that_is_not_three_dimensional(shape):
-    with pytest.raises(ValueError, match=f"expected a \\(T, m, n\\) array, got ndim={len(shape)}"):
+    with pytest.raises(ValueError, match=f"frames must be a \\(T, m, n\\) array, got ndim={len(shape)}"):
         apply(np.ones(shape), MissingnessSpec(pattern="random"))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vista import solver
+from vista import solver, spherical
 from vista.solver import (
     SolverState,
     check_convergence,
@@ -812,7 +812,9 @@ def test_many_chunks_under_fast_thread_switching_match_one_chunk(rng):
 _THREADS_CHILD = """
 import hashlib
 import numpy as np
+from vista.evaluation import compare_models
 from vista.solver import solve
+from vista.spherical import build_auxiliary
 from vista.synthetic import make_demo_video
 from vista.video import AuxiliaryVideo, MaskedVideo, PenaltyConfig
 
@@ -825,12 +827,17 @@ imputed, state = solve(video, aux, cfg)
 print(np.array(state.objective_history).tobytes().hex())
 print(np.concatenate(state.change_history).tobytes().hex())
 print(hashlib.sha256(imputed.frames.tobytes()).hexdigest())
+print(hashlib.sha256(build_auxiliary(video, l_max=11, v=0.1).frames.tobytes()).hexdigest())
+report = compare_models({"full": imputed.frames}, truth, np.ones(truth.shape, dtype=bool))
+print(report.frame_rse["full"].tobytes().hex())
 """
 
 
 def test_solve_is_byte_identical_at_one_and_at_default_blas_threads():
-    # The per-frame sums of squares above 10000 entries are split over
-    # OpenBLAS threads; held at one thread, they add up in the same order.
+    # OpenBLAS splits dot products above 10000 entries, and the matmuls and
+    # factorizations of the spherical-harmonics fit, over its threads. solve
+    # and build_auxiliary hold it at one thread; evaluation sums its squares
+    # with numpy's pairwise sum (21600 pixels a frame here), not with BLAS.
     src = Path(solver.__file__).resolve().parents[1]
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -838,7 +845,7 @@ def test_solve_is_byte_identical_at_one_and_at_default_blas_threads():
     outputs = [subprocess.run([sys.executable, "-c", _THREADS_CHILD], capture_output=True,
                               text=True, check=True, env={**env, **extra}).stdout
                for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
-    assert outputs[0].count("\n") == 3
+    assert outputs[0].count("\n") == 5
     assert outputs[0] == outputs[1]
 
 
@@ -879,6 +886,20 @@ def test_solve_restores_the_blas_thread_count(rng, blas, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="on frame 1"):
         finalize(start, video, 0.9)
     assert get() == 2
+
+    fitted = []
+    fit = spherical._fit
+
+    def counting_fit(*args):
+        fitted.append(get())
+        return fit(*args)
+
+    monkeypatch.setattr(spherical, "_fit", counting_fit)
+    spherical.build_auxiliary(video, l_max=1, v=0.1)
+    assert get() == 2 and fitted == [1]
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        spherical.build_auxiliary(video, l_max=11, v=0.0)
+    assert get() == 2 and fitted == [1, 1]
 
 
 def test_finalize_raises_the_lowest_failing_frame_after_every_chunk(rng, monkeypatch):
