@@ -18,18 +18,20 @@ import sys
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import io as vio
+from .chunks import _frame_chunks, _run_all
 from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
 from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import check_rank, solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
-from .video import PenaltyConfig
+from .video import Dims, PenaltyConfig
 
 PROFILES = {
     "storm": (0.9, 0.2, 0.021),
@@ -203,7 +205,7 @@ def cmd_simulate(args) -> int:
         entries = _config_entries(cfg, args, ("pattern", "fraction", "patch_size"))
         train, test = holdout(vio.read_video(cfg.input), cfg.holdout, cfg.seed)
         payload = train.to_dense()
-        entries["result_test_pixels"] = str(int(test.sum()))
+        entries["result_test_pixels"] = str(np.count_nonzero(test))
     else:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
@@ -220,15 +222,21 @@ def cmd_simulate(args) -> int:
             setting = f"patch size {cfg.patch_size}" if patch else f"fraction {cfg.fraction!r}"
             raise ValueError(f"frame {emptied[0]} has no observed entries: pattern "
                              f"{cfg.pattern} at {setting} drops all of its pixels")
-        np.putmask(payload, test, np.nan)  # the container's missing marker, written in place
-        entries["result_dropped_pixels"] = str(int(test.sum()))
+
+        def drop(lo, hi):  # the container's missing marker, written in place
+            np.putmask(payload[lo:hi], test[lo:hi], np.nan)
+
+        _frame_chunks(drop, Dims(m, n, T), blas=False)
+        entries["result_dropped_pixels"] = str(np.count_nonzero(test))
         if centers is not None:
             bbox = default_bbox(m, n)
             entries["result_bbox"] = ",".join(str(v) for v in bbox)
             entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
     out.mkdir(parents=True, exist_ok=True)
-    vio._write_payload(out / "masked.vmc", payload)
-    vio.write_mask(out / "test_mask.vmc", test)
+    # The two files are written at once, the mask on this thread; an error
+    # writing masked.vmc is raised first.
+    _run_all([partial(vio._write_payload, out / "masked.vmc", payload),
+              partial(vio.write_mask, out / "test_mask.vmc", test)])
     _finish_manifest(out / "manifest.txt", entries)
     print(f"simulate: wrote {out / 'masked.vmc'} and {out / 'test_mask.vmc'}")
     return 0

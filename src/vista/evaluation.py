@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
+from .chunks import _frame_chunks
 from .io import write_table
+from .video import Dims
 
 # Two-sided 95% normal quantile, used for the margin error bars.
 Z95 = 1.959963984540054
@@ -85,11 +88,13 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
     """Score every model on identical evaluation masks.
 
     ``results`` maps model name to its (T, m, n) imputation. Each input,
-    the truth and the (boolean) masks included, is anything with a
-    ``shape`` that iterates frame by frame: a (T, m, n) array, or an
+    the truth and the (boolean) masks included, is a (T, m, n) array or an
     ``io.FrameReader`` (a mask reader opened with ``check="mask"``). Shapes
-    are checked before any frame is read, and then all inputs are read
-    together, one frame at a time.
+    are checked before any frame is read. The frames are then scored in
+    contiguous chunks, one per usable core (see ``vista.chunks``), each
+    reading all inputs together, one frame at a time; with a reader that
+    cannot seek, such as a pipe, in one chunk. Of failing frames, the
+    lowest frame's error is raised.
     Margins are taken against the ``BASELINE`` model (positive means better
     than the baseline); ties count as "not better". Win counts against the
     baseline and loss counts against ``FULL_MODEL`` are only filled in when
@@ -98,26 +103,36 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
     if truth.shape != eval_masks.shape:
         raise ValueError("truth and evaluation masks must share one shape")
     report = EvalReport(models=list(results))
-    T = truth.shape[0]
+    T, m, n = truth.shape
     for name, frames in results.items():
         if frames.shape != truth.shape:
             raise ValueError(f"model {name!r} frames have shape {frames.shape}, "
                              f"expected {truth.shape}")
         report.frame_rse[name] = np.empty(T)
         report.frame_mse[name] = np.empty(T)
-    # One pass over the frames: each frame's evaluation pixels are located
-    # once and the truth there is scored against every model. Flat indices
-    # gather faster than a boolean mask, in the same order.
-    for t, (truth_frame, mask, *model_frames) in enumerate(
-            zip(truth, eval_masks, *results.values())):
-        pixels = np.flatnonzero(mask)
-        if not pixels.size:
-            raise ValueError(f"evaluation mask is empty at frame {t}")
-        truth_values = truth_frame.take(pixels)
-        truth_norm = _truth_norm(truth_values, f"frame {t} of the truth")
-        for name, frame in zip(results, model_frames):
-            report.frame_rse[name][t], report.frame_mse[name][t] = _scores(
-                truth_values, frame.take(pixels), truth_norm, f"frame {t} of model {name!r}")
+    sources = [truth, eval_masks, *results.values()]
+    readers = [source for source in sources if not isinstance(source, np.ndarray)]
+
+    # Each chunk slices the arrays and reads its frame range of each reader
+    # into one of its buffers. A frame's evaluation pixels are located once
+    # and the truth there is scored against every model. Flat indices gather
+    # faster than a boolean mask, in the same order.
+    def work(lo, hi, *buffers):
+        buffers = iter(buffers)
+        ranges = [source[lo:hi] if isinstance(source, np.ndarray)
+                  else source._read(lo, repeat(next(buffers), hi - lo)) for source in sources]
+        for t, (truth_frame, mask, *model_frames) in enumerate(zip(*ranges), lo):
+            pixels = np.flatnonzero(mask)
+            if not pixels.size:
+                raise ValueError(f"evaluation mask is empty at frame {t}")
+            truth_values = truth_frame.take(pixels)
+            truth_norm = _truth_norm(truth_values, f"frame {t} of the truth")
+            for name, frame in zip(results, model_frames):
+                report.frame_rse[name][t], report.frame_mse[name][t] = _scores(
+                    truth_values, frame.take(pixels), truth_norm, f"frame {t} of model {name!r}")
+
+    _frame_chunks(work, Dims(m, n, T), *[(m, n)] * len(readers), blas=False,
+                  split=all(reader._positional for reader in readers))
     for name in results:
         report.mean_rse[name] = float(report.frame_rse[name].mean())
         report.mean_mse[name] = float(report.frame_mse[name].mean())

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from itertools import repeat
 
 import numpy as np
 
-from .video import MaskedVideo, check_shape
+from .chunks import _frame_chunks
+from .video import Dims, MaskedVideo, check_shape
 
 _MAGIC = b"VMC1"
 _HEADER = struct.Struct("<4sIIII")
@@ -43,17 +45,19 @@ def _write_payload(path, frames: np.ndarray) -> None:
 
 
 class FrameReader:
-    """A ``.vmc`` file read in one pass, one (m, n) frame at a time.
+    """A ``.vmc`` file read one (m, n) frame at a time, in frame ranges.
 
     Opening reads and checks the header, so ``shape`` (T, m, n) is known
     before any payload byte is read. Iterating yields each frame in turn,
     read into one reused (m, n) buffer: a frame is valid only until the next
     one is read. ``check`` is ``None`` (any values, NaN included),
     ``"finite"`` or ``"mask"`` (0 and 1 only, giving booleans); it runs on
-    each frame as it arrives. The length is checked by reading, not by
-    ``fstat``, so pipes work too: a short read, or any byte after the
-    payload's end, is an error. Close the reader, or use it as a context
-    manager.
+    each frame as it arrives. A file that can seek is read by position, so
+    threads may read disjoint frame ranges of it at once (see
+    ``_in_chunks``); one that cannot, such as a pipe, is read in order
+    through its handle. The length is checked by reading, not by ``fstat``,
+    so pipes work too: a short read, or any byte after the payload's end, is
+    an error. Close the reader, or use it as a context manager.
     """
 
     def __init__(self, path, check=None):
@@ -72,6 +76,7 @@ class FrameReader:
                 raise ValueError(f"{path}: reserved header word must be zero, got {reserved}")
             if min(m, n, T) < 1:
                 raise ValueError(f"{path}: dimensions must be positive, got ({m}, {n}, {T})")
+            self._positional = self._handle.seekable() and hasattr(os, "preadv")
         except BaseException:
             self._handle.close()
             raise
@@ -84,14 +89,30 @@ class FrameReader:
         except (MemoryError, ValueError) as exc:
             raise ValueError(f"{self._needs}, more than can be allocated") from exc
 
-    def _read(self, targets):
-        "Read each payload frame into the next (m, n) array of ``targets``; yield it checked."
-        size, done = 8 * math.prod(self.shape), 0
+    def _fill(self, buffer, at: int) -> int:
+        """Read into ``buffer`` from payload byte ``at`` until it is full or the file ends;
+        returns the byte count. A reader that cannot seek reads on from where it stands."""
+        if not self._positional:
+            return self._handle.readinto(buffer)
+        view, got = memoryview(buffer).cast("B"), 0
+        while got < len(view):
+            step = os.preadv(self._handle.fileno(), [view[got:]], _HEADER.size + at + got)
+            if not step:
+                break
+            got += step
+        return got
+
+    def _read(self, lo: int, targets):
+        """Read payload frames lo, lo + 1, ... into the (m, n) arrays of ``targets``; yield
+        each checked. The read that ends the payload reads on to the end of the file."""
+        size, done = 8 * math.prod(self.shape), 8 * math.prod(self.shape[1:]) * lo
         for frame in targets:
             end = done + frame.nbytes
-            done += self._handle.readinto(frame)
+            done += self._fill(frame, done)
             if done == size:
-                done += len(self._handle.read())
+                rest = bytearray(1 << 16)
+                while step := self._fill(rest, done):
+                    done += step
             if done != end:
                 raise ValueError(f"{self._needs}, got {done}")
             if self._check == "finite" and not np.isfinite(frame).all():
@@ -103,9 +124,14 @@ class FrameReader:
                 frame = ones
             yield frame
 
+    def _in_chunks(self, work, *scratch) -> None:
+        """``chunks._frame_chunks`` over this file's frames: in one chunk if it cannot seek."""
+        T, m, n = self.shape
+        _frame_chunks(work, Dims(m, n, T), *scratch, blas=False, split=self._positional)
+
     def __iter__(self):
         T, m, n = self.shape
-        return self._read(repeat(self._empty((m, n)), T))
+        return self._read(0, repeat(self._empty((m, n)), T))
 
     def close(self) -> None:
         self._handle.close()
@@ -118,11 +144,15 @@ class FrameReader:
 
 
 def _read_whole(path, check=None) -> np.ndarray:
-    "The (T, m, n) payload, frame t read straight into ``frames[t]`` of one array."
+    "The (T, m, n) payload, frame t read straight into ``frames[t]`` of one array, in chunks."
     with FrameReader(path, check) as reader:
         frames = reader._empty(reader.shape)
-        for _ in reader._read(frames):
-            pass
+
+        def work(lo, hi):
+            for _ in reader._read(lo, frames[lo:hi]):
+                pass
+
+        reader._in_chunks(work)
     return frames
 
 
@@ -158,11 +188,15 @@ def write_mask(path, mask: np.ndarray) -> None:
 
 
 def read_mask(path) -> np.ndarray:
-    "Read a 0/1 video as a boolean (T, m, n) mask, frame by frame."
+    "Read a 0/1 video as a boolean (T, m, n) mask, each chunk's frames through one buffer."
     with FrameReader(path, "mask") as reader:
         mask = reader._empty(reader.shape, bool)
-        for t, frame in enumerate(reader):
-            mask[t] = frame
+
+        def work(lo, hi, buffer):
+            for t, frame in enumerate(reader._read(lo, repeat(buffer, hi - lo)), lo):
+                mask[t] = frame
+
+        reader._in_chunks(work, reader.shape[1:])
     return mask
 
 

@@ -15,124 +15,23 @@ target rows. The per-sweep objective is therefore non-increasing.
 
 Within a half-cycle the fixed factors do not change, so each frame's label,
 its change statistic and its objective terms depend on no other frame. Those
-passes run as contiguous frame chunks, one per usable core, on plain threads
-with numpy's bundled OpenBLAS held at one thread; only the lambda2 recurrence
-and the sums over frames run in order on the calling thread. Every output is
-therefore the same for any core count and any BLAS thread setting.
+passes run as contiguous frame chunks (see ``vista.chunks``), one per usable
+core, on plain threads with numpy's bundled OpenBLAS held at one thread; only
+the lambda2 recurrence and the sums over frames run in order on the calling
+thread. Every output is therefore the same for any core count and any BLAS
+thread setting.
 """
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
-import functools
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chunks import _frame_chunks, _one_blas_thread
 from .video import FactorSequence, MaskedVideo, PenaltyConfig
 
 _TINY = np.finfo(float).tiny
-# Frames below this many pixels are not split over threads. On a 2-core Xeon a
-# 10-sweep solve took, in one chunk against two: 98 against 140 ms at 60x90x24
-# (rank 8), 188 ms either way at 90x180x24 (rank 5), and 378 against 285 ms at
-# 128x256x24 (rank 10).
-_CHUNK_PIXELS = 1 << 14
-
-
-@functools.cache
-def _blas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
-
-    Looked up on first use, not at import, so a command that never solves
-    never looks, and only under ``numpy.libs``, so scipy's own OpenBLAS is
-    never touched.
-    """
-    libs = os.path.dirname(np.__file__) + ".libs"
-    for name in sorted(os.listdir(libs)) if os.path.isdir(libs) else []:
-        if "openblas" not in name:
-            continue
-        lib = ctypes.CDLL(os.path.join(libs, name))  # numpy has loaded it already
-        for suffix in ("64_", ""):
-            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
-            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    # numpy's OpenBLAS at one thread inside, restored on the way out; a no-op
-    # where it cannot be found (then _chunks gives one chunk).
-    blas = _blas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-def _chunks(dims) -> int:
-    """Frame chunks per pass over a video of ``dims``: one per usable core, at most T.
-
-    One chunk without the BLAS pin, or for frames under ``_CHUNK_PIXELS``
-    pixels, whose passes lose more to thread start-up and hand-offs of the
-    interpreter lock than the second core gains.
-    """
-    if _blas_threads() is None or dims.m * dims.n < _CHUNK_PIXELS:
-        return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
-    return max(1, min(dims.T, cores))
-
-
-def _frame_chunks(work, dims, *scratch) -> None:
-    """Run ``work(lo, hi, *buffers)`` over contiguous chunks [lo, hi) of the frames.
-
-    ``dims`` are those of the video the pass runs over. The calling thread
-    takes chunk 0 and a plain thread each other chunk (see ``_chunks``).
-    Each chunk gets its own buffers of the ``scratch`` shapes, allocated here
-    by the calling thread, so no worker allocates a frame-sized array. Once
-    every chunk has returned, the error of the lowest failing chunk is
-    raised; a chunk stops at its first failing frame, so that is the error
-    of the lowest failing frame.
-    """
-    T, count = dims.T, _chunks(dims)
-    bounds = [T * i // count for i in range(count + 1)]
-    buffers = [[np.empty(shape) for shape in scratch] for _ in range(count)]
-    errors = [None] * count
-
-    def run(i):
-        try:
-            work(bounds[i], bounds[i + 1], *buffers[i])
-        except Exception as exc:
-            errors[i] = exc
-
-    # Each worker runs in a copy of the caller's context, which holds numpy's
-    # floating-point error state (np.errstate).
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-               for i in range(1, count)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
 
 
 @dataclass

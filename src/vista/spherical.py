@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .solver import _one_blas_thread
+from .chunks import _one_blas_thread
 from .video import AuxiliaryVideo, MaskedVideo
 
 _CHUNK = 16  # frames fitted per batch in build_auxiliary

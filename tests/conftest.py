@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from vista import chunks
 from vista.video import AuxiliaryVideo, MaskedVideo
 
 
@@ -26,3 +27,9 @@ def random_aux(rng, video):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def chunk_count(monkeypatch):
+    """``chunk_count(k)`` runs every later frame pass that may split in k chunks."""
+    return lambda count: monkeypatch.setattr(chunks, "_chunks", lambda dims: count)

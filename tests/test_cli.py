@@ -120,6 +120,30 @@ def test_simulate_holdout_mode(tmp_path, truth_file):
     assert int(test.sum()) == int(np.floor(0.2 * 40 * 60 + 0.5)) * 4
 
 
+@pytest.mark.parametrize("mode", [["--pattern", "random"],
+                                  ["--pattern", "random-patch", "--patch-size", "27"],
+                                  ["--holdout", "0.2"]], ids=["random", "random-patch", "holdout"])
+def test_simulate_writes_the_same_files_in_any_chunk_count(tmp_path, truth_file, chunk_count,
+                                                           mode):
+    outputs = []
+    for count in (1, 2, 3):
+        chunk_count(count)
+        out = tmp_path / str(count)
+        run(["simulate", "--input", truth_file, "--output-dir", out, *mode, "--seed", "5"])
+        outputs.append(((out / "masked.vmc").read_bytes(), (out / "test_mask.vmc").read_bytes(),
+                        manifest_without_timestamps(out / "manifest.txt")))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_simulate_reports_the_masked_file_error_first(tmp_path, truth_file, capsys):
+    # Both files are written at once; when both fail, masked.vmc is named.
+    out = tmp_path / "taken"
+    (out / "masked.vmc").mkdir(parents=True)
+    (out / "test_mask.vmc").mkdir()
+    fails(["simulate", "--input", truth_file, "--output-dir", out, "--pattern", "random"],
+          capsys, "masked.vmc")
+
+
 def test_impute_soft_equals_full_with_zero_lambdas(tmp_path, truth_file):
     sim = tmp_path / "sim"
     run(["simulate", "--input", truth_file, "--output-dir", sim,

@@ -1,8 +1,11 @@
 import csv
+import sys
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
 
+from vista import io as vio
 from vista.evaluation import (
     Z95,
     compare_models,
@@ -182,6 +185,82 @@ def test_compare_models_rejects_shape_mismatch(rng):
         compare_models({"soft": truth[:, :, :-1]}, truth, masks)
     with pytest.raises(ValueError, match="truth and evaluation masks must share one shape"):
         compare_models({"soft": truth}, truth, masks[:-1])
+
+
+def _write_inputs(directory, truth, masks, results) -> dict:
+    paths = {name: directory / f"{name}.vmc" for name in ("truth", "mask", *results)}
+    vio.write_frames(paths["truth"], truth)
+    vio._write_payload(paths["mask"], masks)  # 0/1, or any value a test puts in
+    for name, frames in results.items():
+        vio._write_payload(paths[name], frames)
+    return paths
+
+
+def _compare_files(paths, names):
+    with ExitStack() as stack:
+        truth = stack.enter_context(vio.FrameReader(paths["truth"]))
+        masks = stack.enter_context(vio.FrameReader(paths["mask"], "mask"))
+        results = {name: stack.enter_context(vio.FrameReader(paths[name], "finite"))
+                   for name in names}
+        return compare_models(results, truth, masks)
+
+
+def _numbers(report):
+    "Everything a report holds, comparable with == bit for bit."
+    return (report.models, report.mean_rse, report.mean_mse, report.margin_ci,
+            report.better_than_baseline, report.worse_than_full,
+            [report.frame_rse[name].tobytes() + report.frame_mse[name].tobytes()
+             + report.margins[name].tobytes() for name in report.models])
+
+
+def test_compare_models_is_the_same_in_any_chunk_count_over_arrays_and_readers(
+        tmp_path, rng, chunk_count):
+    truth, masks = make_inputs(rng, T=7)
+    results = {name: truth + rng.normal(size=truth.shape, scale=0.1 * (k + 1))
+               for k, name in enumerate(("soft", "ts", "full"))}
+    paths = _write_inputs(tmp_path, truth, masks, results)
+    reports = []
+    for count in (1, 2, 3):
+        chunk_count(count)
+        reports.append(_numbers(compare_models(results, truth, masks)))
+        reports.append(_numbers(_compare_files(paths, results)))
+    # More chunks than cores or frames (one is left empty), switching threads
+    # as often as the interpreter allows: a chunk that wrote outside its
+    # frames, or read another chunk's, would show here.
+    chunk_count(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports.append(_numbers(compare_models(results, truth, masks)))
+        reports.append(_numbers(_compare_files(paths, results)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(report == reports[0] for report in reports[1:])
+
+
+@pytest.mark.parametrize("mask_value_at", [None, 2, 4])
+def test_compare_models_raises_the_lowest_failing_frame_in_any_chunk_count(
+        tmp_path, rng, chunk_count, mask_value_at):
+    # Six frames in chunks [0, 2), [2, 4) and [4, 6). Model frame 3 is not
+    # finite and the evaluation mask of frame 5 is empty; a 0.5 in a mask
+    # frame fails at frame 2, before them, or at frame 4, after them.
+    truth, masks = make_inputs(rng, T=6)
+    full = truth.copy()
+    full[(3, *np.argwhere(masks[3])[0])] = np.inf
+    masks[5] = False
+    stored = masks.astype(float)
+    if mask_value_at is not None:
+        stored[mask_value_at, 0, 0] = 0.5
+    paths = _write_inputs(tmp_path, truth, stored, {"soft": truth, "full": full})
+    expected = (f"{paths['mask']}: mask file must contain only 0 and 1" if mask_value_at == 2
+                else f"{paths['full']}: expected a fully observed video with finite values")
+    for count in (1, 3):
+        chunk_count(count)
+        with pytest.raises(ValueError) as exc:
+            _compare_files(paths, ("soft", "full"))
+        assert str(exc.value) == expected
+        with pytest.raises(ValueError, match="^frame 3 of model 'full' is not finite"):
+            compare_models({"soft": truth, "full": full}, truth, masks)
 
 
 def test_csv_outputs(tmp_path, rng):

@@ -223,8 +223,10 @@ def test_read_rejects_unallocatable_dims(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_read_from_a_pipe(tmp_path, rng):
-    # A pipe reports size 0, so the payload length must be checked by reading.
+def test_read_from_a_pipe(tmp_path, rng, chunk_count):
+    # A pipe reports size 0, so the payload length must be checked by reading;
+    # it cannot seek, so it is read in order, in one chunk.
+    chunk_count(3)
     video = random_video(rng, 4, 5, 3)
     vio.write_video(tmp_path / "video.vmc", video)
     data = (tmp_path / "video.vmc").read_bytes()
@@ -241,6 +243,68 @@ def test_read_from_a_pipe(tmp_path, rng):
     writer.join()
     np.testing.assert_array_equal(back.masks, video.masks)
     np.testing.assert_array_equal(back.frames, video.frames)
+
+
+def test_whole_reads_are_the_same_in_any_chunk_count(tmp_path, rng, chunk_count):
+    T, m, n = 7, 5, 6
+    frames = rng.normal(size=(T, m, n))
+    mask = rng.random((T, m, n)) < 0.4
+    mask[:, 0, 0] = False
+    vio._write_payload(tmp_path / "holes.vmc", np.where(mask, np.nan, frames))
+    vio.write_frames(tmp_path / "full.vmc", frames)
+    vio.write_mask(tmp_path / "mask.vmc", mask)
+    reads = []
+    for count in (1, 2, 3, 8):  # 8 chunks of 7 frames leave one empty
+        chunk_count(count)
+        video = vio.read_video(tmp_path / "holes.vmc")
+        reads.append((_bits(video.frames), video.masks, _bits(vio.read_frames(tmp_path / "full.vmc")),
+                      vio.read_mask(tmp_path / "mask.vmc")))
+    np.testing.assert_array_equal(reads[0][1], ~mask)
+    np.testing.assert_array_equal(reads[0][2], _bits(frames))
+    np.testing.assert_array_equal(reads[0][3], mask)
+    for read in reads[1:]:
+        for array, first in zip(read, reads[0]):
+            np.testing.assert_array_equal(array, first)
+
+
+def _message(read, path):
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("case", ["truncated in the last chunk", "one trailing byte",
+                                  "infinite in chunk 2, truncated in chunk 3", "0.5 in a mask"])
+def test_chunked_reads_give_the_sequential_read_error(tmp_path, chunk_count, case):
+    # Six frames in chunks [0, 2), [2, 4) and [4, 6).
+    T, m, n = 6, 3, 4
+    frames = np.ones((T, m, n))
+    if case.startswith("infinite"):
+        frames[3, 1, 2] = np.inf
+    if case.startswith("0.5"):
+        frames[4, 2, 1] = 0.5
+    path = tmp_path / "bad.vmc"
+    vio._write_payload(path, frames)
+    data = path.read_bytes()
+    if case.startswith(("truncated", "infinite")):
+        path.write_bytes(data[:-8 * (m * n + 5)])  # ends inside frame 4
+    if case == "one trailing byte":
+        path.write_bytes(data + b"\x00")
+    needs = f"{path}: payload for dims ({m}, {n}, {T}) needs {8 * T * m * n} bytes, got "
+    reads, expected = {
+        "truncated in the last chunk": ((vio.read_video, vio.read_frames, vio.read_mask),
+                                        needs + str(8 * (4 * m * n + 7))),
+        "one trailing byte": ((vio.read_video, vio.read_frames, vio.read_mask),
+                              needs + str(8 * T * m * n + 1)),
+        "infinite in chunk 2, truncated in chunk 3": (
+            (vio.read_frames,), f"{path}: expected a fully observed video with finite values"),
+        "0.5 in a mask": ((vio.read_mask,), f"{path}: mask file must contain only 0 and 1"),
+    }[case]
+    for read in reads:
+        chunk_count(1)
+        assert _message(read, path) == expected
+        chunk_count(3)
+        assert _message(read, path) == expected
 
 
 def test_read_frames_rejects_infinite_payload(tmp_path):

@@ -1,8 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -12,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vista import solver, spherical
+from vista import chunks, solver, spherical
 from vista.solver import (
     SolverState,
     check_convergence,
@@ -24,7 +22,7 @@ from vista.solver import (
     update_left,
     update_right,
 )
-from vista.video import AuxiliaryVideo, Dims, FactorSequence, MaskedVideo, PenaltyConfig
+from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig
 
 from conftest import random_aux, random_video
 import oracles
@@ -760,7 +758,7 @@ def test_init_factors_deterministic_and_orthonormal():
 # ------------------------------------------------------------- frame chunks
 
 def _run_in_chunks(count, video, aux, cfg):
-    with mock.patch.object(solver, "_chunks", lambda dims: count):
+    with mock.patch.object(chunks, "_chunks", lambda dims: count):
         return solve(video, aux, cfg)
 
 
@@ -852,7 +850,7 @@ def test_solve_is_byte_identical_at_one_and_at_default_blas_threads():
 @pytest.fixture
 def blas():
     """numpy's OpenBLAS (get, set), with its thread count put back after the test."""
-    pair = solver._blas_threads()
+    pair = chunks._blas_threads()
     if pair is None:
         pytest.skip("numpy's bundled OpenBLAS is not found")
     before = pair[0]()
@@ -864,13 +862,13 @@ def blas():
 def test_solve_restores_the_blas_thread_count(rng, blas, monkeypatch):
     get, set_ = blas
     seen = []
-    chunks = solver._chunks
+    count = chunks._chunks
 
     def counting(dims):
         seen.append(get())
-        return chunks(dims)
+        return count(dims)
 
-    monkeypatch.setattr(solver, "_chunks", counting)
+    monkeypatch.setattr(chunks, "_chunks", counting)
     set_(2)
     video = random_video(rng, 6, 7, 3)
     solve(video, None, PenaltyConfig(lambda1=0.9, rank=2, max_iter=3))
@@ -903,44 +901,12 @@ def test_solve_restores_the_blas_thread_count(rng, blas, monkeypatch):
 
 
 def test_finalize_raises_the_lowest_failing_frame_after_every_chunk(rng, monkeypatch):
-    monkeypatch.setattr(solver, "_chunks", lambda dims: 3)
+    monkeypatch.setattr(chunks, "_chunks", lambda dims: 3)
     video = random_video(rng, 6, 7, 6)
     factors = init_factors(6, 7, 6, 2, 1)
     factors.right[3, 0, 0] = factors.right[5, 0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="on frame 3"):
         finalize(factors, video, 0.9)
-
-
-def test_frame_chunks_raise_only_after_every_chunk_returned(monkeypatch):
-    # Chunks [0, 2), [2, 4) and [4, 6); the last is the slowest and fails too.
-    monkeypatch.setattr(solver, "_chunks", lambda dims: 3)
-    done = []
-
-    def work(lo, hi):
-        if lo == 4:
-            time.sleep(0.05)
-        for t in range(lo, hi):
-            if t in (3, 5):
-                raise ValueError(f"frame {t}")
-            done.append(t)
-
-    threads = threading.active_count()
-    with pytest.raises(ValueError, match="^frame 3$"):
-        solver._frame_chunks(work, Dims(2, 2, 6))
-    assert sorted(done) == [0, 1, 2, 4]
-    assert threading.active_count() == threads
-
-
-def test_chunk_count_follows_cores_frames_and_frame_size(monkeypatch):
-    if solver._blas_threads() is None:
-        pytest.skip("numpy's bundled OpenBLAS is not found")
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert solver._chunks(Dims(181, 361, 24)) == 3
-    assert solver._chunks(Dims(181, 361, 2)) == 2
-    assert solver._chunks(Dims(60, 90, 24)) == 1
-    monkeypatch.setattr(solver, "_blas_threads", lambda: None)
-    assert solver._chunks(Dims(181, 361, 24)) == 1
 
 
 def test_blas_lookup_waits_for_the_first_solve_and_leaves_scipy_alone():
@@ -949,12 +915,14 @@ def test_blas_lookup_waits_for_the_first_solve_and_leaves_scipy_alone():
 import sys
 import numpy as np
 import vista.cli
-from vista import solver
+from vista import chunks, solver
 from vista.video import MaskedVideo, PenaltyConfig
-assert solver._blas_threads.cache_info().currsize == 0
+from vista.evaluation import compare_models
 frames = np.random.default_rng(0).random((2, 4, 5))
+compare_models({"soft": frames}, frames, frames > 0.3)
+assert chunks._blas_threads.cache_info().currsize == 0
 solver.solve(MaskedVideo(frames, frames > 0.3), None, PenaltyConfig(lambda1=0.9, rank=2))
-assert solver._blas_threads.cache_info().currsize == 1
+assert chunks._blas_threads.cache_info().currsize == 1
 assert not [name for name in sys.modules if name.startswith("scipy")]
 """
     subprocess.run([sys.executable, "-c", code], check=True,
