@@ -19,6 +19,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from . import __version__
 from . import io as vio
 from .chunks import _frame_chunks, _run_all
 from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
-from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox, generate, holdout
+from .missingness import (PATTERNS, MissingnessSpec, check_fraction, default_bbox, drop_pixels,
+                          generate, holdout)
 from .solver import check_rank, solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
@@ -204,8 +206,12 @@ def cmd_simulate(args) -> int:
         check_fraction(cfg.holdout, "holdout fraction")
         entries = _config_entries(cfg, args, ("pattern", "fraction", "patch_size"))
         train, test = holdout(vio.read_video(cfg.input), cfg.holdout, cfg.seed)
-        payload = train.to_dense()
         entries["result_test_pixels"] = str(np.count_nonzero(test))
+        out.mkdir(parents=True, exist_ok=True)
+        # The two files are written at once, the mask on this thread; an error
+        # writing masked.vmc is raised first.
+        _run_all([partial(vio._write_payload, out / "masked.vmc", train.to_dense()),
+                  partial(vio.write_mask, out / "test_mask.vmc", test)])
     else:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
@@ -214,32 +220,59 @@ def cmd_simulate(args) -> int:
         if patch and cfg.patch_size not in PRESET_PATCH_SIZES:
             print(f"warning: patch size {cfg.patch_size} is not one of the presets "
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)
-        payload = vio.read_frames(cfg.input)
-        T, m, n = payload.shape
-        test, centers = generate(spec, (m, n, T))
-        emptied = np.flatnonzero(test.reshape(T, -1).all(axis=1))
-        if emptied.size:
-            setting = f"patch size {cfg.patch_size}" if patch else f"fraction {cfg.fraction!r}"
-            raise ValueError(f"frame {emptied[0]} has no observed entries: pattern "
-                             f"{cfg.pattern} at {setting} drops all of its pixels")
-
-        def drop(lo, hi):  # the container's missing marker, written in place
-            np.putmask(payload[lo:hi], test[lo:hi], np.nan)
-
-        _frame_chunks(drop, Dims(m, n, T), blas=False)
-        entries["result_dropped_pixels"] = str(np.count_nonzero(test))
-        if centers is not None:
-            bbox = default_bbox(m, n)
-            entries["result_bbox"] = ",".join(str(v) for v in bbox)
-            entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
-    out.mkdir(parents=True, exist_ok=True)
-    # The two files are written at once, the mask on this thread; an error
-    # writing masked.vmc is raised first.
-    _run_all([partial(vio._write_payload, out / "masked.vmc", payload),
-              partial(vio.write_mask, out / "test_mask.vmc", test)])
+        with vio.FrameReader(cfg.input, "finite") as reader:
+            _simulate_pattern(reader, spec, out, entries)
     _finish_manifest(out / "manifest.txt", entries)
     print(f"simulate: wrote {out / 'masked.vmc'} and {out / 'test_mask.vmc'}")
     return 0
+
+
+def _simulate_pattern(reader, spec: MissingnessSpec, out: Path, entries: dict) -> None:
+    """``simulate --pattern`` in frame chunks, holding the masks but no (T, m, n) float array.
+
+    Pass 1 reads and checks the input; the masks are drawn and checked for
+    an emptied frame; only then is the output directory made, and pass 2
+    reads each frame again, writes NaN at its dropped pixels and writes both
+    files by position. An input that cannot be read twice (a pipe) or that
+    is one of the two outputs keeps its frames from pass 1.
+    """
+    T, m, n = reader.shape
+    dims = Dims(m, n, T)
+    names = ("masked.vmc", "test_mask.vmc")
+    kept = None
+    if not reader._positional or any((out / name).exists() and (out / name).samefile(reader.path)
+                                     for name in names):
+        kept = reader._empty(reader.shape)
+
+    def check(lo, hi, buffer):
+        for _ in reader._read(lo, repeat(buffer, hi - lo) if kept is None else kept[lo:hi]):
+            pass
+
+    reader._in_chunks(check, (m, n))
+    test, centers = generate(spec, dims)
+    emptied = np.flatnonzero(test.reshape(T, -1).all(axis=1))
+    if emptied.size:
+        setting = (f"patch size {spec.patch_size}" if centers is not None
+                   else f"fraction {spec.fraction!r}")
+        raise ValueError(f"frame {emptied[0]} has no observed entries: pattern "
+                         f"{spec.pattern} at {setting} drops all of its pixels")
+    out.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        masked, mask = (stack.enter_context(vio.FrameWriter(out / name, reader.shape))
+                        for name in names)
+
+        def write(lo, hi, buffer, scratch):
+            frames = reader._read(lo, repeat(buffer, hi - lo)) if kept is None else kept[lo:hi]
+            masked._write(lo, (drop_pixels(frame, test[t], scratch)
+                               for t, frame in enumerate(frames, lo)), scratch)
+            mask._write(lo, test[lo:hi], scratch)
+
+        _frame_chunks(write, dims, (m, n), (m, n), blas=False,
+                      split=masked._positional and mask._positional)
+    entries["result_dropped_pixels"] = str(np.count_nonzero(test))
+    if centers is not None:
+        entries["result_bbox"] = ",".join(str(v) for v in default_bbox(m, n))
+        entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
 
 
 def _fitted(video, aux_raw, cfg: RunConfig, lams, cache: dict) -> tuple:

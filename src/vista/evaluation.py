@@ -20,9 +20,11 @@ FULL_MODEL = "full"
 
 
 # numpy's pairwise sums add in one order at any thread count, unlike BLAS's dot.
-@np.errstate(over="ignore")
-def _truth_norm(truth_values: np.ndarray, what: str = "the truth"):
-    denom = math.sqrt(np.add.reduce(np.square(truth_values)))
+# Callers hold np.errstate(over="ignore"): a square that overflows gives an
+# infinite norm, which is reported as not finite.
+def _truth_norm(truth_values: np.ndarray, squares: np.ndarray, what: str = "the truth"):
+    "The norm of the gathered truth, squared into ``squares`` (of the same length)."
+    denom = math.sqrt(np.add.reduce(np.square(truth_values, out=squares)))
     if denom == 0.0:
         raise ValueError("truth is zero on the evaluation mask")
     if not math.isfinite(denom):
@@ -30,10 +32,11 @@ def _truth_norm(truth_values: np.ndarray, what: str = "the truth"):
     return denom
 
 
-@np.errstate(over="ignore")
 def _scores(truth_values: np.ndarray, imputed_values: np.ndarray, truth_norm, what: str) -> tuple:
-    """(RSE in percent, MSE) of gathered pixels from one residual; a non-finite RSE is an error."""
-    squares = float(np.add.reduce(np.square(imputed_values - truth_values)))
+    """(RSE in percent, MSE) of gathered pixels from one residual, formed in ``imputed_values``
+    (overwritten); a non-finite RSE is an error."""
+    residual = np.subtract(imputed_values, truth_values, out=imputed_values)
+    squares = float(np.add.reduce(np.square(residual, out=residual)))
     score = 100.0 * (math.sqrt(squares) / truth_norm)
     if not math.isfinite(score):
         raise ValueError(f"{what} is not finite on the evaluation mask")
@@ -54,9 +57,10 @@ def rse(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> float:
     pixels = np.flatnonzero(eval_mask)
     if not pixels.size:
         raise ValueError("evaluation mask is empty")
-    truth_values = truth.take(pixels)
-    return _scores(truth_values, imputed.take(pixels), _truth_norm(truth_values),
-                   "the imputation")[0]
+    truth_values, imputed_values = truth.take(pixels), imputed.take(pixels)
+    with np.errstate(over="ignore"):
+        truth_norm = _truth_norm(truth_values, np.empty_like(truth_values))
+        return _scores(truth_values, imputed_values, truth_norm, "the imputation")[0]
 
 
 def margin_confidence(margins: np.ndarray) -> tuple:
@@ -115,24 +119,29 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
 
     # Each chunk slices the arrays and reads its frame range of each reader
     # into one of its buffers. A frame's evaluation pixels are located once
-    # and the truth there is scored against every model. Flat indices gather
-    # faster than a boolean mask, in the same order.
-    def work(lo, hi, *buffers):
+    # and the truth there is scored against every model, through two gather
+    # buffers the chunk reuses. Flat indices gather faster than a boolean
+    # mask, in the same order; they are in range, and ``take`` in "clip"
+    # mode writes its ``out`` directly, where "raise" gathers into a copy.
+    def work(lo, hi, truth_gather, model_gather, *buffers):
         buffers = iter(buffers)
         ranges = [source[lo:hi] if isinstance(source, np.ndarray)
                   else source._read(lo, repeat(next(buffers), hi - lo)) for source in sources]
-        for t, (truth_frame, mask, *model_frames) in enumerate(zip(*ranges), lo):
-            pixels = np.flatnonzero(mask)
-            if not pixels.size:
-                raise ValueError(f"evaluation mask is empty at frame {t}")
-            truth_values = truth_frame.take(pixels)
-            truth_norm = _truth_norm(truth_values, f"frame {t} of the truth")
-            for name, frame in zip(results, model_frames):
-                report.frame_rse[name][t], report.frame_mse[name][t] = _scores(
-                    truth_values, frame.take(pixels), truth_norm, f"frame {t} of model {name!r}")
+        with np.errstate(over="ignore"):
+            for t, (truth_frame, mask, *model_frames) in enumerate(zip(*ranges), lo):
+                pixels = np.flatnonzero(mask)
+                if not pixels.size:
+                    raise ValueError(f"evaluation mask is empty at frame {t}")
+                truth_values = truth_frame.take(pixels, out=truth_gather[:pixels.size], mode="clip")
+                values = model_gather[:pixels.size]
+                truth_norm = _truth_norm(truth_values, values, f"frame {t} of the truth")
+                for name, frame in zip(results, model_frames):
+                    report.frame_rse[name][t], report.frame_mse[name][t] = _scores(
+                        truth_values, frame.take(pixels, out=values, mode="clip"), truth_norm,
+                        f"frame {t} of model {name!r}")
 
-    _frame_chunks(work, Dims(m, n, T), *[(m, n)] * len(readers), blas=False,
-                  split=all(reader._positional for reader in readers))
+    _frame_chunks(work, Dims(m, n, T), (m * n,), (m * n,), *[(m, n)] * len(readers),
+                  blas=False, split=all(reader._positional for reader in readers))
     for name in results:
         report.mean_rse[name] = float(report.frame_rse[name].mean())
         report.mean_mse[name] = float(report.frame_mse[name].mean())

@@ -29,22 +29,23 @@ from .video import Dims, MaskedVideo, check_shape
 
 _MAGIC = b"VMC1"
 _HEADER = struct.Struct("<4sIIII")
+_F8 = np.dtype("<f8")
 
 
-def _write_payload(path, frames: np.ndarray) -> None:
-    """Write the header, then each (m, n) frame of ``frames`` as ``<f8``.
+class _File:
+    "An open ``.vmc`` file: close it, or use it as a context manager."
 
-    A float64 frame goes out as its own buffer; any other frame (a boolean
-    mask) is converted one frame at a time.
-    """
-    T, m, n = frames.shape
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, m, n, T, 0))
-        for frame in frames:
-            handle.write(np.ascontiguousarray(frame, dtype="<f8").data)
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
-class FrameReader:
+class FrameReader(_File):
     """A ``.vmc`` file read one (m, n) frame at a time, in frame ranges.
 
     Opening reads and checks the header, so ``shape`` (T, m, n) is known
@@ -133,14 +134,54 @@ class FrameReader:
         T, m, n = self.shape
         return self._read(0, repeat(self._empty((m, n)), T))
 
-    def close(self) -> None:
-        self._handle.close()
 
-    def __enter__(self):
-        return self
+class FrameWriter(_File):
+    """A ``.vmc`` file of ``shape`` (T, m, n) written one (m, n) frame at a time, in frame ranges.
 
-    def __exit__(self, *exc_info):
-        self.close()
+    Opening creates the file and writes the header. A file that can seek is
+    written by position, frame t at payload byte 8·m·n·t, so threads may
+    write disjoint frame ranges of it at once; one that cannot, such as a
+    pipe, is written in order through its handle.
+    """
+
+    def __init__(self, path, shape):
+        T, m, n = shape
+        self.path = path
+        self._frame_bytes = 8 * m * n
+        self._handle = open(path, "wb")
+        try:
+            self._handle.write(_HEADER.pack(_MAGIC, m, n, T, 0))
+            self._handle.flush()
+            self._positional = self._handle.seekable() and hasattr(os, "pwrite")
+        except BaseException:
+            self._handle.close()
+            raise
+
+    def _write(self, lo: int, frames, scratch: np.ndarray) -> None:
+        """Write the (m, n) frames of ``frames`` as payload frames lo, lo + 1, ... in ``<f8``.
+
+        A frame of another type or layout (a boolean mask) is converted into
+        the (m, n) float64 ``scratch`` first.
+        """
+        for t, frame in enumerate(frames, lo):
+            if frame.dtype != _F8 or not frame.flags.c_contiguous:
+                converted = scratch.view(_F8)
+                np.copyto(converted, frame)
+                frame = converted
+            view = memoryview(frame).cast("B")
+            if not self._positional:
+                self._handle.write(view)
+                continue
+            at = _HEADER.size + self._frame_bytes * t
+            while view:
+                step = os.pwrite(self._handle.fileno(), view, at)
+                view, at = view[step:], at + step
+
+
+def _write_payload(path, frames: np.ndarray) -> None:
+    "Write ``frames`` (T, m, n) whole: ``FrameWriter`` in one chunk, through one (m, n) buffer."
+    with FrameWriter(path, frames.shape) as writer:
+        writer._write(0, frames, np.empty(frames.shape[1:]))
 
 
 def _read_whole(path, check=None) -> np.ndarray:

@@ -125,14 +125,22 @@ def test_simulate_holdout_mode(tmp_path, truth_file):
                                   ["--holdout", "0.2"]], ids=["random", "random-patch", "holdout"])
 def test_simulate_writes_the_same_files_in_any_chunk_count(tmp_path, truth_file, chunk_count,
                                                            mode):
-    outputs = []
-    for count in (1, 2, 3):
+    # The last run has more chunks than frames (some are left empty) and
+    # switches threads as often as the interpreter allows: a chunk that drew,
+    # read or wrote outside its frames would show here.
+    outputs, interval = [], sys.getswitchinterval()
+    for count in (1, 2, 3, 8):
         chunk_count(count)
         out = tmp_path / str(count)
-        run(["simulate", "--input", truth_file, "--output-dir", out, *mode, "--seed", "5"])
+        if count == 8:
+            sys.setswitchinterval(1e-6)
+        try:
+            run(["simulate", "--input", truth_file, "--output-dir", out, *mode, "--seed", "5"])
+        finally:
+            sys.setswitchinterval(interval)
         outputs.append(((out / "masked.vmc").read_bytes(), (out / "test_mask.vmc").read_bytes(),
                         manifest_without_timestamps(out / "manifest.txt")))
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert all(output == outputs[0] for output in outputs[1:])
 
 
 def test_simulate_reports_the_masked_file_error_first(tmp_path, truth_file, capsys):
@@ -142,6 +150,61 @@ def test_simulate_reports_the_masked_file_error_first(tmp_path, truth_file, caps
     (out / "test_mask.vmc").mkdir()
     fails(["simulate", "--input", truth_file, "--output-dir", out, "--pattern", "random"],
           capsys, "masked.vmc")
+
+
+@pytest.mark.parametrize("fault", ["truncated", "infinite", "emptied"])
+def test_failed_simulate_leaves_an_existing_output_directory_untouched(tmp_path, truth_file,
+                                                                       chunk_count, capsys, fault):
+    # Every input check runs before the first output file is opened.
+    chunk_count(2)
+    out = tmp_path / "out"
+    run(["simulate", "--input", truth_file, "--output-dir", out, "--pattern", "random"])
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    bad = tmp_path / "bad.vmc"
+    data = truth_file.read_bytes()
+    bad.write_bytes(data[:-8] if fault == "truncated" else
+                    data[:-8] + np.array([np.inf], dtype="<f8").tobytes() if fault == "infinite"
+                    else data)
+    fails(["simulate", "--input", bad, "--output-dir", out, "--pattern", "random",
+           "--fraction", "0.9999" if fault == "emptied" else "0.5"], capsys,
+          {"truncated": "needs 76800 bytes, got 76792", "infinite": "finite values",
+           "emptied": "frame 0 has no observed entries"}[fault])
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["masked.vmc", "test_mask.vmc"])
+def test_simulate_can_read_one_of_the_files_it_writes(tmp_path, truth_file, chunk_count, name):
+    # The input is held whole, not read again while its own file is rewritten.
+    chunk_count(2)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(truth_file.read_bytes())
+    argv = ["--pattern", "random", "--fraction", "0.3", "--seed", "4"]
+    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "copy", *argv])
+    run(["simulate", "--input", out / name, "--output-dir", out, *argv])
+    for written in ("masked.vmc", "test_mask.vmc"):
+        assert (out / written).read_bytes() == (tmp_path / "copy" / written).read_bytes(), written
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_simulate_reads_its_input_from_a_pipe(tmp_path, truth_file, chunk_count):
+    # A pipe cannot be read twice, so its frames are held from the checking pass.
+    chunk_count(3)
+    argv = ["--pattern", "random", "--seed", "6"]
+    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "file", *argv])
+    fifo = tmp_path / "truth.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(truth_file.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    run(["simulate", "--input", fifo, "--output-dir", tmp_path / "pipe", *argv])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    for name in ("masked.vmc", "test_mask.vmc"):
+        assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    assert (manifest_without_timestamps(tmp_path / "pipe" / "manifest.txt")
+            == {**manifest_without_timestamps(tmp_path / "file" / "manifest.txt"),
+                "input": str(fifo)})
 
 
 def test_impute_soft_equals_full_with_zero_lambdas(tmp_path, truth_file):
@@ -955,13 +1018,19 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
      r"half\.vmc: mask file must contain only 0 and 1$"),
     (["evaluate", "--truth", "TRUTH", "--eval-mask", "MASK", "--imputed", "soft=TRUTH",
       "--imputed", "full=INF"], r"inf\.vmc: expected a fully observed video with finite values$"),
+    # simulate --pattern reads and checks its whole input before it makes the output directory.
+    (["simulate", "--input", "CUT", "--pattern", "random"],
+     r"cut\.vmc: payload for dims \(40, 60, 4\) needs 76800 bytes, got 76792$"),
+    (["simulate", "--input", "INF", "--pattern", "temporal-patch", "--patch-size", "27"],
+     r"inf\.vmc: expected a fully observed video with finite values$"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
         "impute-singular-sh-fit", "evaluate-wrong-shape", "evaluate-header-only-imputation",
         "impute-sh-lmax-negative", "impute-boxcox-offset-negative", "gridsearch-boxcox-offset-nan",
         "simulate-holdout-empties-test", "gridsearch-holdout-empties-training",
         "impute-reserved-header-word", "evaluate-truncated-imputation", "evaluate-long-mask",
-        "evaluate-half-mask-value", "evaluate-infinite-imputation"])
+        "evaluate-half-mask-value", "evaluate-infinite-imputation", "simulate-truncated-input",
+        "simulate-infinite-last-frame"])
 def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
                                                           argv, named):
     # 20 observed pixels a frame cannot fix 25 unridged coefficients.

@@ -245,6 +245,37 @@ def test_read_from_a_pipe(tmp_path, rng, chunk_count):
     np.testing.assert_array_equal(back.frames, video.frames)
 
 
+def test_frame_writer_writes_frame_ranges_in_any_order(tmp_path, rng):
+    # Positional writes of ranges out of order give the file of one sequential write.
+    frames = rng.normal(size=(5, 3, 4))
+    frames[1, 0, 0], frames[2, 1, 1] = np.nan, -0.0
+    mask = rng.random((5, 3, 4)) < 0.5
+    vio._write_payload(tmp_path / "frames.vmc", frames)
+    vio.write_mask(tmp_path / "mask.vmc", mask)
+    for name, array in (("frames", frames), ("mask", mask)):
+        path = tmp_path / f"{name}-ranges.vmc"
+        with vio.FrameWriter(path, array.shape) as writer:
+            assert writer._positional
+            for lo, hi in ((3, 5), (0, 1), (1, 3)):
+                writer._write(lo, array[lo:hi], np.empty((3, 4)))
+        assert path.read_bytes() == (tmp_path / f"{name}.vmc").read_bytes(), name
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_write_to_a_pipe(tmp_path, rng):
+    # A pipe cannot seek, so the writer goes through its handle, in order.
+    frames = rng.normal(size=(3, 4, 5))
+    vio.write_frames(tmp_path / "frames.vmc", frames)
+    fifo = tmp_path / "pipe.vmc"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    vio.write_frames(fifo, frames)
+    reader.join(timeout=10)
+    assert received == [(tmp_path / "frames.vmc").read_bytes()]
+
+
 def test_whole_reads_are_the_same_in_any_chunk_count(tmp_path, rng, chunk_count):
     T, m, n = 7, 5, 6
     frames = rng.normal(size=(T, m, n))

@@ -8,6 +8,7 @@ from vista.missingness import (
     _stamp_patch,
     apply,
     default_bbox,
+    drop_pixels,
     generate,
     holdout,
     perimeter_path,
@@ -262,3 +263,35 @@ def test_random_drop_count_is_within_a_bound_no_draw_should_cross(case):
     # this a, which is about 7.7 sigma for large N and stays valid for tiny N.
     bound = 10.0 + np.sqrt(100.0 + 60.0 * variance)
     assert abs(int(dropped.sum()) - spec.fraction * size) <= bound
+
+
+@pytest.mark.parametrize("dims", [(7, 13, 5), (1, 1, 1), (9, 5, 1), (3, 11, 7)],
+                         ids=["7x13x5", "1x1x1", "9x5x1", "3x11x7"])
+@pytest.mark.parametrize("count", [1, 2, 3, "T"])
+def test_random_masks_are_the_serial_draw_in_any_chunk_count(chunk_count, dims, count):
+    # Chunks jump ahead in the seed's PCG64 stream; the masks must still be
+    # one serial draw of a (m, n) frame after another.
+    m, n, T = dims
+    chunk_count(T if count == "T" else count)
+    spec = MissingnessSpec(pattern="random", fraction=0.37, rng_seed=11)
+    dropped, centers = generate(spec, dims)
+    assert centers is None and dropped.dtype == bool and dropped.shape == (T, m, n)
+    serial = np.random.default_rng(11)
+    for t in range(T):
+        np.testing.assert_array_equal(dropped[t], serial.random((m, n)) < 0.37)
+
+
+def test_drop_pixels_writes_nan_bits_and_keeps_every_other_bit(rng):
+    frame = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-300, 300, size=(6, 7))
+    frame[0, :6] = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0]
+    dropped = rng.random((6, 7)) < 0.5
+    dropped[0, :6] = False
+    dropped[1, :3] = True
+    before = frame.copy()
+    out = drop_pixels(frame, dropped, np.empty((6, 7)))
+    assert out is frame
+    bits, kept_bits = frame.view(np.uint64), before.view(np.uint64)
+    assert (bits[dropped] == 0x7FF8000000000000).all()  # np.nan's bits exactly
+    np.testing.assert_array_equal(bits[~dropped], kept_bits[~dropped])  # -0.0 included
+    np.putmask(before, dropped, np.nan)
+    np.testing.assert_array_equal(bits, before.view(np.uint64))
