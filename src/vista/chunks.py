@@ -7,7 +7,9 @@ and writes release it too, so the chunks overlap. Every frame is computed
 the same way in any chunk, so the results do not depend on the chunk count.
 A pass that calls BLAS holds numpy's bundled OpenBLAS at one thread while it
 runs (``_one_blas_thread``); where that library cannot be found, such a pass
-runs in one chunk.
+runs in one chunk. The data path, which calls no BLAS, splits its passes
+through ``io._in_chunks``: only when every file a pass reads or writes is
+used by position.
 """
 
 from __future__ import annotations
@@ -84,48 +86,40 @@ def _chunks(dims) -> int:
     return max(1, min(dims.T, cores))
 
 
-def _run_all(calls) -> None:
-    """Run the calls at once, the last on the calling thread and each other on a plain thread.
-
-    Each thread runs in a copy of the caller's context, which holds numpy's
-    floating-point error state (``np.errstate``). Once every call has
-    returned, the error of the first failing call in ``calls`` is raised.
-    """
-    errors = [None] * len(calls)
-
-    def run(i):
-        try:
-            calls[i]()
-        except Exception as exc:
-            errors[i] = exc
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-               for i in range(len(calls) - 1)]
-    for thread in threads:
-        thread.start()
-    run(len(calls) - 1)
-    for thread in threads:
-        thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 def _frame_chunks(work, dims, *scratch, blas=True, split=True) -> None:
     """Run ``work(lo, hi, *buffers)`` over contiguous chunks [lo, hi) of the frames.
 
     ``dims`` are those of the video the pass runs over; the chunk count is
     ``_chunks(dims)``, or 1 with ``split`` false (for input read in order,
     such as a pipe) and for a pass that calls BLAS (``blas``) where numpy's
-    OpenBLAS cannot be held at one thread. Each chunk gets its own buffers
-    of the ``scratch`` shapes, allocated here by the calling thread, so no
-    worker allocates a frame-sized array. Once every chunk has returned, the
-    error of the lowest failing chunk is raised; a chunk stops at its first
-    failing frame, so that is the error of the lowest failing frame.
+    OpenBLAS cannot be held at one thread. Each chunk but the last runs on
+    a plain thread, in a copy of the caller's context, which holds numpy's
+    floating-point error state (``np.errstate``); the calling thread runs
+    the last. Each chunk gets its own buffers of the ``scratch`` shapes,
+    allocated here by the calling thread, so no worker allocates a
+    frame-sized array. Once every chunk has returned, the error of the
+    lowest failing chunk is raised; a chunk stops at its first failing
+    frame, so that is the error of the lowest failing frame.
     """
     one = not split or (blas and _blas_threads() is None)
     T, count = dims.T, 1 if one else _chunks(dims)
     bounds = [T * i // count for i in range(count + 1)]
-    _run_all([functools.partial(work, bounds[i], bounds[i + 1],
-                                *(np.empty(shape) for shape in scratch))
-              for i in range(count)])
+    buffers = [[np.empty(shape) for shape in scratch] for _ in range(count)]
+    errors = [None] * count
+
+    def run(i):
+        try:
+            work(bounds[i], bounds[i + 1], *buffers[i])
+        except Exception as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(count - 1)]
+    for thread in threads:
+        thread.start()
+    run(count - 1)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error

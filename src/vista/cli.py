@@ -18,7 +18,6 @@ import sys
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -26,14 +25,13 @@ import numpy as np
 
 from . import __version__
 from . import io as vio
-from .chunks import _frame_chunks, _run_all
 from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
 from .missingness import (PATTERNS, MissingnessSpec, check_fraction, default_bbox, drop_pixels,
                           generate, holdout)
 from .solver import check_rank, solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
-from .video import Dims, PenaltyConfig
+from .video import MaskedVideo, PenaltyConfig
 
 PROFILES = {
     "storm": (0.9, 0.2, 0.021),
@@ -195,6 +193,9 @@ def _finish_manifest(path, entries: dict) -> None:
     vio.write_manifest(path, entries)
 
 
+_OUTPUTS = ("masked.vmc", "test_mask.vmc")
+
+
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     # Reject a bad choice of mode or fraction before creating the output directory or reading.
@@ -205,13 +206,12 @@ def cmd_simulate(args) -> int:
     if cfg.holdout is not None:
         check_fraction(cfg.holdout, "holdout fraction")
         entries = _config_entries(cfg, args, ("pattern", "fraction", "patch_size"))
-        train, test = holdout(vio.read_video(cfg.input), cfg.holdout, cfg.seed)
+        video = vio.read_video(cfg.input)
+        test = holdout(video, cfg.holdout, cfg.seed)
         entries["result_test_pixels"] = str(np.count_nonzero(test))
-        out.mkdir(parents=True, exist_ok=True)
-        # The two files are written at once, the mask on this thread; an error
-        # writing masked.vmc is raised first.
-        _run_all([partial(vio._write_payload, out / "masked.vmc", train.to_dense()),
-                  partial(vio.write_mask, out / "test_mask.vmc", test)])
+        dropped = ~video.masks
+        dropped |= test
+        _write_outputs(out, lambda lo, hi, buffer: video.frames[lo:hi], dropped, test)
     else:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
@@ -231,48 +231,55 @@ def _simulate_pattern(reader, spec: MissingnessSpec, out: Path, entries: dict) -
     """``simulate --pattern`` in frame chunks, holding the masks but no (T, m, n) float array.
 
     Pass 1 reads and checks the input; the masks are drawn and checked for
-    an emptied frame; only then is the output directory made, and pass 2
-    reads each frame again, writes NaN at its dropped pixels and writes both
-    files by position. An input that cannot be read twice (a pipe) or that
-    is one of the two outputs keeps its frames from pass 1.
+    an emptied frame; only then does pass 2, ``_write_outputs``, read each
+    frame again and write both files. An input that cannot be read twice (a
+    pipe) or that is one of the two outputs keeps its frames from pass 1.
     """
     T, m, n = reader.shape
-    dims = Dims(m, n, T)
-    names = ("masked.vmc", "test_mask.vmc")
     kept = None
     if not reader._positional or any((out / name).exists() and (out / name).samefile(reader.path)
-                                     for name in names):
+                                     for name in _OUTPUTS):
         kept = reader._empty(reader.shape)
 
     def check(lo, hi, buffer):
         for _ in reader._read(lo, repeat(buffer, hi - lo) if kept is None else kept[lo:hi]):
             pass
 
-    reader._in_chunks(check, (m, n))
-    test, centers = generate(spec, dims)
+    vio._in_chunks(check, reader.shape, [reader], (m, n))
+    test, centers = generate(spec, (m, n, T))
     emptied = np.flatnonzero(test.reshape(T, -1).all(axis=1))
     if emptied.size:
         setting = (f"patch size {spec.patch_size}" if centers is not None
                    else f"fraction {spec.fraction!r}")
         raise ValueError(f"frame {emptied[0]} has no observed entries: pattern "
                          f"{spec.pattern} at {setting} drops all of its pixels")
-    out.mkdir(parents=True, exist_ok=True)
-    with ExitStack() as stack:
-        masked, mask = (stack.enter_context(vio.FrameWriter(out / name, reader.shape))
-                        for name in names)
 
-        def write(lo, hi, buffer, scratch):
-            frames = reader._read(lo, repeat(buffer, hi - lo)) if kept is None else kept[lo:hi]
-            masked._write(lo, (drop_pixels(frame, test[t], scratch)
-                               for t, frame in enumerate(frames, lo)), scratch)
-            mask._write(lo, test[lo:hi], scratch)
+    def frames(lo, hi, buffer):
+        return reader._read(lo, repeat(buffer, hi - lo)) if kept is None else kept[lo:hi]
 
-        _frame_chunks(write, dims, (m, n), (m, n), blas=False,
-                      split=masked._positional and mask._positional)
+    _write_outputs(out, frames, test, test)
     entries["result_dropped_pixels"] = str(np.count_nonzero(test))
     if centers is not None:
         entries["result_bbox"] = ",".join(str(v) for v in default_bbox(m, n))
         entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
+
+
+def _write_outputs(out: Path, frames, dropped: np.ndarray, test: np.ndarray) -> None:
+    """Make ``out``, then write ``simulate``'s two files in frame chunks, by position: frame t
+    of ``frames(lo, hi, buffer)`` (finite; perhaps read into the (m, n) ``buffer``) with NaN at
+    ``dropped[t]`` to masked.vmc, and ``test[t]`` to test_mask.vmc, which is opened second."""
+    shape = test.shape
+    out.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        masked, mask = (stack.enter_context(vio.FrameWriter(out / name, shape))
+                        for name in _OUTPUTS)
+
+        def write(lo, hi, buffer, scratch):
+            masked._write(lo, (drop_pixels(frame, dropped[t], scratch)
+                               for t, frame in enumerate(frames(lo, hi, buffer), lo)), scratch)
+            mask._write(lo, test[lo:hi], scratch)
+
+        vio._in_chunks(write, shape, [masked, mask], shape[1:], shape[1:])
 
 
 def _fitted(video, aux_raw, cfg: RunConfig, lams, cache: dict) -> tuple:
@@ -401,7 +408,8 @@ def cmd_gridsearch(args) -> int:
     _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
     check_rank(cfg.rank, *video.dims[:2])
-    train, test = holdout(video, cfg.holdout, cfg.seed)
+    test = holdout(video, cfg.holdout, cfg.seed)
+    train = MaskedVideo(video.frames, video.masks & ~test)
     aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v) if max(grids[2]) > 0 else None
     # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best
     # value and the other penalty at 0.

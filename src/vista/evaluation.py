@@ -8,9 +8,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .chunks import _frame_chunks
-from .io import write_table
-from .video import Dims
+from .io import _in_chunks, write_table
 
 # Two-sided 95% normal quantile, used for the margin error bars.
 Z95 = 1.959963984540054
@@ -140,8 +138,7 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
                         truth_values, frame.take(pixels, out=values, mode="clip"), truth_norm,
                         f"frame {t} of model {name!r}")
 
-    _frame_chunks(work, Dims(m, n, T), (m * n,), (m * n,), *[(m, n)] * len(readers),
-                  blas=False, split=all(reader._positional for reader in readers))
+    _in_chunks(work, truth.shape, readers, (m * n,), (m * n,), *[(m, n)] * len(readers))
     for name in results:
         report.mean_rse[name] = float(report.frame_rse[name].mean())
         report.mean_mse[name] = float(report.frame_mse[name].mean())

@@ -49,16 +49,16 @@ class FrameReader(_File):
     """A ``.vmc`` file read one (m, n) frame at a time, in frame ranges.
 
     Opening reads and checks the header, so ``shape`` (T, m, n) is known
-    before any payload byte is read. Iterating yields each frame in turn,
-    read into one reused (m, n) buffer: a frame is valid only until the next
-    one is read. ``check`` is ``None`` (any values, NaN included),
-    ``"finite"`` or ``"mask"`` (0 and 1 only, giving booleans); it runs on
-    each frame as it arrives. A file that can seek is read by position, so
-    threads may read disjoint frame ranges of it at once (see
-    ``_in_chunks``); one that cannot, such as a pipe, is read in order
-    through its handle. The length is checked by reading, not by ``fstat``,
-    so pipes work too: a short read, or any byte after the payload's end, is
-    an error. Close the reader, or use it as a context manager.
+    before any payload byte is read. ``_read`` reads a frame range into the
+    (m, n) arrays it is given: one reused buffer, or the slices of one
+    array. ``check`` is ``None`` (any values, NaN included), ``"finite"`` or
+    ``"mask"`` (0 and 1 only, giving booleans); it runs on each frame as it
+    arrives. A file that can seek is read by position, so threads may read
+    disjoint frame ranges of it at once (see ``_in_chunks``); one that
+    cannot, such as a pipe, is read in order through its handle. The length
+    is checked by reading, not by ``fstat``, so pipes work too: a short
+    read, or any byte after the payload's end, is an error. Close the
+    reader, or use it as a context manager.
     """
 
     def __init__(self, path, check=None):
@@ -125,15 +125,6 @@ class FrameReader(_File):
                 frame = ones
             yield frame
 
-    def _in_chunks(self, work, *scratch) -> None:
-        """``chunks._frame_chunks`` over this file's frames: in one chunk if it cannot seek."""
-        T, m, n = self.shape
-        _frame_chunks(work, Dims(m, n, T), *scratch, blas=False, split=self._positional)
-
-    def __iter__(self):
-        T, m, n = self.shape
-        return self._read(0, repeat(self._empty((m, n)), T))
-
 
 class FrameWriter(_File):
     """A ``.vmc`` file of ``shape`` (T, m, n) written one (m, n) frame at a time, in frame ranges.
@@ -178,6 +169,14 @@ class FrameWriter(_File):
                 view, at = view[step:], at + step
 
 
+def _in_chunks(work, shape, files, *scratch) -> None:
+    """``chunks._frame_chunks`` over the frames of a (T, m, n) ``shape``, without BLAS: split
+    only when every open ``.vmc`` file in ``files`` is read or written by position."""
+    T, m, n = shape
+    _frame_chunks(work, Dims(m, n, T), *scratch, blas=False,
+                  split=all(file._positional for file in files))
+
+
 def _write_payload(path, frames: np.ndarray) -> None:
     "Write ``frames`` (T, m, n) whole: ``FrameWriter`` in one chunk, through one (m, n) buffer."
     with FrameWriter(path, frames.shape) as writer:
@@ -193,7 +192,7 @@ def _read_whole(path, check=None) -> np.ndarray:
             for _ in reader._read(lo, frames[lo:hi]):
                 pass
 
-        reader._in_chunks(work)
+        _in_chunks(work, reader.shape, [reader])
     return frames
 
 
@@ -237,7 +236,7 @@ def read_mask(path) -> np.ndarray:
             for t, frame in enumerate(reader._read(lo, repeat(buffer, hi - lo)), lo):
                 mask[t] = frame
 
-        reader._in_chunks(work, reader.shape[1:])
+        _in_chunks(work, reader.shape, [reader], reader.shape[1:])
     return mask
 
 

@@ -153,19 +153,19 @@ _NAN_BITS = np.uint64(0x7FF8000000000000)  # np.nan
 
 
 def drop_pixels(frame: np.ndarray, dropped: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Write NaN, the container's missing marker, into ``frame`` at its ``dropped`` pixels.
+    """``frame`` with NaN, the container's missing marker, at its ``dropped`` pixels.
 
-    ``frame`` is a finite (m, n) float64 array, changed in place and
-    returned; ``scratch`` is an (m, n) float64 buffer. Without a branch per
-    pixel: ``scratch`` holds +0.0 at kept pixels and ``np.nan`` at dropped
-    ones, and x − 0.0 is x exactly (−0.0 included) while x − NaN is that
-    NaN. On a 181×361 frame at a 50% random mask (2-core Xeon) this takes
-    about 100 µs, and ``np.putmask``, whose per-pixel branch mispredicts,
-    about 450 µs.
+    ``frame`` is a finite (m, n) float64 array, left as it is; the result
+    is written into the (m, n) float64 ``scratch`` and returned. Without a
+    branch per pixel: ``scratch`` first holds +0.0 at kept pixels and
+    ``np.nan`` at dropped ones, and x − 0.0 is x exactly (−0.0 included)
+    while x − NaN is that NaN. On a 181×361 frame at a 50% random mask
+    (2-core Xeon) this takes about 100 µs, and ``np.putmask``, whose
+    per-pixel branch mispredicts, about 450 µs.
     """
     bits = scratch.view(np.uint64)
     np.multiply(dropped, _NAN_BITS, out=bits)
-    return np.subtract(frame, scratch, out=frame)
+    return np.subtract(frame, scratch, out=scratch)
 
 
 def apply(frames: np.ndarray, spec: MissingnessSpec) -> tuple:
@@ -182,11 +182,11 @@ def apply(frames: np.ndarray, spec: MissingnessSpec) -> tuple:
     return MaskedVideo(frames, ~dropped), dropped
 
 
-def holdout(video: MaskedVideo, fraction: float, seed) -> tuple:
+def holdout(video: MaskedVideo, fraction: float, seed) -> np.ndarray:
     """Per frame, move a round-to-nearest fraction of observed pixels to a test set.
 
-    Returns (train MaskedVideo, test masks); train and test partition the
-    observed set of every frame exactly.
+    Returns the boolean (T, m, n) test mask, inside ``video.masks``; the
+    training set is ``video.masks & ~test``.
     """
     check_fraction(fraction, "holdout fraction")
     m, n, T = video.dims
@@ -204,5 +204,4 @@ def holdout(video: MaskedVideo, fraction: float, seed) -> tuple:
         chosen = rng.choice(observed, size=count, replace=False)
         rows, cols = np.unravel_index(chosen, (m, n))
         test[t, rows, cols] = True
-    train = MaskedVideo(video.frames, video.masks & ~test)
-    return train, test
+    return test

@@ -120,6 +120,29 @@ def test_simulate_holdout_mode(tmp_path, truth_file):
     assert int(test.sum()) == int(np.floor(0.2 * 40 * 60 + 0.5)) * 4
 
 
+def test_simulate_holdout_holds_no_second_float_video(tmp_path):
+    # The read video (8 bytes a pixel) and at most five boolean (T, m, n)
+    # arrays (the masks, the test and dropped pixels, and their temporaries)
+    # are held, besides per-chunk (m, n) buffers. A second float video, such
+    # as a training copy or a dense masked.vmc payload, would add 8 bytes a
+    # pixel. The command's fixed costs are measured on one frame and taken off.
+    m, n = 40, 60
+
+    def peak(T):
+        path = tmp_path / f"{T}.vmc"
+        vio.write_frames(path, make_demo_video(m, n, T, seed=2))
+        tracemalloc.start()
+        try:
+            run(["simulate", "--input", path, "--output-dir", tmp_path / str(T),
+                 "--holdout", "0.2"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm-up: first-call allocations of the modules the command uses
+    assert peak(64) - peak(1) < (8 + 5) * 63 * m * n
+
+
 @pytest.mark.parametrize("mode", [["--pattern", "random"],
                                   ["--pattern", "random-patch", "--patch-size", "27"],
                                   ["--holdout", "0.2"]], ids=["random", "random-patch", "holdout"])
@@ -148,8 +171,9 @@ def test_simulate_reports_the_masked_file_error_first(tmp_path, truth_file, caps
     out = tmp_path / "taken"
     (out / "masked.vmc").mkdir(parents=True)
     (out / "test_mask.vmc").mkdir()
-    fails(["simulate", "--input", truth_file, "--output-dir", out, "--pattern", "random"],
-          capsys, "masked.vmc")
+    for mode in (["--pattern", "random"], ["--holdout", "0.2"]):
+        fails(["simulate", "--input", truth_file, "--output-dir", out, *mode], capsys,
+              "masked.vmc")
 
 
 @pytest.mark.parametrize("fault", ["truncated", "infinite", "emptied"])
@@ -176,14 +200,15 @@ def test_failed_simulate_leaves_an_existing_output_directory_untouched(tmp_path,
 def test_simulate_can_read_one_of_the_files_it_writes(tmp_path, truth_file, chunk_count, name):
     # The input is held whole, not read again while its own file is rewritten.
     chunk_count(2)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / name).write_bytes(truth_file.read_bytes())
-    argv = ["--pattern", "random", "--fraction", "0.3", "--seed", "4"]
-    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "copy", *argv])
-    run(["simulate", "--input", out / name, "--output-dir", out, *argv])
-    for written in ("masked.vmc", "test_mask.vmc"):
-        assert (out / written).read_bytes() == (tmp_path / "copy" / written).read_bytes(), written
+    for mode in (["--pattern", "random", "--fraction", "0.3"], ["--holdout", "0.2"]):
+        out, copy = tmp_path / mode[0] / "out", tmp_path / mode[0] / "copy"
+        out.mkdir(parents=True)
+        (out / name).write_bytes(truth_file.read_bytes())
+        argv = [*mode, "--seed", "4"]
+        run(["simulate", "--input", truth_file, "--output-dir", copy, *argv])
+        run(["simulate", "--input", out / name, "--output-dir", out, *argv])
+        for written in ("masked.vmc", "test_mask.vmc"):
+            assert (out / written).read_bytes() == (copy / written).read_bytes(), (mode, written)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -437,7 +462,8 @@ def test_gridsearch_stage_order_and_planted_optimum(tmp_path, truth_file):
     from vista.video import PenaltyConfig
 
     video = vio.read_video(truth_file)
-    train, test = holdout(video, 0.2, 2)
+    test = holdout(video, 0.2, 2)
+    train = MaskedVideo(video.frames, video.masks & ~test)
     scores = []
     for lam1 in (0.5, 0.9, 1.3):
         transformed, _, params = fit_transform(train, None, 0.5)

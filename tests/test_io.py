@@ -3,6 +3,7 @@ import os
 import re
 import threading
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -151,9 +152,10 @@ def test_write_mask_matches_write_frames_and_round_trips(tmp_path_factory, mask)
 
 
 def _read_each_frame(path, check=None):
-    "The frames an iterating ``FrameReader`` yields, copied out of its reused buffer."
+    "The frames a ``FrameReader`` reads in order into one reused buffer, each copied out."
     with vio.FrameReader(path, check) as reader:
-        return np.stack([frame.copy() for frame in reader])
+        T, m, n = reader.shape
+        return np.stack([frame.copy() for frame in reader._read(0, repeat(np.empty((m, n)), T))])
 
 
 @settings(max_examples=40, deadline=None)

@@ -153,27 +153,28 @@ def test_apply_rejects_a_video_that_is_not_three_dimensional(shape):
 
 def test_holdout_partitions_observed_set(rng):
     video = random_video(rng, 25, 40, 3, missing=0.5)
-    train, test = holdout(video, 0.2, seed=4)
+    test = holdout(video, 0.2, seed=4)
+    assert test.dtype == bool and test.shape == video.masks.shape
     for t in range(3):
         observed = video.masks[t]
         expected = int(np.floor(0.2 * observed.sum() + 0.5))
         assert test[t].sum() == expected
-        assert not (train.masks[t] & test[t]).any()
-        np.testing.assert_array_equal(train.masks[t] | test[t], observed)
         assert not (test[t] & ~observed).any()
+        assert (observed & ~test[t]).any()  # the training set keeps some pixels
 
 
 def test_holdout_exact_count_round_to_nearest():
     frames = np.ones((1, 20, 50))
     video = MaskedVideo.fully_observed(frames)
-    _, test = holdout(video, 0.2, seed=0)
+    test = holdout(video, 0.2, seed=0)
     assert test.sum() == 200
 
 
 def test_holdout_deterministic(rng):
     video = random_video(rng, 15, 15, 2)
-    _, test_a = holdout(video, 0.25, seed=8)
-    _, test_b = holdout(video, 0.25, seed=8)
+    test_a = holdout(video, 0.25, seed=8)
+    test_b = holdout(video, 0.25, seed=8)
+    assert test_a.shape == (2, 15, 15)
     np.testing.assert_array_equal(test_a, test_b)
 
 
@@ -287,10 +288,11 @@ def test_drop_pixels_writes_nan_bits_and_keeps_every_other_bit(rng):
     dropped = rng.random((6, 7)) < 0.5
     dropped[0, :6] = False
     dropped[1, :3] = True
-    before = frame.copy()
-    out = drop_pixels(frame, dropped, np.empty((6, 7)))
-    assert out is frame
-    bits, kept_bits = frame.view(np.uint64), before.view(np.uint64)
+    before, scratch = frame.copy(), np.empty((6, 7))
+    out = drop_pixels(frame, dropped, scratch)
+    assert out is scratch
+    np.testing.assert_array_equal(frame.view(np.uint64), before.view(np.uint64))
+    bits, kept_bits = out.view(np.uint64), before.view(np.uint64)
     assert (bits[dropped] == 0x7FF8000000000000).all()  # np.nan's bits exactly
     np.testing.assert_array_equal(bits[~dropped], kept_bits[~dropped])  # -0.0 included
     np.putmask(before, dropped, np.nan)
