@@ -203,7 +203,10 @@ def write_video(path, video: MaskedVideo) -> None:
 def read_video(path) -> MaskedVideo:
     "Read a video with NaN at missing pixels; the read buffer becomes its frames, NaN zeroed."
     frames = _read_whole(path)
-    return MaskedVideo._adopt(frames, ~np.isnan(frames))
+    try:
+        return MaskedVideo._adopt(frames, ~np.isnan(frames))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_frames(path, frames: np.ndarray) -> None:

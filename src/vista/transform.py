@@ -42,16 +42,11 @@ def _power(values: np.ndarray, lam: float) -> None:
         values /= lam
 
 
-def _transformed(source: np.ndarray, params: TransformParams) -> np.ndarray:
-    "A new array: ``source`` offset, power-transformed and standardized by ``params``."
-    out = source + params.offset
-    # The pooled pass already reported any overflow of a pooled pixel; a
-    # missing pixel (the bare offset) may overflow here, and is zeroed later.
-    with np.errstate(over="ignore"):
-        _power(out, params.boxcox_lambda)
-    out -= params.mean
-    out /= params.std
-    return out
+def _pooled(parts):
+    "Each frame's pooled pixels in frame order: a video's observed ones, or a whole auxiliary frame."
+    for frames, masks in parts:
+        for t, frame in enumerate(frames):
+            yield frame.ravel() if masks is None else frame[masks[t]]
 
 
 def fit_transform(video: MaskedVideo, aux, lam: float,
@@ -69,46 +64,46 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
         raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
     if aux is not None:
         aux.check_matches(video)
-    # One buffer holds the observed pixels in C order, then every auxiliary
-    # pixel: the contiguous values a concatenation of the two parts would
-    # hold, so the pooled mean and std are bit-equal to that reduction's.
-    # It is filled a frame at a time and reduced in place.
-    observed = int(np.count_nonzero(video.masks))
-    pooled = np.empty(observed + (0 if aux is None else aux.frames.size))
-    start = 0
-    for frame, mask in zip(video.frames, video.masks):
-        stop = start + int(np.count_nonzero(mask))
-        pooled[start:stop] = frame[mask]
-        start = stop
+    # Each output is built in place from its source plus the offset. A missing
+    # pixel holds the bare offset, may overflow in the power, and is zeroed
+    # when the output is adopted.
+    parts = [(video.frames + offset, video.masks)]
     if aux is not None:
-        pooled[observed:] = aux.frames.ravel()
-    pooled += offset
-    positive = pooled > 0
-    if not positive.all():
-        k = int(np.argmin(positive))  # the first pixel that is not
-        if k < observed:
-            kind, flat = "pixel", np.flatnonzero(video.masks)[k]
-        else:
-            kind, flat = "auxiliary pixel", k - observed
-        t, i, j = np.unravel_index(flat, video.masks.shape)
-        raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
-    del positive
-    _power(pooled, lam)
+        parts.append((aux.frames + offset, None))
+    for frames, masks in parts:
+        kind = "pixel" if masks is not None else "auxiliary pixel"
+        for t, frame in enumerate(frames):
+            bad = frame <= 0 if masks is None else (frame <= 0) & masks[t]
+            if bad.any():
+                i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
+        with np.errstate(over="ignore"):
+            _power(frames, lam)
+    # The moments are sums of per-frame sums, added in frame order, so a
+    # frame-chunked pass can reproduce them bit for bit.
+    total, count, low, high = 0.0, 0, np.inf, -np.inf
+    for values in _pooled(parts):
+        total += np.add.reduce(values)
+        count += values.size
+        low, high = min(low, values.min()), max(high, values.max())
     # A constant population's computed std can be a rounding residue above 0.
-    if pooled.min() == pooled.max():
+    if low == high:
         raise ValueError("pooled pixels have zero variance; cannot standardize")
-    # np.mean's and np.std's own steps, in place: the same sums of the same
-    # values in the same order, so the same two floats.
-    mean = float(np.add.reduce(pooled) / pooled.size)
-    pooled -= mean
-    np.square(pooled, out=pooled)
-    std = float(np.sqrt(np.add.reduce(pooled) / pooled.size))
-    del pooled
-    params = TransformParams(boxcox_lambda=lam, mean=mean, std=std, offset=offset)
-    # Each output is built from its source by the steps its pooled pixels
-    # took, so it holds the values they held, and is adopted, not copied.
-    transformed = MaskedVideo._adopt(_transformed(video.frames, params), video.masks)
-    out_aux = None if aux is None else AuxiliaryVideo._adopt(_transformed(aux.frames, params))
+    mean = float(total / count)
+    # Checked before the deviations, which an overflowed pixel would make NaN.
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean!r}")
+    for frames, _ in parts:
+        frames -= mean
+    squares = 0.0
+    for values in _pooled(parts):
+        squares += np.add.reduce(np.square(values))
+    params = TransformParams(boxcox_lambda=lam, mean=mean, std=float(np.sqrt(squares / count)),
+                             offset=offset)
+    for frames, _ in parts:
+        frames /= params.std
+    transformed = MaskedVideo._adopt(parts[0][0], video.masks)
+    out_aux = None if aux is None else AuxiliaryVideo._adopt(parts[1][0])
     return transformed, out_aux, params
 
 

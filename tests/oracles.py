@@ -5,6 +5,8 @@ transcription of the quantities under test and shares no code with the
 package beyond numpy/scipy primitives.
 """
 
+import math
+
 import numpy as np
 
 
@@ -277,6 +279,27 @@ def boxcox(values, lam):
     if lam == 0.0:
         return np.log(y)
     return (np.power(y, lam) - 1.0) / lam
+
+
+def pooled_moments(video, aux, lam, offset=1e-3):
+    """Mean and std of the power-transformed pooled pixels, from per-frame sums.
+
+    Each frame's pooled pixels (a video frame's observed ones, then each whole
+    auxiliary frame) are summed by numpy; the frame sums, and then the sums of
+    the squared deviations, are added one by one in frame order.
+    """
+    parts = [boxcox(frame[mask] + offset, lam) for frame, mask in zip(video.frames, video.masks)]
+    if aux is not None:
+        parts += [boxcox(frame.ravel() + offset, lam) for frame in aux.frames]
+    count = sum(part.size for part in parts)
+    total = 0.0
+    for part in parts:
+        total += float(np.sum(part))
+    mean = total / count
+    squares = 0.0
+    for part in parts:
+        squares += float(np.sum(np.square(part - mean)))
+    return mean, math.sqrt(squares / count)
 
 
 def boxcox_inverse(values, lam):

@@ -702,6 +702,24 @@ def test_impute_failure_prints_one_line(tmp_path, capsys, argv, named):
     assert not (tmp_path / "out" / "auxiliary.vmc").exists()
 
 
+@pytest.mark.parametrize("command", [["impute"], ["simulate", "--holdout", "0.2"],
+                                     ["gridsearch", "--sh-lmax", "3"]],
+                         ids=["impute", "simulate-holdout", "gridsearch"])
+def test_read_video_content_errors_name_the_file(tmp_path, truth_file, capsys, command):
+    data = truth_file.read_bytes()
+    frames = np.frombuffer(data[20:], dtype="<f8").reshape(4, 40, 60)
+    infinite, hollow = frames.copy(), frames.copy()
+    infinite[3, 39, 59] = np.inf
+    hollow[2] = np.nan
+    for name, payload, named in (("infinite", infinite, "observed entries must be finite"),
+                                 ("hollow", hollow, "frame 2 has no observed entries")):
+        path = tmp_path / f"{name}.vmc"
+        path.write_bytes(data[:20] + payload.tobytes())
+        fails([*command, "--input", path, "--output-dir", tmp_path / "out"], capsys,
+              rf"^vista: error: {re.escape(str(path))}: {named}$")
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("error, named", [
     (MemoryError("Unable to allocate 1.38 TiB for an array with shape (24, 181, 361, 10000)"),
      r"vista: error: Unable to allocate 1\.38 TiB for an array"),

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vista import transform
 from vista.transform import TransformParams, fit_transform, invert
 from vista.video import AuxiliaryVideo, MaskedVideo
 
@@ -52,10 +53,9 @@ def test_fit_transform_pools_auxiliary_pixels(rng):
 
 @pytest.mark.parametrize("with_aux, bound", [(True, 2.2), (False, 1.2)])
 def test_fit_transform_peak_memory_in_video_arrays(rng, with_aux, bound):
-    # One (T, m, n) float array is the unit. The pooled buffer (the observed
-    # pixels, plus every auxiliary pixel) is freed before the outputs are
-    # built, and each output is built once and kept: the peak is the outputs
-    # themselves plus boolean temporaries of one eighth of the unit.
+    # One (T, m, n) float array is the unit. Each output is the one array
+    # built for it, and the moments are taken a frame at a time: the peak is
+    # the outputs themselves plus boolean temporaries of one eighth of the unit.
     video = random_video(rng, 40, 50, 30, missing=0.3, positive=True)
     aux = AuxiliaryVideo(1.0 + np.abs(rng.normal(size=video.frames.shape))) if with_aux else None
     tracemalloc.start()
@@ -89,8 +89,12 @@ def test_fit_transform_names_offending_pixel():
     frames = np.ones((2, 3, 3))
     frames[1, 2, 0] = -5.0
     video = MaskedVideo.fully_observed(frames)
-    with pytest.raises(ValueError, match=r"t=1, i=2, j=0"):
-        fit_transform(video, None, 0.5)
+    # An observed pixel is named before an auxiliary one, in whichever frames.
+    aux_frames = np.ones((2, 3, 3))
+    aux_frames[0, 0, 0] = -5.0
+    for companion in (None, AuxiliaryVideo(aux_frames)):
+        with pytest.raises(ValueError, match=r"^pixel \(t=1, i=2, j=0\)"):
+            fit_transform(video, companion, 0.5)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
@@ -237,18 +241,39 @@ def _larger_inputs(shape, with_aux, lam):
 @example(_larger_inputs((2, 37, 41), False, 0.5))
 @example(_larger_inputs((2, 37, 41), True, 0.0))
 @example(_larger_inputs((2, 37, 41), True, 0.5))
-def test_pooled_moments_equal_those_of_the_concatenated_parts(inputs):
+def test_pooled_moments_are_per_frame_sums_near_those_of_the_concatenation(inputs):
     video, aux, lam = inputs
     pooled = _separately_transformed(video, aux, lam)
     out_v, out_a, params = fit_transform(video, aux, lam)
-    assert params.mean == float(pooled.mean())
-    assert params.std == float(pooled.std())
+    assert (params.mean, params.std) == oracles.pooled_moments(video, aux, lam)
+    # Per-frame sums reorder the additions of one pairwise reduction, so the
+    # moments move by a few ulp of the pixels' scale (the mean can lie near 0):
+    # 15000 drawn cases moved them by at most 10 ulp (mean) and 5 (std).
+    scale = np.abs(pooled).mean()
+    assert abs(params.mean - pooled.mean()) <= 16 * np.spacing(scale)
+    assert abs(params.std - pooled.std()) <= 16 * np.spacing(max(scale, pooled.std()))
     expected = (pooled - params.mean) / params.std
     observed = int(video.masks.sum())
     assert out_v.frames[video.masks].tobytes() == expected[:observed].tobytes()
     assert not out_v.frames[~video.masks].any()
     if aux is not None:
         assert out_a.frames.tobytes() == expected[observed:].tobytes()
+
+
+@pytest.mark.parametrize("with_aux", [False, True])
+def test_power_transforms_each_pixel_once(rng, monkeypatch, with_aux):
+    video = random_video(rng, 6, 7, 3, missing=0.3, positive=True)
+    aux = AuxiliaryVideo(1.0 + rng.random(video.frames.shape)) if with_aux else None
+    passed = []
+    real = transform._power
+
+    def counted(values, lam):
+        passed.append(values.size)
+        real(values, lam)
+
+    monkeypatch.setattr(transform, "_power", counted)
+    fit_transform(video, aux, 0.5)
+    assert sum(passed) == video.frames.size + (aux.frames.size if with_aux else 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -309,3 +334,15 @@ def test_missing_pixels_do_not_warn_of_overflow(rng):
         warnings.simplefilter("error")
         out, _, _ = fit_transform(video, None, -200.0)
     assert out.frames[0, 1, 2] == 0.0 and np.isfinite(out.frames).all()
+
+
+def test_an_overflowed_observed_pixel_fails_without_a_warning(rng):
+    # (1e3 + offset) ** 200 overflows to inf, so the mean is inf; the mean is
+    # checked before the deviations, whose inf - inf would warn.
+    frames = 1.0 + rng.random((2, 3, 4))
+    frames[1, 0, 3] = 1e3
+    video = MaskedVideo.fully_observed(frames)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^mean must be finite, got inf$"):
+            fit_transform(video, None, 200.0)
