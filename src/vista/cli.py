@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from . import io as vio
 from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
-from .missingness import (PATTERNS, MissingnessSpec, check_fraction, default_bbox, drop_pixels,
-                          generate, holdout)
+from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import check_rank, solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
@@ -275,8 +274,7 @@ def _write_outputs(out: Path, frames, dropped: np.ndarray, test: np.ndarray) -> 
                         for name in _OUTPUTS)
 
         def write(lo, hi, buffer, scratch):
-            masked._write(lo, (drop_pixels(frame, dropped[t], scratch)
-                               for t, frame in enumerate(frames(lo, hi, buffer), lo)), scratch)
+            masked._write(lo, frames(lo, hi, buffer), scratch, dropped[lo:hi])
             mask._write(lo, test[lo:hi], scratch)
 
         vio._in_chunks(write, shape, [masked, mask], shape[1:], shape[1:])

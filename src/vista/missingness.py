@@ -149,25 +149,6 @@ def generate(spec: MissingnessSpec, dims) -> tuple:
     return dropped, centers
 
 
-_NAN_BITS = np.uint64(0x7FF8000000000000)  # np.nan
-
-
-def drop_pixels(frame: np.ndarray, dropped: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``frame`` with NaN, the container's missing marker, at its ``dropped`` pixels.
-
-    ``frame`` is a finite (m, n) float64 array, left as it is; the result
-    is written into the (m, n) float64 ``scratch`` and returned. Without a
-    branch per pixel: ``scratch`` first holds +0.0 at kept pixels and
-    ``np.nan`` at dropped ones, and x − 0.0 is x exactly (−0.0 included)
-    while x − NaN is that NaN. On a 181×361 frame at a 50% random mask
-    (2-core Xeon) this takes about 100 µs, and ``np.putmask``, whose
-    per-pixel branch mispredicts, about 450 µs.
-    """
-    bits = scratch.view(np.uint64)
-    np.multiply(dropped, _NAN_BITS, out=bits)
-    return np.subtract(frame, scratch, out=scratch)
-
-
 def apply(frames: np.ndarray, spec: MissingnessSpec) -> tuple:
     """Drop pixels of a fully observed (T, m, n) video per the spec.
 

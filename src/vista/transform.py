@@ -65,8 +65,7 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     if aux is not None:
         aux.check_matches(video)
     # Each output is built in place from its source plus the offset. A missing
-    # pixel holds the bare offset, may overflow in the power, and is zeroed
-    # when the output is adopted.
+    # pixel holds the bare offset and is zeroed when the output is adopted.
     parts = [(video.frames + offset, video.masks)]
     if aux is not None:
         parts.append((aux.frames + offset, None))
@@ -77,27 +76,29 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
             if bad.any():
                 i, j = np.unravel_index(np.argmax(bad), bad.shape)
                 raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
-        with np.errstate(over="ignore"):
+    # No overflow warns, in a power, a sum or a square: a non-finite moment fails below.
+    with np.errstate(over="ignore"):
+        for frames, _ in parts:
             _power(frames, lam)
-    # The moments are sums of per-frame sums, added in frame order, so a
-    # frame-chunked pass can reproduce them bit for bit.
-    total, count, low, high = 0.0, 0, np.inf, -np.inf
-    for values in _pooled(parts):
-        total += np.add.reduce(values)
-        count += values.size
-        low, high = min(low, values.min()), max(high, values.max())
-    # A constant population's computed std can be a rounding residue above 0.
-    if low == high:
-        raise ValueError("pooled pixels have zero variance; cannot standardize")
-    mean = float(total / count)
-    # Checked before the deviations, which an overflowed pixel would make NaN.
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean!r}")
-    for frames, _ in parts:
-        frames -= mean
-    squares = 0.0
-    for values in _pooled(parts):
-        squares += np.add.reduce(np.square(values))
+        # The moments are sums of per-frame sums, added in frame order, so a
+        # frame-chunked pass can reproduce them bit for bit.
+        total, count, low, high = 0.0, 0, np.inf, -np.inf
+        for values in _pooled(parts):
+            total += np.add.reduce(values)
+            count += values.size
+            low, high = min(low, values.min()), max(high, values.max())
+        # A constant population's computed std can be a rounding residue above 0.
+        if low == high:
+            raise ValueError("pooled pixels have zero variance; cannot standardize")
+        mean = float(total / count)
+        # Checked before the deviations, which an overflowed pixel would make NaN.
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean!r}")
+        for frames, _ in parts:
+            frames -= mean
+        squares = 0.0
+        for values in _pooled(parts):
+            squares += np.add.reduce(np.square(values))
     params = TransformParams(boxcox_lambda=lam, mean=mean, std=float(np.sqrt(squares / count)),
                              offset=offset)
     for frames, _ in parts:

@@ -74,10 +74,6 @@ class MaskedVideo:
         frames = np.asarray(frames, dtype=float)
         return cls(frames, np.ones(frames.shape, dtype=bool))
 
-    def to_dense(self) -> np.ndarray:
-        """Dense copy with NaN at missing entries."""
-        return np.where(self.masks, self.frames, np.nan)
-
 
 class AuxiliaryVideo:
     """A fully observed companion sequence with the same (T, m, n) layout."""

@@ -845,7 +845,8 @@ def test_evaluate_scores_a_holdout_split_of_a_masked_video(tmp_path, truth_file)
          "--model", "soft", "--rank", "3", "--max-iter", "10"])
     run(["evaluate", "--truth", masked, "--eval-mask", tmp_path / "split" / "test_mask.vmc",
          "--imputed", f"soft={tmp_path / 'imp' / 'imputed.vmc'}", "--output-dir", tmp_path / "ev"])
-    truth = vio.read_video(masked).to_dense()
+    video = vio.read_video(masked)
+    truth = np.where(video.masks, video.frames, np.nan)
     imputed = vio.read_frames(tmp_path / "imp" / "imputed.vmc")
     test = vio.read_mask(tmp_path / "split" / "test_mask.vmc")
     assert np.isnan(truth).any() and not np.isnan(truth[test]).any()

@@ -88,6 +88,19 @@ def test_write_mask_holds_one_float_frame(tmp_path, rng):
     assert peak < 2 * m * n * 8  # a float copy of the whole mask would take 64 frames
 
 
+def test_write_video_holds_no_dense_copy(tmp_path, rng):
+    # One boolean (T, m, n) array of dropped pixels (1/8 of the frames' bytes)
+    # and one (m, n) buffer; a dense copy with NaN would take all the frames' bytes.
+    video = random_video(rng, 40, 60, 48)
+    tracemalloc.start()
+    try:
+        vio.write_video(tmp_path / "video.vmc", video)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * video.frames.nbytes
+
+
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.txt"
     entries = {"alpha": "1", "beta": "two", "gamma_path": "/x/y=z"}
@@ -128,6 +141,7 @@ def test_binary_round_trip_is_bit_exact(tmp_path_factory, data):
     video = MaskedVideo(frames, masks)
     path = tmp_path_factory.mktemp("rt") / "video.vmc"
     vio.write_video(path, video)
+    assert path.read_bytes()[20:] == _bits(np.where(masks, frames, np.nan)).tobytes()
     back = vio.read_video(path)
     np.testing.assert_array_equal(back.masks, video.masks)
     np.testing.assert_array_equal(_bits(back.frames), _bits(video.frames))
@@ -263,6 +277,25 @@ def test_frame_writer_writes_frame_ranges_in_any_order(tmp_path, rng):
         assert path.read_bytes() == (tmp_path / f"{name}.vmc").read_bytes(), name
 
 
+def test_frame_writer_writes_nan_bits_and_keeps_every_other_bit(tmp_path, rng):
+    frames = rng.normal(size=(3, 6, 7)) * 10.0 ** rng.integers(-300, 300, size=(3, 6, 7))
+    frames[1, 0] = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                    -1.7976931348623157e308, -1.0]
+    dropped = rng.random((3, 6, 7)) < 0.5
+    dropped[1, 0] = False
+    dropped[1, 1, :3] = True
+    before, path = frames.copy(), tmp_path / "dropped.vmc"
+    with vio.FrameWriter(path, frames.shape) as writer:
+        for lo, hi in ((1, 3), (0, 1)):  # frame t takes dropped[t - lo] of its range
+            writer._write(lo, frames[lo:hi], np.empty((6, 7)), dropped[lo:hi])
+    np.testing.assert_array_equal(_bits(frames), _bits(before))  # the input is left as it was
+    bits = np.frombuffer(path.read_bytes()[20:], "<u8").reshape(frames.shape)
+    assert (bits[dropped] == 0x7FF8000000000000).all()  # np.nan's bits exactly
+    np.testing.assert_array_equal(bits[~dropped], _bits(before)[~dropped])  # -0.0 included
+    np.putmask(before, dropped, np.nan)
+    np.testing.assert_array_equal(bits, _bits(before))
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_write_to_a_pipe(tmp_path, rng):
     # A pipe cannot seek, so the writer goes through its handle, in order.
@@ -367,3 +400,15 @@ def test_only_io_opens_files():
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in opens]
     assert calls == []
+
+
+def test_only_io_writes_the_missing_marker():
+    # NaN marks a missing pixel in the container, and only io.py writes it, by
+    # np.nan or by its bits; np.isnan and math.nan are other names.
+    uses = [f"{path.name}:{node.lineno}"
+            for path in sorted(Path(vio.__file__).parent.glob("*.py")) if path.name != "io.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "nan"
+            and getattr(node.value, "id", None) in ("np", "numpy")
+            or isinstance(node, ast.Constant) and node.value == 0x7FF8000000000000]
+    assert uses == []

@@ -8,7 +8,6 @@ from vista.missingness import (
     _stamp_patch,
     apply,
     default_bbox,
-    drop_pixels,
     generate,
     holdout,
     perimeter_path,
@@ -280,20 +279,3 @@ def test_random_masks_are_the_serial_draw_in_any_chunk_count(chunk_count, dims, 
     serial = np.random.default_rng(11)
     for t in range(T):
         np.testing.assert_array_equal(dropped[t], serial.random((m, n)) < 0.37)
-
-
-def test_drop_pixels_writes_nan_bits_and_keeps_every_other_bit(rng):
-    frame = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-300, 300, size=(6, 7))
-    frame[0, :6] = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0]
-    dropped = rng.random((6, 7)) < 0.5
-    dropped[0, :6] = False
-    dropped[1, :3] = True
-    before, scratch = frame.copy(), np.empty((6, 7))
-    out = drop_pixels(frame, dropped, scratch)
-    assert out is scratch
-    np.testing.assert_array_equal(frame.view(np.uint64), before.view(np.uint64))
-    bits, kept_bits = out.view(np.uint64), before.view(np.uint64)
-    assert (bits[dropped] == 0x7FF8000000000000).all()  # np.nan's bits exactly
-    np.testing.assert_array_equal(bits[~dropped], kept_bits[~dropped])  # -0.0 included
-    np.putmask(before, dropped, np.nan)
-    np.testing.assert_array_equal(bits, before.view(np.uint64))

@@ -346,3 +346,16 @@ def test_an_overflowed_observed_pixel_fails_without_a_warning(rng):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^mean must be finite, got inf$"):
             fit_transform(video, None, 200.0)
+
+
+@pytest.mark.parametrize("scale, named", [(1e306, "^mean must be finite, got inf$"),
+                                          (1e200, "^std must be finite and positive, got inf$")],
+                         ids=["sum", "square"])
+def test_an_overflowed_moment_fails_without_a_warning(rng, scale, named):
+    # Every power is finite at lam = 1, but a frame of 200 pixels near 1e306
+    # overflows its sum, and the squared deviations of pixels near 1e200 overflow.
+    video = MaskedVideo.fully_observed(scale * (1.0 + rng.random((2, 10, 20))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            fit_transform(video, None, 1.0)

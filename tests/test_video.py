@@ -43,7 +43,7 @@ def test_masked_video_from_dense_nan_is_missing():
     video = MaskedVideo.from_dense(dense)
     np.testing.assert_array_equal(video.masks, [[[True, False], [False, True]]])
     np.testing.assert_array_equal(video.frames, [[[1.0, 0.0], [0.0, 4.0]]])
-    back = video.to_dense()
+    back = np.where(video.masks, video.frames, np.nan)
     assert np.isnan(back[0, 0, 1]) and back[0, 1, 1] == 4.0
 
 
