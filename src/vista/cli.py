@@ -192,25 +192,24 @@ def _finish_manifest(path, entries: dict) -> None:
     vio.write_manifest(path, entries)
 
 
-_OUTPUTS = ("masked.vmc", "test_mask.vmc")
-
-
 def cmd_simulate(args) -> int:
+    """Two frame-chunked passes over the input, holding masks but no (T, m, n) float array.
+
+    Pass 1 reads and checks each frame; for ``--holdout`` it also records the
+    frame's observed (non-NaN) pixels and any infinity. Then the test mask is
+    drawn and checked. Only then is the output directory made, and pass 2
+    reads each frame again and writes both files by position. An input that
+    cannot be read twice (a pipe) or that is one of the outputs keeps its
+    frames from pass 1.
+    """
     cfg = resolve_config(args)
     # Reject a bad choice of mode or fraction before creating the output directory or reading.
     if (cfg.pattern is None) == (cfg.holdout is None):
         raise ValueError("simulate needs --pattern or --holdout" if cfg.pattern is None
                          else "give --pattern or --holdout, not both")
-    out = Path(cfg.output_dir)
     if cfg.holdout is not None:
         check_fraction(cfg.holdout, "holdout fraction")
         entries = _config_entries(cfg, args, ("pattern", "fraction", "patch_size"))
-        video = vio.read_video(cfg.input)
-        test = holdout(video, cfg.holdout, cfg.seed)
-        entries["result_test_pixels"] = str(np.count_nonzero(test))
-        dropped = ~video.masks
-        dropped |= test
-        _write_outputs(out, lambda lo, hi, buffer: video.frames[lo:hi], dropped, test)
     else:
         spec = MissingnessSpec(pattern=cfg.pattern, fraction=cfg.fraction,
                                patch_size=cfg.patch_size, rng_seed=cfg.seed)
@@ -219,65 +218,68 @@ def cmd_simulate(args) -> int:
         if patch and cfg.patch_size not in PRESET_PATCH_SIZES:
             print(f"warning: patch size {cfg.patch_size} is not one of the presets "
                   f"{PRESET_PATCH_SIZES}", file=sys.stderr)
-        with vio.FrameReader(cfg.input, "finite") as reader:
-            _simulate_pattern(reader, spec, out, entries)
+    out = Path(cfg.output_dir)
+    outputs = out / "masked.vmc", out / "test_mask.vmc"
+    with ExitStack() as stack:
+        reader = stack.enter_context(
+            vio.FrameReader(cfg.input, "finite" if cfg.holdout is None else None))
+        shape = T, m, n = reader.shape
+        kept = observed = None
+        if not reader._positional or any(p.exists() and p.samefile(reader.path) for p in outputs):
+            kept = reader._empty(shape)
+        if cfg.holdout is not None:
+            observed, infinite = reader._empty(shape, bool), np.zeros(T, bool)
+
+        def check(lo, hi, buffer):
+            targets = repeat(buffer, hi - lo) if kept is None else kept[lo:hi]
+            for t, frame in enumerate(reader._read(lo, targets), lo):
+                if observed is not None:
+                    np.logical_not(np.isnan(frame, out=observed[t]), out=observed[t])
+                    infinite[t] = np.isinf(frame).any()
+
+        vio._in_chunks(check, shape, [reader], (m, n))
+        if cfg.holdout is not None:  # read_video's checks, in its order
+            empty = np.flatnonzero(~observed.reshape(T, -1).any(axis=1))
+            if empty.size:
+                raise ValueError(f"{reader.path}: frame {empty[0]} has no observed entries")
+            if infinite.any():
+                raise ValueError(f"{reader.path}: observed entries must be finite")
+            test = holdout(observed, cfg.holdout, cfg.seed)
+            entries["result_test_pixels"] = str(np.count_nonzero(test))
+            dropped = np.logical_or(np.logical_not(observed, out=observed), test, out=observed)
+        else:
+            test, centers = generate(spec, (m, n, T))
+            emptied = np.flatnonzero(test.reshape(T, -1).all(axis=1))
+            if emptied.size:
+                setting = (f"patch size {spec.patch_size}" if centers is not None
+                           else f"fraction {spec.fraction!r}")
+                raise ValueError(f"frame {emptied[0]} has no observed entries: pattern "
+                                 f"{spec.pattern} at {setting} drops all of its pixels")
+            dropped = test
+            entries["result_dropped_pixels"] = str(np.count_nonzero(test))
+            if centers is not None:
+                entries["result_bbox"] = ",".join(str(v) for v in default_bbox(m, n))
+                entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
+        out.mkdir(parents=True, exist_ok=True)
+        masked, mask = (stack.enter_context(vio.FrameWriter(path, shape)) for path in outputs)
+
+        def write(lo, hi, buffer, scratch):
+            frames = reader._read(lo, repeat(buffer, hi - lo)) if kept is None else kept[lo:hi]
+            if cfg.holdout is not None:
+                frames = map(_zeroed, frames, dropped[lo:hi])
+            masked._write(lo, frames, scratch, dropped[lo:hi])
+            mask._write(lo, test[lo:hi], scratch)
+
+        vio._in_chunks(write, shape, [masked, mask], (m, n), (m, n))
     _finish_manifest(out / "manifest.txt", entries)
-    print(f"simulate: wrote {out / 'masked.vmc'} and {out / 'test_mask.vmc'}")
+    print(f"simulate: wrote {outputs[0]} and {outputs[1]}")
     return 0
 
 
-def _simulate_pattern(reader, spec: MissingnessSpec, out: Path, entries: dict) -> None:
-    """``simulate --pattern`` in frame chunks, holding the masks but no (T, m, n) float array.
-
-    Pass 1 reads and checks the input; the masks are drawn and checked for
-    an emptied frame; only then does pass 2, ``_write_outputs``, read each
-    frame again and write both files. An input that cannot be read twice (a
-    pipe) or that is one of the two outputs keeps its frames from pass 1.
-    """
-    T, m, n = reader.shape
-    kept = None
-    if not reader._positional or any((out / name).exists() and (out / name).samefile(reader.path)
-                                     for name in _OUTPUTS):
-        kept = reader._empty(reader.shape)
-
-    def check(lo, hi, buffer):
-        for _ in reader._read(lo, repeat(buffer, hi - lo) if kept is None else kept[lo:hi]):
-            pass
-
-    vio._in_chunks(check, reader.shape, [reader], (m, n))
-    test, centers = generate(spec, (m, n, T))
-    emptied = np.flatnonzero(test.reshape(T, -1).all(axis=1))
-    if emptied.size:
-        setting = (f"patch size {spec.patch_size}" if centers is not None
-                   else f"fraction {spec.fraction!r}")
-        raise ValueError(f"frame {emptied[0]} has no observed entries: pattern "
-                         f"{spec.pattern} at {setting} drops all of its pixels")
-
-    def frames(lo, hi, buffer):
-        return reader._read(lo, repeat(buffer, hi - lo)) if kept is None else kept[lo:hi]
-
-    _write_outputs(out, frames, test, test)
-    entries["result_dropped_pixels"] = str(np.count_nonzero(test))
-    if centers is not None:
-        entries["result_bbox"] = ",".join(str(v) for v in default_bbox(m, n))
-        entries["result_patch_centers"] = ";".join(f"{i},{j}" for i, j in centers)
-
-
-def _write_outputs(out: Path, frames, dropped: np.ndarray, test: np.ndarray) -> None:
-    """Make ``out``, then write ``simulate``'s two files in frame chunks, by position: frame t
-    of ``frames(lo, hi, buffer)`` (finite; perhaps read into the (m, n) ``buffer``) with NaN at
-    ``dropped[t]`` to masked.vmc, and ``test[t]`` to test_mask.vmc, which is opened second."""
-    shape = test.shape
-    out.mkdir(parents=True, exist_ok=True)
-    with ExitStack() as stack:
-        masked, mask = (stack.enter_context(vio.FrameWriter(out / name, shape))
-                        for name in _OUTPUTS)
-
-        def write(lo, hi, buffer, scratch):
-            masked._write(lo, frames(lo, hi, buffer), scratch, dropped[lo:hi])
-            mask._write(lo, test[lo:hi], scratch)
-
-        vio._in_chunks(write, shape, [masked, mask], shape[1:], shape[1:])
+def _zeroed(frame: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    "``frame`` with +0.0 at ``dropped``, where a NaN read would pass the writer's x − NaN as is."
+    np.putmask(frame, dropped, 0.0)
+    return frame
 
 
 def _fitted(video, aux_raw, cfg: RunConfig, lams, cache: dict) -> tuple:
@@ -406,7 +408,7 @@ def cmd_gridsearch(args) -> int:
     _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
     check_rank(cfg.rank, *video.dims[:2])
-    test = holdout(video, cfg.holdout, cfg.seed)
+    test = holdout(video.masks, cfg.holdout, cfg.seed)
     train = MaskedVideo(video.frames, video.masks & ~test)
     aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v) if max(grids[2]) > 0 else None
     # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best

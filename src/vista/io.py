@@ -153,18 +153,19 @@ class FrameWriter(_File):
         """Write the (m, n) frames of ``frames`` as payload frames lo, lo + 1, ... in ``<f8``.
 
         A frame of another type or layout (a boolean mask) is converted into
-        the (m, n) float64 ``scratch`` first. Given ``dropped``, frame t is
-        written with NaN, the missing marker, at ``dropped[t - lo]``; it must
-        be finite and is left as it is. That is built in ``scratch`` without
-        a branch per pixel: ``scratch`` first holds +0.0 at kept pixels and
-        NaN at dropped ones, and x − 0.0 is x exactly (−0.0 included) while
-        x − NaN is that NaN. On a 181×361 frame at a 50% random mask (2-core
-        Xeon) this takes about 100 µs, and ``np.putmask``, whose per-pixel
-        branch mispredicts, about 450 µs.
+        the (m, n) float64 ``scratch`` first. Given ``dropped``, (m, n) masks
+        taken one per frame, each frame is written with NaN, the missing
+        marker, at its mask's pixels; it must be finite and is left as it is.
+        That is built in ``scratch`` without a branch per pixel: ``scratch``
+        first holds +0.0 at kept pixels and NaN at dropped ones, and x − 0.0
+        is x exactly (−0.0 included) while x − NaN is that NaN. On a 181×361
+        frame at a 50% random mask (2-core Xeon) this takes about 100 µs, and
+        ``np.putmask``, whose per-pixel branch mispredicts, about 450 µs.
         """
-        for t, frame in enumerate(frames, lo):
-            if dropped is not None:
-                np.multiply(dropped[t - lo], _NAN_BITS, out=scratch.view(np.uint64))
+        pairs = zip(frames, repeat(None) if dropped is None else dropped)
+        for t, (frame, drop) in enumerate(pairs, lo):
+            if drop is not None:
+                np.multiply(drop, _NAN_BITS, out=scratch.view(np.uint64))
                 frame = np.subtract(frame, scratch, out=scratch)
             if frame.dtype != _F8 or not frame.flags.c_contiguous:
                 converted = scratch.view(_F8)
@@ -189,7 +190,7 @@ def _in_chunks(work, shape, files, *scratch) -> None:
 
 
 def _write_payload(path, frames: np.ndarray, dropped=None) -> None:
-    "Write ``frames`` (T, m, n) whole, NaN at ``dropped`` if given: one chunk, one (m, n) buffer."
+    "Write ``frames`` (T, m, n) whole, NaN at the ``dropped`` masks if given, in one chunk."
     with FrameWriter(path, frames.shape) as writer:
         writer._write(0, frames, np.empty(frames.shape[1:]), dropped)
 
@@ -208,7 +209,7 @@ def _read_whole(path, check=None) -> np.ndarray:
 
 
 def write_video(path, video: MaskedVideo) -> None:
-    _write_payload(path, video.frames, ~video.masks)
+    _write_payload(path, video.frames, map(np.logical_not, video.masks))
 
 
 def read_video(path) -> MaskedVideo:

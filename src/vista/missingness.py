@@ -163,18 +163,19 @@ def apply(frames: np.ndarray, spec: MissingnessSpec) -> tuple:
     return MaskedVideo(frames, ~dropped), dropped
 
 
-def holdout(video: MaskedVideo, fraction: float, seed) -> np.ndarray:
+def holdout(masks: np.ndarray, fraction: float, seed) -> np.ndarray:
     """Per frame, move a round-to-nearest fraction of observed pixels to a test set.
 
-    Returns the boolean (T, m, n) test mask, inside ``video.masks``; the
-    training set is ``video.masks & ~test``.
+    ``masks`` is the boolean (T, m, n) array of observed pixels, such as a
+    ``MaskedVideo``'s masks; it is only read. Returns the boolean test mask,
+    inside ``masks``; the training set is ``masks & ~test``.
     """
     check_fraction(fraction, "holdout fraction")
-    m, n, T = video.dims
+    T, m, n = masks.shape
     rng = np.random.default_rng(seed)
     test = np.zeros((T, m, n), dtype=bool)
     for t in range(T):
-        observed = np.flatnonzero(video.masks[t].ravel())
+        observed = np.flatnonzero(masks[t].ravel())
         if observed.size < 5:
             raise ValueError(f"frame {t} has only {observed.size} observed pixels; need at least 5")
         count = int(np.floor(fraction * observed.size + 0.5))

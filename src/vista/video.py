@@ -69,11 +69,6 @@ class MaskedVideo:
         frames = np.asarray(frames, dtype=float)
         return cls(frames, ~np.isnan(frames))
 
-    @classmethod
-    def fully_observed(cls, frames) -> "MaskedVideo":
-        frames = np.asarray(frames, dtype=float)
-        return cls(frames, np.ones(frames.shape, dtype=bool))
-
 
 class AuxiliaryVideo:
     """A fully observed companion sequence with the same (T, m, n) layout."""

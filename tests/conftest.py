@@ -20,6 +20,12 @@ def random_video(rng, m, n, T, missing=0.5, positive=False):
     return MaskedVideo(frames, masks)
 
 
+def observed_video(frames):
+    "A MaskedVideo of ``frames`` with every pixel observed."
+    frames = np.asarray(frames, dtype=float)
+    return MaskedVideo(frames, np.ones(frames.shape, bool))
+
+
 def random_aux(rng, video):
     return AuxiliaryVideo(rng.normal(size=video.frames.shape))
 

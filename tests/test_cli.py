@@ -8,6 +8,7 @@ import sys
 import threading
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from contextlib import redirect_stderr
 from io import StringIO
@@ -121,11 +122,11 @@ def test_simulate_holdout_mode(tmp_path, truth_file):
 
 
 def test_simulate_holdout_holds_no_second_float_video(tmp_path):
-    # The read video (8 bytes a pixel) and at most five boolean (T, m, n)
-    # arrays (the masks, the test and dropped pixels, and their temporaries)
-    # are held, besides per-chunk (m, n) buffers. A second float video, such
-    # as a training copy or a dense masked.vmc payload, would add 8 bytes a
-    # pixel. The command's fixed costs are measured on one frame and taken off.
+    # Two boolean (T, m, n) arrays (the observed pixels, turned into the
+    # dropped ones in place, and the test mask) are held, besides per-chunk
+    # (m, n) buffers. A float video, such as the whole read input, a training
+    # copy or a dense masked.vmc payload, would add 8 bytes a pixel. The
+    # command's fixed costs are measured on one frame and taken off.
     m, n = 40, 60
 
     def peak(T):
@@ -140,7 +141,7 @@ def test_simulate_holdout_holds_no_second_float_video(tmp_path):
             tracemalloc.stop()
 
     peak(1)  # warm-up: first-call allocations of the modules the command uses
-    assert peak(64) - peak(1) < (8 + 5) * 63 * m * n
+    assert peak(64) - peak(1) < 4 * 63 * m * n
 
 
 @pytest.mark.parametrize("mode", [["--pattern", "random"],
@@ -212,10 +213,12 @@ def test_simulate_can_read_one_of_the_files_it_writes(tmp_path, truth_file, chun
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_simulate_reads_its_input_from_a_pipe(tmp_path, truth_file, chunk_count):
+@pytest.mark.parametrize("mode", [["--pattern", "random"], ["--holdout", "0.2"]],
+                         ids=["random", "holdout"])
+def test_simulate_reads_its_input_from_a_pipe(tmp_path, truth_file, chunk_count, mode):
     # A pipe cannot be read twice, so its frames are held from the checking pass.
     chunk_count(3)
-    argv = ["--pattern", "random", "--seed", "6"]
+    argv = [*mode, "--seed", "6"]
     run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "file", *argv])
     fifo = tmp_path / "truth.pipe"
     os.mkfifo(fifo)
@@ -230,6 +233,35 @@ def test_simulate_reads_its_input_from_a_pipe(tmp_path, truth_file, chunk_count)
     assert (manifest_without_timestamps(tmp_path / "pipe" / "manifest.txt")
             == {**manifest_without_timestamps(tmp_path / "file" / "manifest.txt"),
                 "input": str(fifo)})
+
+
+@pytest.mark.parametrize("source", ["file", "own-output"])
+def test_simulate_holdout_writes_one_nan_whatever_nan_its_input_holds(tmp_path, truth_file,
+                                                                     chunk_count, source):
+    # Pass 2 reads each frame again, NaN bits and all. An unobserved pixel
+    # must not keep its own NaN through the writer's x − NaN, and a
+    # signalling NaN must raise no warning: masked.vmc holds np.nan there,
+    # as written from the video that read_video reads.
+    chunk_count(3)
+    data = truth_file.read_bytes()
+    bits = np.frombuffer(data[20:], dtype="<u8").reshape(4, 40, 60).copy()
+    missing = np.random.default_rng(1).random(bits.shape) < 0.3
+    nans = np.array([0xFFF8000000000000, 0x7FF8000000000001, 0x7FF4000000000000], "<u8")
+    bits[missing] = nans[np.arange(np.count_nonzero(missing)) % 3]
+    out = tmp_path / "out"
+    out.mkdir()
+    path = tmp_path / "nans.vmc" if source == "file" else out / "masked.vmc"
+    path.write_bytes(data[:20] + bits.tobytes())
+    video = vio.read_video(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run(["simulate", "--input", path, "--output-dir", out, "--holdout", "0.2", "--seed", "3"])
+    test = vio.read_mask(out / "test_mask.vmc")
+    written = np.frombuffer((out / "masked.vmc").read_bytes()[20:], dtype="<u8").reshape(4, 40, 60)
+    assert (written[missing | test] == 0x7FF8000000000000).all()
+    assert (written[~(missing | test)] == bits[~(missing | test)]).all()
+    vio.write_video(tmp_path / "expected.vmc", MaskedVideo(video.frames, video.masks & ~test))
+    assert (out / "masked.vmc").read_bytes() == (tmp_path / "expected.vmc").read_bytes()
 
 
 def test_impute_soft_equals_full_with_zero_lambdas(tmp_path, truth_file):
@@ -462,7 +494,7 @@ def test_gridsearch_stage_order_and_planted_optimum(tmp_path, truth_file):
     from vista.video import PenaltyConfig
 
     video = vio.read_video(truth_file)
-    test = holdout(video, 0.2, 2)
+    test = holdout(video.masks, 0.2, 2)
     train = MaskedVideo(video.frames, video.masks & ~test)
     scores = []
     for lam1 in (0.5, 0.9, 1.3):
@@ -706,15 +738,22 @@ def test_impute_failure_prints_one_line(tmp_path, capsys, argv, named):
                                      ["gridsearch", "--sh-lmax", "3"]],
                          ids=["impute", "simulate-holdout", "gridsearch"])
 def test_read_video_content_errors_name_the_file(tmp_path, truth_file, capsys, command):
+    # A short payload is reported first, then the lowest frame with no
+    # observed entries, then an infinite observed entry.
     data = truth_file.read_bytes()
     frames = np.frombuffer(data[20:], dtype="<f8").reshape(4, 40, 60)
     infinite, hollow = frames.copy(), frames.copy()
     infinite[3, 39, 59] = np.inf
     hollow[2] = np.nan
-    for name, payload, named in (("infinite", infinite, "observed entries must be finite"),
-                                 ("hollow", hollow, "frame 2 has no observed entries")):
+    both = np.where(np.isnan(hollow), np.nan, infinite)
+    for name, payload, named in (
+            ("infinite", infinite.tobytes(), "observed entries must be finite"),
+            ("hollow", hollow.tobytes(), "frame 2 has no observed entries"),
+            ("both", both.tobytes(), "frame 2 has no observed entries"),
+            ("short", both.tobytes()[:-8],
+             re.escape("payload for dims (40, 60, 4) needs 76800 bytes, got 76792"))):
         path = tmp_path / f"{name}.vmc"
-        path.write_bytes(data[:20] + payload.tobytes())
+        path.write_bytes(data[:20] + payload)
         fails([*command, "--input", path, "--output-dir", tmp_path / "out"], capsys,
               rf"^vista: error: {re.escape(str(path))}: {named}$")
         assert not (tmp_path / "out").exists()

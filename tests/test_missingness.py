@@ -14,7 +14,7 @@ from vista.missingness import (
 )
 from vista.video import MaskedVideo
 
-from conftest import random_video
+from conftest import observed_video, random_video
 
 
 def test_spec_validation():
@@ -152,7 +152,7 @@ def test_apply_rejects_a_video_that_is_not_three_dimensional(shape):
 
 def test_holdout_partitions_observed_set(rng):
     video = random_video(rng, 25, 40, 3, missing=0.5)
-    test = holdout(video, 0.2, seed=4)
+    test = holdout(video.masks, 0.2, seed=4)
     assert test.dtype == bool and test.shape == video.masks.shape
     for t in range(3):
         observed = video.masks[t]
@@ -164,15 +164,15 @@ def test_holdout_partitions_observed_set(rng):
 
 def test_holdout_exact_count_round_to_nearest():
     frames = np.ones((1, 20, 50))
-    video = MaskedVideo.fully_observed(frames)
-    test = holdout(video, 0.2, seed=0)
+    video = observed_video(frames)
+    test = holdout(video.masks, 0.2, seed=0)
     assert test.sum() == 200
 
 
 def test_holdout_deterministic(rng):
     video = random_video(rng, 15, 15, 2)
-    test_a = holdout(video, 0.25, seed=8)
-    test_b = holdout(video, 0.25, seed=8)
+    test_a = holdout(video.masks, 0.25, seed=8)
+    test_b = holdout(video.masks, 0.25, seed=8)
     assert test_a.shape == (2, 15, 15)
     np.testing.assert_array_equal(test_a, test_b)
 
@@ -183,7 +183,7 @@ def test_fraction_errors_name_the_value(rng, value):
         MissingnessSpec(pattern="random", fraction=value)
     video = random_video(rng, 4, 4, 1, missing=0.0)
     with pytest.raises(ValueError, match=f"holdout fraction .*got {value!r}"):
-        holdout(video, value, seed=0)
+        holdout(video.masks, value, seed=0)
 
 
 def test_holdout_rejects_tiny_frames():
@@ -192,7 +192,7 @@ def test_holdout_rejects_tiny_frames():
     masks[0, 0, 0] = True
     video = MaskedVideo(frames, masks)
     with pytest.raises(ValueError, match="at least 5"):
-        holdout(video, 0.5, seed=0)
+        holdout(video.masks, 0.5, seed=0)
 
 
 @pytest.mark.parametrize("fraction, count", [(0.05, 0), (0.95, 9)],
@@ -205,7 +205,7 @@ def test_holdout_rejects_a_fraction_that_empties_a_frame_set(fraction, count):
     with pytest.raises(ValueError, match=rf"^holdout fraction {fraction!r} moves {count} of the "
                                          r"9 observed pixels of frame 1; the test and training "
                                          "sets each need at least one$"):
-        holdout(video, fraction, seed=0)
+        holdout(video.masks, fraction, seed=0)
 
 
 @st.composite

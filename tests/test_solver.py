@@ -24,7 +24,7 @@ from vista.solver import (
 )
 from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig
 
-from conftest import random_aux, random_video
+from conftest import observed_video, random_aux, random_video
 import oracles
 
 
@@ -45,7 +45,7 @@ def test_objective_zero_factors_is_masked_energy(rng):
 def test_objective_exact_fit_no_penalties_is_zero(rng):
     left = rng.normal(size=(1, 4, 2))
     right = rng.normal(size=(1, 5, 2))
-    video = MaskedVideo.fully_observed((left[0] @ right[0].T)[None])
+    video = observed_video((left[0] @ right[0].T)[None])
     cfg = PenaltyConfig(lambda1=0.0, lambda2=0.0, lambda3=0.0, rank=2)
     assert objective(video, None, FactorSequence(left, right), cfg) == pytest.approx(0.0, abs=1e-14)
 
@@ -122,7 +122,7 @@ def test_weighted_label_middle_frame_frozen_hand_case():
 
 def test_update_left_ridge_onto_identity_design():
     frame = np.array([[2.0, 0.0], [0.0, 2.0]])
-    video = MaskedVideo.fully_observed(frame[None])
+    video = observed_video(frame[None])
     left = np.zeros((1, 2, 2))
     right = np.eye(2)[None, :, :]
     cfg = PenaltyConfig(lambda1=1e-9, rank=2)
@@ -132,7 +132,7 @@ def test_update_left_ridge_onto_identity_design():
 
 def test_update_right_ridge_onto_identity_design():
     frame = np.array([[2.0, 0.0], [0.0, 2.0]])
-    video = MaskedVideo.fully_observed(frame[None])
+    video = observed_video(frame[None])
     left = np.eye(2)[None, :, :]
     right = np.zeros((1, 2, 2))
     cfg = PenaltyConfig(lambda1=1e-9, rank=2)
@@ -394,7 +394,7 @@ def test_finalize_total_shrinkage_zeroes_frame(rng):
     left = 1e-3 * rng.normal(size=(1, 5, 2))
     right = 1e-3 * rng.normal(size=(1, 4, 2))
     frames = 1e-3 * rng.normal(size=(1, 5, 4))
-    video = MaskedVideo.fully_observed(frames)
+    video = observed_video(frames)
     out = finalize(FactorSequence(left, right), video, 10.0)
     np.testing.assert_array_equal(out.frames[0], np.zeros((5, 4)))
     assert out.effective_ranks[0] == 0
@@ -465,7 +465,7 @@ def test_solve_recovers_rank_one_video():
     u = rng.normal(size=6)
     v = rng.normal(size=7)
     frames = np.repeat((np.outer(u, v))[None], 4, axis=0)
-    video = MaskedVideo.fully_observed(frames)
+    video = observed_video(frames)
     cfg = PenaltyConfig(lambda1=1e-6, rank=2, max_iter=300, tol=1e-14, rng_seed=0)
     imputed, state = solve(video, None, cfg)
     rel = np.linalg.norm(imputed.frames - frames) / np.linalg.norm(frames)

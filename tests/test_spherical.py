@@ -17,6 +17,8 @@ from vista.spherical import (
 )
 from vista.video import MaskedVideo
 
+from conftest import observed_video
+
 import oracles
 
 
@@ -219,7 +221,7 @@ def test_negative_degree_cap_is_rejected_by_name(rng, l_max):
     with pytest.raises(ValueError, match=named):
         fit_frame(1.0 + rng.random((6, 8)), np.ones((6, 8), bool), grid, l_max, 0.1)
     with pytest.raises(ValueError, match=named):
-        build_auxiliary(MaskedVideo.fully_observed(1.0 + rng.random((2, 6, 8))), l_max=l_max)
+        build_auxiliary(observed_video(1.0 + rng.random((2, 6, 8))), l_max=l_max)
     with pytest.raises(ValueError, match=f"l_max must be non-negative, got {l_max}"):
         ShModel(l_max=l_max, coeffs=np.zeros(0))
 
@@ -267,7 +269,7 @@ def test_render_clamps_negative_values():
     model = ShModel(l_max=1, coeffs=np.array([0.0, 0.0, 5.0, 0.0]))
     raw = oracles.render(model, grid, clamp_negative=False)
     assert raw.min() < 0.0
-    aux = build_auxiliary(MaskedVideo.fully_observed(raw[None]), l_max=1, v=1e-9)
+    aux = build_auxiliary(observed_video(raw[None]), l_max=1, v=1e-9)
     assert aux.frames.min() == 0.0
     np.testing.assert_allclose(aux.frames[0], np.maximum(raw, 0.0), atol=1e-6)
 

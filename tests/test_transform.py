@@ -12,7 +12,7 @@ from vista.transform import TransformParams, fit_transform, invert
 from vista.video import AuxiliaryVideo, MaskedVideo
 
 import oracles
-from conftest import random_video
+from conftest import observed_video, random_video
 
 _EXPONENTS = (-1.0, -0.3, 0.0, 0.5, 1.0, 2.0)
 
@@ -70,7 +70,7 @@ def test_fit_transform_peak_memory_in_video_arrays(rng, with_aux, bound):
 
 
 def test_fit_transform_rejects_constant_video():
-    video = MaskedVideo.fully_observed(np.full((2, 3, 3), 7.0))
+    video = observed_video(np.full((2, 3, 3), 7.0))
     with pytest.raises(ValueError, match="variance"):
         fit_transform(video, None, 0.5)
 
@@ -88,7 +88,7 @@ def test_fit_transform_rejects_a_constant_whose_computed_std_is_not_zero():
 def test_fit_transform_names_offending_pixel():
     frames = np.ones((2, 3, 3))
     frames[1, 2, 0] = -5.0
-    video = MaskedVideo.fully_observed(frames)
+    video = observed_video(frames)
     # An observed pixel is named before an auxiliary one, in whichever frames.
     aux_frames = np.ones((2, 3, 3))
     aux_frames[0, 0, 0] = -5.0
@@ -99,7 +99,7 @@ def test_fit_transform_names_offending_pixel():
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
 def test_non_finite_exponent_is_rejected_by_name(lam):
-    video = MaskedVideo.fully_observed(1.0 + np.arange(18.0).reshape(2, 3, 3))
+    video = observed_video(1.0 + np.arange(18.0).reshape(2, 3, 3))
     with pytest.raises(ValueError, match=f"exponent must be finite, got {lam!r}"):
         fit_transform(video, None, lam)
 
@@ -107,7 +107,7 @@ def test_non_finite_exponent_is_rejected_by_name(lam):
 @pytest.mark.parametrize("offset", [-5.0, 0.0, np.nan, np.inf])
 def test_bad_offset_is_rejected_by_name(rng, offset):
     # -5 used to pass whenever every pixel exceeded 5; the check comes first.
-    video = MaskedVideo.fully_observed(10.0 + np.arange(18.0).reshape(2, 3, 3))
+    video = observed_video(10.0 + np.arange(18.0).reshape(2, 3, 3))
     aux = AuxiliaryVideo(10.0 + rng.random((2, 3, 3)))
     for companion in (None, aux):
         with pytest.raises(ValueError, match=f"offset must be finite and positive, "
@@ -183,7 +183,7 @@ def test_params_reject_non_finite_moments(mean, std, named):
 def test_fit_transform_rejects_overflowed_standardization(rng):
     # Squares of values near 1e200 overflow, so the pooled std is inf and
     # every standardized pixel would become 0.
-    video = MaskedVideo.fully_observed(1e200 * (1.0 + rng.random((2, 3, 4))))
+    video = observed_video(1e200 * (1.0 + rng.random((2, 3, 4))))
     with pytest.raises(ValueError, match="std must be finite and positive, got inf"):
         fit_transform(video, None, 1.0)
 
@@ -318,7 +318,7 @@ def test_non_positive_auxiliary_pixel_is_named(data):
     frames = np.ones(shape)
     frames[t, i, j] = -data.draw(st.floats(1e-3, 1e3))  # at most 0 after the offset
     frames[-1, -1, -1] = min(frames[-1, -1, -1], -1.0)  # a later bad pixel is not the one named
-    video = MaskedVideo.fully_observed(1.0 + np.arange(np.prod(shape)).reshape(shape))
+    video = observed_video(1.0 + np.arange(np.prod(shape)).reshape(shape))
     with pytest.raises(ValueError, match=rf"^auxiliary pixel \(t={t}, i={i}, j={j}\) "
                                          "is non-positive after offset 0.001$"):
         fit_transform(video, AuxiliaryVideo(frames), 0.5)
@@ -341,7 +341,7 @@ def test_an_overflowed_observed_pixel_fails_without_a_warning(rng):
     # checked before the deviations, whose inf - inf would warn.
     frames = 1.0 + rng.random((2, 3, 4))
     frames[1, 0, 3] = 1e3
-    video = MaskedVideo.fully_observed(frames)
+    video = observed_video(frames)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^mean must be finite, got inf$"):
@@ -354,7 +354,7 @@ def test_an_overflowed_observed_pixel_fails_without_a_warning(rng):
 def test_an_overflowed_moment_fails_without_a_warning(rng, scale, named):
     # Every power is finite at lam = 1, but a frame of 200 pixels near 1e306
     # overflows its sum, and the squared deviations of pixels near 1e200 overflow.
-    video = MaskedVideo.fully_observed(scale * (1.0 + rng.random((2, 10, 20))))
+    video = observed_video(scale * (1.0 + rng.random((2, 10, 20))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):

@@ -11,7 +11,7 @@ from vista.video import (
     PenaltyConfig,
 )
 
-from conftest import random_video
+from conftest import observed_video, random_video
 
 
 def test_masked_video_zeroes_unobserved_and_is_readonly():
@@ -51,10 +51,10 @@ def test_auxiliary_video_must_be_finite_and_match():
     with pytest.raises(ValueError):
         AuxiliaryVideo(np.array([[[np.nan]]]))
     aux = AuxiliaryVideo(np.zeros((2, 3, 4)))
-    video = MaskedVideo.fully_observed(np.zeros((2, 3, 4)) + 1.0)
+    video = observed_video(np.zeros((2, 3, 4)) + 1.0)
     aux.check_matches(video)
     with pytest.raises(ValueError):
-        aux.check_matches(MaskedVideo.fully_observed(np.ones((2, 4, 3))))
+        aux.check_matches(observed_video(np.ones((2, 4, 3))))
 
 
 def test_factor_sequence_validation(rng):
