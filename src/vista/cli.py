@@ -30,7 +30,7 @@ from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox
 from .solver import check_rank, solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
-from .video import MaskedVideo, PenaltyConfig
+from .video import MaskedVideo, PenaltyConfig, _give_up
 
 PROFILES = {
     "storm": (0.9, 0.2, 0.021),
@@ -282,27 +282,27 @@ def _zeroed(frame: np.ndarray, dropped: np.ndarray) -> np.ndarray:
     return frame
 
 
-def _fitted(video, aux_raw, cfg: RunConfig, lams, cache: dict) -> tuple:
-    """The transform for one penalty triple: (transformed video, transformed auxiliary, params).
+def _complete(video, aux, cfg: RunConfig, lams, cache: dict = None) -> tuple:
+    """Transform, solve and invert at one penalty triple: (frames, SolverState, clamp count).
 
-    The transform pools ``aux_raw`` in only when lambda3 > 0. ``cache`` keeps
-    each of those two variants, so a caller that solves many triples fits each once.
-    The result holds no reference to ``video``'s frames.
+    The transform pools ``aux`` in only when lambda3 > 0. ``cache`` keeps each
+    of those two variants, so a caller that solves many triples fits each
+    once. A transform that no cache keeps is used up: the imputation is built
+    in its video's buffer, and its auxiliary is let go after the solve.
     """
     with_aux = lams[2] > 0
-    if with_aux not in cache:
-        cache[with_aux] = fit_transform(video, aux_raw if with_aux else None,
-                                        cfg.boxcox_lambda, cfg.boxcox_offset)
-    return cache[with_aux]
-
-
-def _complete(transform: tuple, cfg: RunConfig, lams) -> tuple:
-    """Solve and invert ``_fitted``'s transform at one penalty triple.
-
-    Returns (frames, SolverState, clamp count).
-    """
+    transform = None if cache is None else cache.get(with_aux)
+    if transform is None:
+        transform = fit_transform(video, aux if with_aux else None,
+                                  cfg.boxcox_lambda, cfg.boxcox_offset)
+        if cache is None:
+            _give_up(transform[0])
+        else:
+            cache[with_aux] = transform
     transformed, aux_t, params = transform
+    del transform
     imputed, state = solve(transformed, aux_t, _penalty_config(cfg, *lams))
+    del transformed, aux_t
     frames, clamped = invert(imputed.frames, params)
     return frames, state, clamped
 
@@ -313,25 +313,27 @@ def cmd_impute(args) -> int:
     _penalty_config(cfg, *lams)  # penalties, rank, max_iter and tol, before any read
     video = vio.read_video(cfg.input)
     check_rank(cfg.rank, *video.dims[:2])
-    aux_raw = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
-    transform = _fitted(video, aux_raw, cfg, lams, {})
-    # Only --keep-observed reads the raw frames again; otherwise they are
-    # freed here, one (T, m, n) array less through the solve.
-    kept = video if cfg.keep_observed else None
-    del video
-    frames_out, state, clamped = _complete(transform, cfg, lams)
-    if kept is not None:
-        np.copyto(frames_out, kept.frames, where=kept.masks)
+    aux = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
+    # Two (T, m, n) arrays live through the solve, the transformed pair. The
+    # video is transformed in the read buffer unless --keep-observed reads
+    # the raw frames again, and the auxiliary always in its own buffer, as
+    # auxiliary.vmc is rendered again from its coefficients.
+    frames_out, state, clamped = _complete(video if cfg.keep_observed else _give_up(video),
+                                           _give_up(aux), cfg, lams)
+    if cfg.keep_observed:
+        np.copyto(frames_out, video.frames, where=video.masks)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if aux_raw is not None:
-        vio.write_frames(out / "auxiliary.vmc", aux_raw.frames)
+    if aux is not None:
+        with vio.FrameWriter(out / "auxiliary.vmc", frames_out.shape) as writer:
+            for start, frames in aux._rendering.batches():
+                writer._write(start, frames, None)
     vio.write_frames(out / "imputed.vmc", frames_out)
     vio.write_table(out / "diagnostics.csv", ["sweep", "objective", "max_rel_change"],
                     zip(range(state.sweeps + 1), state.objective_history,
                         [math.nan, *(float(np.max(c)) for c in state.change_history)]))
     unused = [name for name in ("lambda2", "lambda3") if name not in MODEL_PENALTIES[cfg.model]]
-    if aux_raw is None:
+    if aux is None:
         unused += ["sh_lmax", "sh_v"]
     entries = _config_entries(cfg, args, unused)
     entries["result_effective_lambdas"] = ",".join(map(repr, lams))
@@ -421,7 +423,7 @@ def cmd_gridsearch(args) -> int:
         for value in grid:
             lams = [best[0] if best else 0.0, 0.0, 0.0]
             lams[k] = value
-            frames, state, _ = _complete(_fitted(train, aux_raw, cfg, lams, fitted), cfg, lams)
+            frames, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
             unconverged += not state.converged
             scores.append(compare_models({"point": frames}, video.frames, test).mean_rse["point"])
             rows.append((stage, *lams, scores[-1]))

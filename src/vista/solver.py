@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chunks import _frame_chunks, _one_blas_thread
-from .video import FactorSequence, MaskedVideo, PenaltyConfig
+from .video import FactorSequence, MaskedVideo, PenaltyConfig, _writable
 
 _TINY = np.finfo(float).tiny
 
@@ -284,18 +284,20 @@ def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> I
     by ``shrinkage``. The effective rank is the number of singular values
     that survive. The factors must match the video's dims, and the rank may
     not exceed min(m, n). The frames are cleaned in chunks (see the module
-    docstring).
+    docstring), in place in a copy of the video's frames, or in their own
+    buffer if the video's holder gave it up (``vista.video._give_up``): the
+    product, formed in an (m, n) scratch, goes into the missing pixels only.
     """
     _check_factors(factors, video)
     left, right = factors.left, factors.right
-    frames = np.empty(video.frames.shape)
+    dims, masks, frames = video.dims, video.masks, _writable(video)
     effective = np.empty(len(frames), dtype=int)
 
-    def work(lo, hi):
+    def work(lo, hi, product):
         for t in range(lo, hi):
             frame = frames[t]
-            np.matmul(left[t], right[t].T, out=frame)
-            np.copyto(frame, video.frames[t], where=video.masks[t])
+            np.matmul(left[t], right[t].T, out=product)
+            np.copyto(frame, product, where=~masks[t])
             right_basis, _ = np.linalg.qr(right[t])
             projected = frame @ right_basis
             try:
@@ -306,7 +308,7 @@ def finalize(factors: FactorSequence, video: MaskedVideo, shrinkage: float) -> I
             np.matmul(u * sigma, rt @ right_basis.T, out=frame)
             effective[t] = int(np.count_nonzero(sigma))
 
-    _frame_chunks(work, video.dims)
+    _frame_chunks(work, dims, frames.shape[1:])
     return ImputedVideo(frames, effective)
 
 
@@ -371,7 +373,9 @@ def solve(video: MaskedVideo, aux, cfg: PenaltyConfig, factors: FactorSequence =
     Parameters
     ----------
     video : MaskedVideo
-        Frames to complete.
+        Frames to complete, left as they are unless the video's holder gave
+        it up (``vista.video._give_up``): then the imputation is built in the
+        frames' own buffer, which the video lets go (see ``finalize``).
     aux : AuxiliaryVideo or None
         Fully observed companion data; required iff ``cfg.lambda3 > 0``.
     cfg : PenaltyConfig

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video import AuxiliaryVideo, MaskedVideo
+from .video import AuxiliaryVideo, MaskedVideo, _writable
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,10 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     Returns (transformed MaskedVideo, transformed AuxiliaryVideo or None,
     TransformParams). The same (mean, std) standardizes both datasets, so
     their values stay directly comparable inside the solver. The transformed
-    video shares ``video``'s read-only masks.
+    video shares ``video``'s read-only masks. Each output is built in a copy
+    of its input's frames, so ``video`` and ``aux`` are left as they are,
+    unless the input's holder gave it up (``vista.video._give_up``): then it
+    is built in the frames' own buffer, which the input lets go.
     """
     if not (offset > 0 and math.isfinite(offset)):
         raise ValueError(f"power-transform offset must be finite and positive, got {offset!r}")
@@ -66,9 +69,11 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
         aux.check_matches(video)
     # Each output is built in place from its source plus the offset. A missing
     # pixel holds the bare offset and is zeroed when the output is adopted.
-    parts = [(video.frames + offset, video.masks)]
+    parts = [(_writable(video), video.masks)]
     if aux is not None:
-        parts.append((aux.frames + offset, None))
+        parts.append((_writable(aux), None))
+    for frames, _ in parts:
+        frames += offset
     for frames, masks in parts:
         kind = "pixel" if masks is not None else "auxiliary pixel"
         for t, frame in enumerate(frames):

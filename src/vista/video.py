@@ -28,8 +28,11 @@ class MaskedVideo:
 
     Unobserved entries are stored as zero and carry no information; every
     consumer routes reads through the masks. Instances are immutable after
-    construction and safe to share across threads.
+    construction and safe to share across threads, until their holder gives
+    them up (see ``_give_up``).
     """
+
+    _spare = False
 
     def __init__(self, frames, masks):
         self._hold(np.array(frames, dtype=float), np.array(masks, dtype=bool))
@@ -71,7 +74,13 @@ class MaskedVideo:
 
 
 class AuxiliaryVideo:
-    """A fully observed companion sequence with the same (T, m, n) layout."""
+    """A fully observed companion sequence with the same (T, m, n) layout.
+
+    ``build_auxiliary`` sets ``_rendering`` to what it rendered the frames from.
+    """
+
+    _spare = False
+    _rendering = None
 
     def __init__(self, frames):
         self._hold(np.array(frames, dtype=float))
@@ -98,6 +107,27 @@ class AuxiliaryVideo:
     def check_matches(self, video: MaskedVideo) -> None:
         if self.dims != video.dims:
             raise ValueError(f"auxiliary dims {self.dims} do not match video dims {video.dims}")
+
+
+def _give_up(item):
+    """Mark a MaskedVideo or AuxiliaryVideo (or None) as read no more by its holder, and return it.
+
+    The next ``fit_transform`` or ``solve`` given it then takes the frames'
+    buffer to build its result in, and ``item`` is left without frames.
+    Nothing in the package gives up what a library caller passed in.
+    """
+    if item is not None:
+        item._spare = True
+    return item
+
+
+def _writable(item) -> np.ndarray:
+    "``item.frames`` to build a result in: a copy, or the buffer itself if ``item`` was given up."
+    if not item._spare:
+        return item.frames.copy()
+    frames, item.frames = item.frames, None
+    frames.flags.writeable = True
+    return frames
 
 
 class FactorSequence:

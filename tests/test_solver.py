@@ -22,7 +22,7 @@ from vista.solver import (
     update_left,
     update_right,
 )
-from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig
+from vista.video import AuxiliaryVideo, FactorSequence, MaskedVideo, PenaltyConfig, _give_up
 
 from conftest import observed_video, random_aux, random_video
 import oracles
@@ -283,6 +283,26 @@ def test_sweep_and_solve_allocate_no_video_sized_array_beyond_the_output(rng):
         tracemalloc.stop()
     assert held < 0.5 * size
     assert peak < 1.5 * size
+
+
+def test_solve_builds_in_its_video_only_when_given_up(rng):
+    # A caller's video and auxiliary keep their bytes and stay read-only. A
+    # given-up video (vista.video._give_up) gets the same imputation built
+    # in its own buffer, which it lets go.
+    video = random_video(rng, 12, 15, 5)
+    aux = random_aux(rng, video)
+    cfg = PenaltyConfig(lambda1=0.5, lambda2=0.1, lambda3=0.05, rank=3, rng_seed=1, max_iter=5)
+    before = [video.frames.copy(), video.masks.copy(), aux.frames.copy()]
+    imputed, state = solve(video, aux, cfg)
+    for array, copy in zip((video.frames, video.masks, aux.frames), before):
+        assert array.tobytes() == copy.tobytes()
+        assert not array.flags.writeable
+    spare = _give_up(MaskedVideo(video.frames, video.masks))
+    buffer = spare.frames
+    again, again_state = solve(spare, aux, cfg)
+    assert again.frames.tobytes() == imputed.frames.tobytes()
+    assert again.frames is buffer and buffer.flags.writeable and spare.frames is None
+    assert again_state.objective_history == state.objective_history
 
 
 def test_sweep_update_chain_is_non_increasing(rng):

@@ -17,7 +17,7 @@ from vista.spherical import (
 )
 from vista.video import MaskedVideo
 
-from conftest import observed_video
+from conftest import observed_video, random_video
 
 import oracles
 
@@ -300,6 +300,29 @@ def test_build_auxiliary_matches_per_frame_fit(rng):
         model = fit_frame(video.frames[t], video.masks[t], grid, 4, 0.1)
         np.testing.assert_allclose(aux.frames[t], oracles.render(model, grid), atol=1e-12)
     assert coeff_count(11) == 144  # the default degree cap carries 144 coefficients
+
+
+def test_build_auxiliary_leaves_its_input_as_it_is(rng):
+    video = random_video(rng, 9, 14, 3, missing=0.4)
+    frames, masks = video.frames.copy(), video.masks.copy()
+    build_auxiliary(video, l_max=3)
+    for array, copy in ((video.frames, frames), (video.masks, masks)):
+        assert array.tobytes() == copy.tobytes()
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("T", [1, 15, 16, 17, 33])
+def test_build_auxiliary_renders_its_frames_again_bit_for_bit(rng, T):
+    # auxiliary.vmc is written from the kept coefficients, in build_auxiliary's
+    # batches of 16 frames: the frame counts sit on both sides of each batch edge.
+    video = random_video(rng, 9, 14, T, missing=0.4, positive=True)
+    aux = build_auxiliary(video, l_max=4)
+    starts, again = [], []
+    for start, frames in aux._rendering.batches():
+        starts.append(start)
+        again.append(frames.copy())  # the batches share one buffer
+    assert starts == list(range(0, T, 16))
+    assert np.concatenate(again).tobytes() == aux.frames.tobytes()
 
 
 def test_auxiliary_beats_zero_predictor_on_patch(rng):

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from vista import transform
 from vista.transform import TransformParams, fit_transform, invert
-from vista.video import AuxiliaryVideo, MaskedVideo
+from vista.video import AuxiliaryVideo, MaskedVideo, _give_up
 
 import oracles
 from conftest import observed_video, random_video
@@ -130,6 +130,28 @@ def test_round_trip_identity_with_auxiliary(rng):
     out_v, out_a, params = fit_transform(video, aux, 0.4)
     restored, _ = invert(np.array(out_a.frames), params)
     assert np.abs(restored - aux.frames).max() < 1e-10
+
+
+def test_fit_transform_builds_in_its_inputs_only_when_given_up(rng):
+    # A caller's video and auxiliary keep their bytes and stay read-only. A
+    # given-up pair (vista.video._give_up) gets the same outputs built in
+    # its own buffers, which it lets go.
+    video = random_video(rng, 6, 7, 3, positive=True)
+    aux = AuxiliaryVideo(0.5 + np.abs(rng.normal(size=video.frames.shape)))
+    before = [item.frames.copy() for item in (video, aux)] + [video.masks.copy()]
+    out, out_aux, params = fit_transform(video, aux, 0.4)
+    for array, copy in zip((video.frames, aux.frames, video.masks), before):
+        assert array.tobytes() == copy.tobytes()
+        assert not array.flags.writeable
+    spare = _give_up(MaskedVideo(video.frames, video.masks))
+    spare_aux = _give_up(AuxiliaryVideo(aux.frames))
+    buffers = spare.frames, spare_aux.frames
+    again, again_aux, again_params = fit_transform(spare, spare_aux, 0.4)
+    assert again_params == params
+    assert spare.frames is None and spare_aux.frames is None
+    for result, reference, buffer in zip((again, again_aux), (out, out_aux), buffers):
+        assert result.frames.tobytes() == reference.frames.tobytes()
+        assert result.frames is buffer and not buffer.flags.writeable
 
 
 def test_invert_lambda_one_is_affine():
