@@ -30,7 +30,7 @@ from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox
 from .solver import check_rank, solve
 from .spherical import build_auxiliary
 from .transform import fit_transform, invert
-from .video import MaskedVideo, PenaltyConfig, _give_up
+from .video import MaskedVideo, PenaltyConfig, _give_up, _writable
 
 PROFILES = {
     "storm": (0.9, 0.2, 0.021),
@@ -265,8 +265,6 @@ def cmd_simulate(args) -> int:
 
         def write(lo, hi, buffer, scratch):
             frames = reader._read(lo, repeat(buffer, hi - lo)) if kept is None else kept[lo:hi]
-            if cfg.holdout is not None:
-                frames = map(_zeroed, frames, dropped[lo:hi])
             masked._write(lo, frames, scratch, dropped[lo:hi])
             mask._write(lo, test[lo:hi], scratch)
 
@@ -276,19 +274,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _zeroed(frame: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    "``frame`` with +0.0 at ``dropped``, where a NaN read would pass the writer's x − NaN as is."
-    np.putmask(frame, dropped, 0.0)
-    return frame
-
-
 def _complete(video, aux, cfg: RunConfig, lams, cache: dict = None) -> tuple:
-    """Transform, solve and invert at one penalty triple: (frames, SolverState, clamp count).
+    """Transform, solve and invert at one penalty triple.
 
-    The transform pools ``aux`` in only when lambda3 > 0. ``cache`` keeps each
-    of those two variants, so a caller that solves many triples fits each
-    once. A transform that no cache keeps is used up: the imputation is built
-    in its video's buffer, and its auxiliary is let go after the solve.
+    Returns (frames, auxiliary frames or None, SolverState, clamp count). The
+    transform pools ``aux`` in only when lambda3 > 0. ``cache`` keeps each of
+    those two variants, so a caller that solves many triples fits each once.
+    A transform that no cache keeps is used up: the imputation is built in
+    its video's buffer, and its auxiliary, the one the solver used, is mapped
+    back by the same ``invert`` in its own buffer and returned too. The clamp
+    count is the imputation's.
     """
     with_aux = lams[2] > 0
     transform = None if cache is None else cache.get(with_aux)
@@ -302,9 +297,14 @@ def _complete(video, aux, cfg: RunConfig, lams, cache: dict = None) -> tuple:
     transformed, aux_t, params = transform
     del transform
     imputed, state = solve(transformed, aux_t, _penalty_config(cfg, *lams))
+    outputs = [imputed.frames]
+    if cache is None and aux_t is not None:
+        outputs.append(_writable(_give_up(aux_t)))
     del transformed, aux_t
-    frames, clamped = invert(imputed.frames, params)
-    return frames, state, clamped
+    inverted = [invert(frames, params) for frames in outputs]
+    frames, clamped = inverted[0]
+    aux_frames = inverted[1][0] if len(inverted) > 1 else None
+    return frames, aux_frames, state, clamped
 
 
 def cmd_impute(args) -> int:
@@ -316,18 +316,16 @@ def cmd_impute(args) -> int:
     aux = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
     # Two (T, m, n) arrays live through the solve, the transformed pair. The
     # video is transformed in the read buffer unless --keep-observed reads
-    # the raw frames again, and the auxiliary always in its own buffer, as
-    # auxiliary.vmc is rendered again from its coefficients.
-    frames_out, state, clamped = _complete(video if cfg.keep_observed else _give_up(video),
-                                           _give_up(aux), cfg, lams)
+    # the raw frames again, and the auxiliary always in its own buffer, where
+    # it is mapped back after the solve to be written as auxiliary.vmc.
+    frames_out, aux_out, state, clamped = _complete(
+        video if cfg.keep_observed else _give_up(video), _give_up(aux), cfg, lams)
     if cfg.keep_observed:
         np.copyto(frames_out, video.frames, where=video.masks)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if aux is not None:
-        with vio.FrameWriter(out / "auxiliary.vmc", frames_out.shape) as writer:
-            for start, frames in aux._rendering.batches():
-                writer._write(start, frames, None)
+    if aux_out is not None:
+        vio.write_frames(out / "auxiliary.vmc", aux_out)
     vio.write_frames(out / "imputed.vmc", frames_out)
     vio.write_table(out / "diagnostics.csv", ["sweep", "objective", "max_rel_change"],
                     zip(range(state.sweeps + 1), state.objective_history,
@@ -423,7 +421,7 @@ def cmd_gridsearch(args) -> int:
         for value in grid:
             lams = [best[0] if best else 0.0, 0.0, 0.0]
             lams[k] = value
-            frames, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
+            frames, _, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
             unconverged += not state.converged
             scores.append(compare_models({"point": frames}, video.frames, test).mean_rse["point"])
             rows.append((stage, *lams, scores[-1]))

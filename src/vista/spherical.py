@@ -238,43 +238,19 @@ def _render(tables: _Tables, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-class _Rendering(NamedTuple):
-    "What ``build_auxiliary`` renders its frames from: the tables and (T, K) table-order coefficients."
-
-    tables: _Tables
-    coeffs: np.ndarray
-
-    def batches(self):
-        """The frames again, bit for bit: yields (start, (B, rows, cols) frames) in
-        ``build_auxiliary``'s batches, each rendered into one reused buffer."""
-        T, rows, cols = len(self.coeffs), self.tables.lat[0].shape[1], len(self.tables.lon)
-        buffer = np.empty((min(T, _CHUNK), rows, cols))
-        for start in range(0, T, _CHUNK):
-            part = self.coeffs[start:start + _CHUNK]
-            with _one_blas_thread():
-                frames = _render(self.tables, part, buffer[:len(part)])
-            yield start, frames
-
-
 @_one_blas_thread()  # as solve: its matmuls and solves change bits with the thread count
 def build_auxiliary(video: MaskedVideo, l_max: int = 11, v: float = 0.1) -> AuxiliaryVideo:
     """Per-frame fit-and-render of a masked video on its cell-centered global grid.
 
     Frames are fitted and rendered a few at a time from the separable tables,
     so the work does not depend on how many pixels are missing and the
-    temporaries do not grow with T. The result keeps its (T, K) coefficients
-    in ``_rendering``, from which ``_rendering.batches()`` renders the same
-    frames again.
+    temporaries do not grow with T.
     """
     _check_ridge(v)
     m, n, T = video.dims
     tables = _tables(SphericalGrid.from_shape(m, n), l_max)
-    coeffs = np.empty((T, len(tables.canonical)))
     frames = np.empty((T, m, n))
     for start in range(0, T, _CHUNK):
         part = slice(start, start + _CHUNK)
-        coeffs[part] = _fit(tables, video.frames[part], video.masks[part], v)
-        _render(tables, coeffs[part], frames[part])
-    aux = AuxiliaryVideo._adopt(frames)
-    aux._rendering = _Rendering(tables, coeffs)
-    return aux
+        _render(tables, _fit(tables, video.frames[part], video.masks[part], v), frames[part])
+    return AuxiliaryVideo._adopt(frames)

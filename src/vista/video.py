@@ -74,13 +74,9 @@ class MaskedVideo:
 
 
 class AuxiliaryVideo:
-    """A fully observed companion sequence with the same (T, m, n) layout.
-
-    ``build_auxiliary`` sets ``_rendering`` to what it rendered the frames from.
-    """
+    """A fully observed companion sequence with the same (T, m, n) layout."""
 
     _spare = False
-    _rendering = None
 
     def __init__(self, frames):
         self._hold(np.array(frames, dtype=float))

@@ -24,6 +24,7 @@ from vista import cli
 from vista import io as vio
 from vista.cli import MODELS, PROFILES, effective_lambdas, main, resolve_config
 from vista.missingness import default_bbox, perimeter_path
+from vista.spherical import build_auxiliary
 from vista.synthetic import make_demo_video
 from vista.video import MaskedVideo
 
@@ -412,6 +413,26 @@ def test_impute_transforms_in_the_read_buffer_unless_keep_observed(tmp_path, tru
     run(["impute", "--input", truth_file, "--output-dir", tmp_path / "imp", "--model", "full",
          "--rank", "4", "--sh-lmax", "4", "--max-iter", "10", *(["--keep-observed"] * keep)])
     assert checked == [keep]
+
+
+def test_impute_writes_the_auxiliary_that_the_solver_used(tmp_path, truth_file):
+    # auxiliary.vmc is the transformed auxiliary mapped back by invert after
+    # the solve: build_auxiliary's frames to within rounding, clamped at zero,
+    # and the same bytes whether or not --keep-observed keeps the read video.
+    sim = tmp_path / "sim"
+    run(["simulate", "--input", truth_file, "--output-dir", sim,
+         "--pattern", "temporal-patch", "--patch-size", "15", "--seed", "2"])
+    written = []
+    for keep in (False, True):
+        out = tmp_path / f"imp-{keep}"
+        run(["impute", "--input", sim / "masked.vmc", "--output-dir", out, "--model", "full",
+             "--rank", "4", "--sh-lmax", "4", "--max-iter", "10", *(["--keep-observed"] * keep)])
+        written.append((out / "auxiliary.vmc").read_bytes())
+    assert written[0] == written[1]
+    aux = vio.read_frames(tmp_path / "imp-False" / "auxiliary.vmc")
+    built = build_auxiliary(vio.read_video(sim / "masked.vmc"), l_max=4, v=0.1).frames
+    np.testing.assert_allclose(aux, built, rtol=1e-15, atol=1e-15)
+    assert (aux >= 0).all()
 
 
 @pytest.mark.parametrize("keep, bound", [(False, 4.0), (True, 4.6)], ids=["dropped", "kept"])

@@ -3,6 +3,7 @@ import os
 import re
 import threading
 import tracemalloc
+import warnings
 from itertools import repeat
 from pathlib import Path
 
@@ -296,6 +297,32 @@ def test_frame_writer_writes_nan_bits_and_keeps_every_other_bit(tmp_path, rng):
     np.testing.assert_array_equal(bits[~dropped], _bits(before)[~dropped])  # -0.0 included
     np.putmask(before, dropped, np.nan)
     np.testing.assert_array_equal(bits, _bits(before))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_frame_writer_writes_nan_bits_whatever_a_dropped_pixel_holds(tmp_path, rng,
+                                                                    chunk_count, count):
+    # A payload NaN, a signalling NaN, an infinity or -0.0 at a dropped pixel
+    # is written as np.nan's bits, with no warning; every kept pixel, these
+    # values included, keeps its bits.
+    special = np.array([0x7FF8000000000001, 0x7FF0000000000001, 0x7FF0000000000000,
+                        0xFFF0000000000000, 0x8000000000000000], "<u8").view("<f8")
+    T, m, n = 4, 6, 7
+    frames = rng.normal(size=(T, m, n))
+    dropped = rng.random((T, m, n)) < 0.5
+    frames.reshape(T, -1)[:, :10] = np.tile(special, 2)
+    dropped.reshape(T, -1)[:, :10] = np.arange(10) < 5
+    before, path = _bits(frames).copy(), tmp_path / "dropped.vmc"
+    chunk_count(count)
+    with vio.FrameWriter(path, frames.shape) as writer, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vio._in_chunks(lambda lo, hi, scratch: writer._write(lo, frames[lo:hi], scratch,
+                                                             dropped[lo:hi]),
+                       frames.shape, [writer], (m, n))
+    np.testing.assert_array_equal(_bits(frames), before)  # the input is left as it was
+    bits = np.frombuffer(path.read_bytes()[20:], "<u8").reshape(frames.shape)
+    assert (bits[dropped] == 0x7FF8000000000000).all()
+    np.testing.assert_array_equal(bits[~dropped], before[~dropped])
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

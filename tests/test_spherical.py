@@ -311,20 +311,6 @@ def test_build_auxiliary_leaves_its_input_as_it_is(rng):
         assert not array.flags.writeable
 
 
-@pytest.mark.parametrize("T", [1, 15, 16, 17, 33])
-def test_build_auxiliary_renders_its_frames_again_bit_for_bit(rng, T):
-    # auxiliary.vmc is written from the kept coefficients, in build_auxiliary's
-    # batches of 16 frames: the frame counts sit on both sides of each batch edge.
-    video = random_video(rng, 9, 14, T, missing=0.4, positive=True)
-    aux = build_auxiliary(video, l_max=4)
-    starts, again = [], []
-    for start, frames in aux._rendering.batches():
-        starts.append(start)
-        again.append(frames.copy())  # the batches share one buffer
-    assert starts == list(range(0, T, 16))
-    assert np.concatenate(again).tobytes() == aux.frames.tobytes()
-
-
 def test_auxiliary_beats_zero_predictor_on_patch(rng):
     # On a smooth video with a missing patch, the smooth render must do
     # better on the hidden pixels than predicting zero (RSE 100%).
