@@ -195,9 +195,10 @@ def _finish_manifest(path, entries: dict) -> None:
 def cmd_simulate(args) -> int:
     """Two frame-chunked passes over the input, holding masks but no (T, m, n) float array.
 
-    Pass 1 reads and checks each frame; for ``--holdout`` it also records the
-    frame's observed (non-NaN) pixels and any infinity. Then the test mask is
-    drawn and checked. Only then is the output directory made, and pass 2
+    Pass 1 reads and checks each frame through ``read_video``'s chunked read,
+    which for ``--holdout`` also records the observed (non-NaN) pixels and
+    applies the content rule. Then the test mask is drawn and checked. Only
+    then is the output directory made, and pass 2
     reads each frame again and writes both files by position. An input that
     cannot be read twice (a pipe) or that is one of the outputs keeps its
     frames from pass 1.
@@ -224,26 +225,12 @@ def cmd_simulate(args) -> int:
         reader = stack.enter_context(
             vio.FrameReader(cfg.input, "finite" if cfg.holdout is None else None))
         shape = T, m, n = reader.shape
-        kept = observed = None
+        kept = None
         if not reader._positional or any(p.exists() and p.samefile(reader.path) for p in outputs):
             kept = reader._empty(shape)
+        observed = None if cfg.holdout is None else reader._empty(shape, bool)
+        vio._read_all(reader, kept, observed)
         if cfg.holdout is not None:
-            observed, infinite = reader._empty(shape, bool), np.zeros(T, bool)
-
-        def check(lo, hi, buffer):
-            targets = repeat(buffer, hi - lo) if kept is None else kept[lo:hi]
-            for t, frame in enumerate(reader._read(lo, targets), lo):
-                if observed is not None:
-                    np.logical_not(np.isnan(frame, out=observed[t]), out=observed[t])
-                    infinite[t] = np.isinf(frame).any()
-
-        vio._in_chunks(check, shape, [reader], (m, n))
-        if cfg.holdout is not None:  # read_video's checks, in its order
-            empty = np.flatnonzero(~observed.reshape(T, -1).any(axis=1))
-            if empty.size:
-                raise ValueError(f"{reader.path}: frame {empty[0]} has no observed entries")
-            if infinite.any():
-                raise ValueError(f"{reader.path}: observed entries must be finite")
             test = holdout(observed, cfg.holdout, cfg.seed)
             entries["result_test_pixels"] = str(np.count_nonzero(test))
             dropped = np.logical_or(np.logical_not(observed, out=observed), test, out=observed)

@@ -25,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from .chunks import _frame_chunks
-from .video import Dims, MaskedVideo, check_shape
+from .video import Dims, MaskedVideo, _check_content, check_shape
 
 _MAGIC = b"VMC1"
 _HEADER = struct.Struct("<4sIIII")
@@ -199,17 +199,23 @@ def _write_payload(path, frames: np.ndarray, dropped=None) -> None:
         writer._write(0, frames, np.empty(frames.shape[1:]), dropped)
 
 
-def _read_whole(path, check=None) -> np.ndarray:
-    "The (T, m, n) payload, frame t read straight into ``frames[t]`` of one array, in chunks."
-    with FrameReader(path, check) as reader:
-        frames = reader._empty(reader.shape)
+def _read_all(reader: FrameReader, frames=None, observed=None) -> None:
+    """Read every frame in chunks, frame t into ``frames[t]`` if given, else through one (m, n)
+    buffer per chunk. Given a boolean (T, m, n) ``observed``, record each frame's non-NaN
+    pixels there as it arrives, then raise the content rule's error, naming the file."""
+    T, m, n = reader.shape
+    infinite = None if observed is None else np.zeros(T, bool)
 
-        def work(lo, hi):
-            for _ in reader._read(lo, frames[lo:hi]):
-                pass
+    def work(lo, hi, *buffer):
+        targets = frames[lo:hi] if frames is not None else repeat(buffer[0], hi - lo)
+        for t, frame in enumerate(reader._read(lo, targets), lo):
+            if observed is not None:
+                np.logical_not(np.isnan(frame, out=observed[t]), out=observed[t])
+                infinite[t] = np.isinf(frame).any()
 
-        _in_chunks(work, reader.shape, [reader])
-    return frames
+    _in_chunks(work, reader.shape, [reader], *([(m, n)] if frames is None else []))
+    if observed is not None:
+        _check_content(observed, not infinite.any(), reader.path)
 
 
 def write_video(path, video: MaskedVideo) -> None:
@@ -218,11 +224,10 @@ def write_video(path, video: MaskedVideo) -> None:
 
 def read_video(path) -> MaskedVideo:
     "Read a video with NaN at missing pixels; the read buffer becomes its frames, NaN zeroed."
-    frames = _read_whole(path)
-    try:
-        return MaskedVideo._adopt(frames, ~np.isnan(frames))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with FrameReader(path) as reader:
+        frames, masks = reader._empty(reader.shape), reader._empty(reader.shape, bool)
+        _read_all(reader, frames, masks)
+    return MaskedVideo._adopt(frames, masks)
 
 
 def write_frames(path, frames: np.ndarray) -> None:
@@ -236,7 +241,10 @@ def write_frames(path, frames: np.ndarray) -> None:
 
 def read_frames(path) -> np.ndarray:
     "Read a video that must be fully observed; returns the (T, m, n) array."
-    return _read_whole(path, "finite")
+    with FrameReader(path, "finite") as reader:
+        frames = reader._empty(reader.shape)
+        _read_all(reader, frames)
+    return frames
 
 
 def write_mask(path, mask: np.ndarray) -> None:

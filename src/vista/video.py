@@ -23,7 +23,36 @@ def check_shape(frames: np.ndarray) -> None:
         raise ValueError(f"all dimensions must be positive, got {frames.shape}")
 
 
-class MaskedVideo:
+def _check_content(masks: np.ndarray, finite: bool, path=None) -> None:
+    """Raise for the lowest frame of the (T, m, n) ``masks`` with no observed entry, else
+    unless the observed entries are ``finite``; a given ``path`` starts the message."""
+    named = "" if path is None else f"{path}: "
+    empty = np.flatnonzero(~masks.reshape(masks.shape[0], -1).any(axis=1))
+    if empty.size:
+        raise ValueError(f"{named}frame {empty[0]} has no observed entries")
+    if not finite:
+        raise ValueError(f"{named}observed entries must be finite")
+
+
+class _Frames:
+    "The video containers' shared part: (T, m, n) ``frames``, read-only once ``_hold`` passes."
+
+    _spare = False
+
+    @classmethod
+    def _adopt(cls, *arrays):
+        "Take over ``arrays`` uncopied; ``_hold`` checks them as the constructor does, in place."
+        item = cls.__new__(cls)
+        item._hold(*arrays)
+        return item
+
+    @property
+    def dims(self) -> Dims:
+        T, m, n = self.frames.shape
+        return Dims(m, n, T)
+
+
+class MaskedVideo(_Frames):
     """A length-T sequence of m-by-n matrices with per-entry observation masks.
 
     Unobserved entries are stored as zero and carry no information; every
@@ -32,39 +61,20 @@ class MaskedVideo:
     them up (see ``_give_up``).
     """
 
-    _spare = False
-
     def __init__(self, frames, masks):
         self._hold(np.array(frames, dtype=float), np.array(masks, dtype=bool))
-
-    @classmethod
-    def _adopt(cls, frames: np.ndarray, masks: np.ndarray) -> "MaskedVideo":
-        """Take over float ``frames`` and bool ``masks`` uncopied, checked as by the
-        constructor: missing entries are zeroed in place, and both turn read-only."""
-        video = cls.__new__(cls)
-        video._hold(frames, masks)
-        return video
 
     def _hold(self, frames: np.ndarray, masks: np.ndarray) -> None:
         check_shape(frames)
         if frames.shape != masks.shape:
             raise ValueError(f"frames shape {frames.shape} does not match masks shape {masks.shape}")
-        empty = np.flatnonzero(~masks.reshape(masks.shape[0], -1).any(axis=1))
-        if empty.size:
-            raise ValueError(f"frame {empty[0]} has no observed entries")
         # Missing entries become 0, so the finiteness check covers exactly the observed ones.
         np.copyto(frames, 0.0, where=~masks)
-        if not np.isfinite(frames).all():
-            raise ValueError("observed entries must be finite")
+        _check_content(masks, np.isfinite(frames).all())
         self.frames = frames
         self.masks = masks
         self.frames.flags.writeable = False
         self.masks.flags.writeable = False
-
-    @property
-    def dims(self) -> Dims:
-        T, m, n = self.frames.shape
-        return Dims(m, n, T)
 
     @classmethod
     def from_dense(cls, frames) -> "MaskedVideo":
@@ -73,20 +83,11 @@ class MaskedVideo:
         return cls(frames, ~np.isnan(frames))
 
 
-class AuxiliaryVideo:
+class AuxiliaryVideo(_Frames):
     """A fully observed companion sequence with the same (T, m, n) layout."""
-
-    _spare = False
 
     def __init__(self, frames):
         self._hold(np.array(frames, dtype=float))
-
-    @classmethod
-    def _adopt(cls, frames: np.ndarray) -> "AuxiliaryVideo":
-        "Take over float ``frames`` uncopied, checked as by the constructor; it turns read-only."
-        aux = cls.__new__(cls)
-        aux._hold(frames)
-        return aux
 
     def _hold(self, frames: np.ndarray) -> None:
         check_shape(frames)
@@ -94,11 +95,6 @@ class AuxiliaryVideo:
             raise ValueError("auxiliary frames must be fully observed and finite")
         self.frames = frames
         self.frames.flags.writeable = False
-
-    @property
-    def dims(self) -> Dims:
-        T, m, n = self.frames.shape
-        return Dims(m, n, T)
 
     def check_matches(self, video: MaskedVideo) -> None:
         if self.dims != video.dims:

@@ -236,6 +236,27 @@ def test_simulate_reads_its_input_from_a_pipe(tmp_path, truth_file, chunk_count,
                 "input": str(fifo)})
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_impute_reads_its_input_from_a_pipe(tmp_path, truth_file, chunk_count):
+    # A pipe is read in order, in one chunk, through the same read as a file.
+    chunk_count(3)
+    run(["simulate", "--input", truth_file, "--output-dir", tmp_path / "sim",
+         "--pattern", "random", "--seed", "6"])
+    argv = ["--model", "full", "--rank", "3", "--sh-lmax", "3", "--max-iter", "10"]
+    run(["impute", "--input", tmp_path / "sim" / "masked.vmc", "--output-dir", tmp_path / "file",
+         *argv])
+    fifo = tmp_path / "masked.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=((tmp_path / "sim" / "masked.vmc").read_bytes(),), daemon=True)
+    writer.start()
+    run(["impute", "--input", fifo, "--output-dir", tmp_path / "pipe", *argv])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    for name in ("imputed.vmc", "auxiliary.vmc", "diagnostics.csv"):
+        assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
 @pytest.mark.parametrize("source", ["file", "own-output"])
 def test_simulate_holdout_writes_one_nan_whatever_nan_its_input_holds(tmp_path, truth_file,
                                                                      chunk_count, source):
@@ -816,6 +837,38 @@ def test_read_video_content_errors_name_the_file(tmp_path, truth_file, capsys, c
         path.write_bytes(data[:20] + payload)
         fails([*command, "--input", path, "--output-dir", tmp_path / "out"], capsys,
               rf"^vista: error: {re.escape(str(path))}: {named}$")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fault, named", [
+    ("infinite frame 0, empty frame 5", "frame 5 has no observed entries"),
+    ("empty frame 0, short payload", "payload for dims (3, 4, 6) needs 576 bytes, got 568"),
+    ("one -inf", "observed entries must be finite"),
+], ids=["infinite-and-empty", "empty-and-short", "one-negative-infinity"])
+def test_read_video_content_errors_keep_their_order_in_any_chunk_count(tmp_path, chunk_count,
+                                                                      capsys, fault, named):
+    # Six frames, in chunks [0, 2), [2, 4) and [4, 6) at three: a short
+    # payload first, then the lowest empty frame, then an infinite entry,
+    # wherever each lies, for read_video and for simulate --holdout alike.
+    frames = np.ones((6, 3, 4))
+    if fault.startswith("infinite"):
+        frames[0, 1, 2], frames[5] = np.inf, np.nan
+    if fault.startswith("empty"):
+        frames[0] = np.nan
+    if fault == "one -inf":
+        frames[3, 2, 1] = -np.inf
+    path = tmp_path / "bad.vmc"
+    vio._write_payload(path, frames)
+    if fault.endswith("short payload"):
+        path.write_bytes(path.read_bytes()[:-8])
+    message = f"{path}: {named}"
+    for count in (1, 3):
+        chunk_count(count)
+        with pytest.raises(ValueError) as exc:
+            vio.read_video(path)
+        assert str(exc.value) == message
+        fails(["simulate", "--input", path, "--output-dir", tmp_path / "out", "--holdout", "0.2"],
+              capsys, rf"^vista: error: {re.escape(message)}$")
         assert not (tmp_path / "out").exists()
 
 

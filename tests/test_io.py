@@ -441,3 +441,15 @@ def test_only_io_writes_the_missing_marker():
             and getattr(node.value, "id", None) in ("np", "numpy")
             or isinstance(node, ast.Constant) and node.value == 0x7FF8000000000000]
     assert uses == []
+
+
+def test_only_io_and_video_decode_the_missing_marker():
+    # io._read_all finds a read frame's NaN and infinities, and
+    # MaskedVideo.from_dense a caller's NaN; no other module looks for either.
+    uses = [f"{path.name}:{node.lineno}"
+            for path in sorted(Path(vio.__file__).parent.glob("*.py"))
+            if path.name not in ("io.py", "video.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("isnan", "isinf")
+            and getattr(node.value, "id", None) in ("np", "numpy")]
+    assert uses == []
