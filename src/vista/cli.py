@@ -156,6 +156,8 @@ def resolve_config(args) -> RunConfig:
             raise ValueError(f"no {flag} video: give {flag} or a {name}= line in --config")
         if isinstance(value, str):
             _check_one_line(flag, value)
+        if name == "seed" and value < 0:
+            raise ValueError(f"{flag} must be a non-negative integer, got {value}")
     return cfg
 
 

@@ -42,13 +42,6 @@ def _power(values: np.ndarray, lam: float) -> None:
         values /= lam
 
 
-def _pooled(parts):
-    "Each frame's pooled pixels in frame order: a video's observed ones, or a whole auxiliary frame."
-    for frames, masks in parts:
-        for t, frame in enumerate(frames):
-            yield frame.ravel() if masks is None else frame[masks[t]]
-
-
 def fit_transform(video: MaskedVideo, aux, lam: float,
                   offset: float = 1e-3):
     """Transform a video (and optional auxiliary) and fit the pooled standardization.
@@ -67,49 +60,47 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
         raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
     if aux is not None:
         aux.check_matches(video)
-    # Each output is built in place from its source plus the offset. A missing
-    # pixel holds the bare offset and is zeroed when the output is adopted.
-    parts = [(_writable(video), video.masks)]
+    # Each output is built in place, a frame at a time. A missing pixel holds
+    # the bare offset and is zeroed when the output is adopted.
+    outputs = [_writable(video)] + ([] if aux is None else [_writable(aux)])
+    # Every output frame in pooled order: (t, frame, its mask or None, its name in an error).
+    pooled = [(t, frame, video.masks[t], "pixel") for t, frame in enumerate(outputs[0])]
     if aux is not None:
-        parts.append((_writable(aux), None))
-    for frames, _ in parts:
-        frames += offset
-    for frames, masks in parts:
-        kind = "pixel" if masks is not None else "auxiliary pixel"
-        for t, frame in enumerate(frames):
-            bad = frame <= 0 if masks is None else (frame <= 0) & masks[t]
+        pooled += [(t, frame, None, "auxiliary pixel") for t, frame in enumerate(outputs[1])]
+    # No overflow warns, in a power, a sum or a square: a non-finite moment fails below.
+    # The moments are sums of per-frame sums, added in frame order, so a
+    # frame-chunked pass can reproduce them bit for bit.
+    with np.errstate(over="ignore"):
+        total, count, low, high = 0.0, 0, np.inf, -np.inf
+        for t, frame, mask, kind in pooled:
+            frame += offset
+            bad = frame <= 0 if mask is None else (frame <= 0) & mask
             if bad.any():
                 i, j = np.unravel_index(np.argmax(bad), bad.shape)
                 raise ValueError(f"{kind} (t={t}, i={i}, j={j}) is non-positive after offset {offset}")
-    # No overflow warns, in a power, a sum or a square: a non-finite moment fails below.
-    with np.errstate(over="ignore"):
-        for frames, _ in parts:
-            _power(frames, lam)
-        # The moments are sums of per-frame sums, added in frame order, so a
-        # frame-chunked pass can reproduce them bit for bit.
-        total, count, low, high = 0.0, 0, np.inf, -np.inf
-        for values in _pooled(parts):
+            _power(frame, lam)
+            values = frame.ravel() if mask is None else frame[mask]
             total += np.add.reduce(values)
             count += values.size
             low, high = min(low, values.min()), max(high, values.max())
+        mean = float(total / count)
+        # Checked before the deviations, which an overflowed pixel would make NaN,
+        # and before the spread, which an all-overflowed pool (inf == inf) lacks.
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean!r}")
         # A constant population's computed std can be a rounding residue above 0.
         if low == high:
             raise ValueError("pooled pixels have zero variance; cannot standardize")
-        mean = float(total / count)
-        # Checked before the deviations, which an overflowed pixel would make NaN.
-        if not math.isfinite(mean):
-            raise ValueError(f"mean must be finite, got {mean!r}")
-        for frames, _ in parts:
-            frames -= mean
         squares = 0.0
-        for values in _pooled(parts):
-            squares += np.add.reduce(np.square(values))
+        for _, frame, mask, _ in pooled:
+            frame -= mean
+            squares += np.add.reduce(np.square(frame.ravel() if mask is None else frame[mask]))
     params = TransformParams(boxcox_lambda=lam, mean=mean, std=float(np.sqrt(squares / count)),
                              offset=offset)
-    for frames, _ in parts:
+    for frames in outputs:
         frames /= params.std
-    transformed = MaskedVideo._adopt(parts[0][0], video.masks)
-    out_aux = None if aux is None else AuxiliaryVideo._adopt(parts[1][0])
+    transformed = MaskedVideo._adopt(outputs[0], video.masks)
+    out_aux = None if aux is None else AuxiliaryVideo._adopt(outputs[1])
     return transformed, out_aux, params
 
 

@@ -1220,6 +1220,15 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
      r"cut\.vmc: payload for dims \(40, 60, 4\) needs 76800 bytes, got 76792$"),
     (["simulate", "--input", "INF", "--pattern", "temporal-patch", "--patch-size", "27"],
      r"inf\.vmc: expected a fully observed video with finite values$"),
+    # A negative seed is refused before any read, so a missing input is never opened.
+    (["impute", "--input", "MISSING", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1$"),
+    (["simulate", "--input", "MISSING", "--pattern", "random", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1$"),
+    (["simulate", "--input", "MISSING", "--holdout", "0.2", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1$"),
+    (["gridsearch", "--input", "MISSING", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1$"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
         "impute-singular-sh-fit", "evaluate-wrong-shape", "evaluate-header-only-imputation",
@@ -1227,7 +1236,8 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
         "simulate-holdout-empties-test", "gridsearch-holdout-empties-training",
         "impute-reserved-header-word", "evaluate-truncated-imputation", "evaluate-long-mask",
         "evaluate-half-mask-value", "evaluate-infinite-imputation", "simulate-truncated-input",
-        "simulate-infinite-last-frame"])
+        "simulate-infinite-last-frame", "impute-seed-negative", "simulate-pattern-seed-negative",
+        "simulate-holdout-seed-negative", "gridsearch-seed-negative"])
 def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
                                                           argv, named):
     # 20 observed pixels a frame cannot fix 25 unridged coefficients.

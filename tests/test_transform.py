@@ -290,12 +290,14 @@ def test_power_transforms_each_pixel_once(rng, monkeypatch, with_aux):
     real = transform._power
 
     def counted(values, lam):
-        passed.append(values.size)
+        passed.append(values.shape)
         real(values, lam)
 
     monkeypatch.setattr(transform, "_power", counted)
     fit_transform(video, aux, 0.5)
-    assert sum(passed) == video.frames.size + (aux.frames.size if with_aux else 0)
+    # One (m, n) frame a call, each frame of each output once.
+    T, m, n = video.frames.shape
+    assert passed == [(m, n)] * (2 * T if with_aux else T)
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,14 +372,19 @@ def test_an_overflowed_observed_pixel_fails_without_a_warning(rng):
             fit_transform(video, None, 200.0)
 
 
-@pytest.mark.parametrize("scale, named", [(1e306, "^mean must be finite, got inf$"),
-                                          (1e200, "^std must be finite and positive, got inf$")],
-                         ids=["sum", "square"])
-def test_an_overflowed_moment_fails_without_a_warning(rng, scale, named):
+@pytest.mark.parametrize("scale, lam, named", [
+    (1e306, 1.0, "^mean must be finite, got inf$"),
+    (1e200, 1.0, "^std must be finite and positive, got inf$"),
+    (2.0, 1e6, "^mean must be finite, got inf$"),
+    (2.0, -1e6, "^pooled pixels have zero variance"),
+], ids=["sum", "square", "every-power", "constant"])
+def test_an_overflowed_moment_fails_without_a_warning(rng, scale, lam, named):
     # Every power is finite at lam = 1, but a frame of 200 pixels near 1e306
     # overflows its sum, and the squared deviations of pixels near 1e200 overflow.
+    # At lam = 1e6 every power of a pixel in [2, 4) overflows, so the pool's min and
+    # max are both inf; at lam = -1e6 every value is 1e-6, a truly constant pool.
     video = observed_video(scale * (1.0 + rng.random((2, 10, 20))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):
-            fit_transform(video, None, 1.0)
+            fit_transform(video, None, lam)
