@@ -28,8 +28,8 @@ from . import io as vio
 from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
 from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import check_rank, solve
-from .spherical import build_auxiliary
-from .transform import fit_transform, invert
+from .spherical import _check_fit, build_auxiliary
+from .transform import _check_power, fit_transform, invert
 from .video import MaskedVideo, PenaltyConfig, _give_up, _writable
 
 PROFILES = {
@@ -299,7 +299,10 @@ def _complete(video, aux, cfg: RunConfig, lams, cache: dict = None) -> tuple:
 def cmd_impute(args) -> int:
     cfg = resolve_config(args)
     lams = effective_lambdas(cfg)
-    _penalty_config(cfg, *lams)  # penalties, rank, max_iter and tol, before any read
+    _penalty_config(cfg, *lams)  # penalties, solver and fit options, before any read
+    if lams[2] > 0:
+        _check_fit(cfg.sh_lmax, cfg.sh_v)
+    _check_power(cfg.boxcox_lambda, cfg.boxcox_offset)
     video = vio.read_video(cfg.input)
     check_rank(cfg.rank, *video.dims[:2])
     aux = build_auxiliary(video, l_max=cfg.sh_lmax, v=cfg.sh_v) if lams[2] > 0 else None
@@ -394,25 +397,32 @@ def cmd_gridsearch(args) -> int:
     check_fraction(cfg.holdout, "holdout fraction")
     stages = ("lambda1", "lambda2", "lambda3")
     grids = [_parse_grid(stage, getattr(cfg, stage + "_grid")) for stage in stages]
-    _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # rank, max_iter and tol, before any read
+    _penalty_config(cfg, grids[0][0], 0.0, 0.0)  # solver and fit options, before any read
+    if max(grids[2]) > 0:
+        _check_fit(cfg.sh_lmax, cfg.sh_v)
+    _check_power(cfg.boxcox_lambda, cfg.boxcox_offset)
     video = vio.read_video(cfg.input)
     check_rank(cfg.rank, *video.dims[:2])
     test = holdout(video.masks, cfg.holdout, cfg.seed)
     train = MaskedVideo(video.frames, video.masks & ~test)
-    aux_raw = build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v) if max(grids[2]) > 0 else None
-    # Stage k varies lambda_k; stages 2 and 3 hold lambda1 at stage 1's best
-    # value and the other penalty at 0.
+    aux_raw = (_give_up(build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v))
+               if max(grids[2]) > 0 else None)
+    # Stage k varies lambda_k, holding lambda1 at stage 1's best value and the
+    # other penalty at 0; a transform or frames that no later point uses go.
     entries = _config_entries(cfg, args, () if aux_raw is not None else ("sh_lmax", "sh_v"))
     rows, best, fitted, unconverged = [], [], {}, 0
     for k, (stage, grid) in enumerate(zip(stages, grids)):
         entries[f"timestamp_stage_{stage}"] = f"{time.time():.6f}"
         scores = []
+        if k == 2 and 0.0 not in grid:
+            fitted.pop(False, None)
         for value in grid:
             lams = [best[0] if best else 0.0, 0.0, 0.0]
             lams[k] = value
             frames, _, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
             unconverged += not state.converged
             scores.append(compare_models({"point": frames}, video.frames, test).mean_rse["point"])
+            del frames
             rows.append((stage, *lams, scores[-1]))
         best.append(grid[int(np.argmin(scores))])
 

@@ -139,26 +139,13 @@ def _systems(basis: np.ndarray, cfg: PenaltyConfig) -> tuple:
     return np.linalg.inv(grams), cross
 
 
-def _label(t: int, filled: np.ndarray, basis: np.ndarray, aux, cfg: PenaltyConfig,
-           flip: bool, out: np.ndarray = None, term: np.ndarray = None) -> np.ndarray:
-    # filled_t B_t + lambda3 aux_t B_t, on the transposed frames when flip,
-    # into ``out`` with ``term`` as scratch when they are given.
-    label = np.matmul(filled.T if flip else filled, basis[t], out=out)
-    if cfg.lambda3 != 0.0:
-        frame = aux.frames[t]
-        term = np.matmul(frame.T if flip else frame, basis[t], out=term)
-        term *= cfg.lambda3
-        label += term
-    return label
-
-
-def _labels(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig,
+def _labels(video: MaskedVideo, aux, left: np.ndarray, right: np.ndarray, cfg: PenaltyConfig,
             flip: bool) -> np.ndarray:
     # Every frame's label for the half-cycle that solves for the left factors
     # (the right ones with flip), in one frame pass from the factors at the
     # half-cycle's start: the product with the observed pixels overwritten by
-    # the frame, applied to the fixed factor.
-    left, right = factors.left, factors.right
+    # the frame, applied to the fixed factor, plus lambda3 aux_t B_t, on the
+    # transposed frames when flip.
     basis = left if flip else right
     labels = np.empty((right if flip else left).shape)
 
@@ -166,7 +153,12 @@ def _labels(video: MaskedVideo, aux, factors: FactorSequence, cfg: PenaltyConfig
         for t in range(lo, hi):
             np.matmul(left[t], right[t].T, out=filled)
             np.copyto(filled, video.frames[t], where=video.masks[t])
-            _label(t, filled, basis, aux, cfg, flip, labels[t], term)
+            np.matmul(filled.T if flip else filled, basis[t], out=labels[t])
+            if cfg.lambda3 != 0.0:
+                frame = aux.frames[t]
+                np.matmul(frame.T if flip else frame, basis[t], out=term)
+                term *= cfg.lambda3
+                labels[t] += term
 
     _frame_chunks(work, video.dims, video.frames.shape[1:], labels.shape[1:])
     return labels
@@ -177,7 +169,7 @@ def _update(t: int, solved: np.ndarray, label: np.ndarray, cfg: PenaltyConfig,
     # Minimizer of frame t's majorized surrogate in solved[t], basis fixed:
     # X = (label B) (weight B'B + lambda1 I)^-1, with the inverse and the cross
     # Grams taken from ``systems`` (see _systems) and the frame's own terms
-    # from ``label`` (see _label), which is added to in place. The right-factor
+    # from ``label`` (see _labels), which is added to in place. The right-factor
     # update is the left-factor update of the transposed frame. Each lambda2
     # neighbor s contributes solved[s] (basis[s]' B), which is its product
     # applied to B through an r-by-r Gram.
@@ -193,18 +185,16 @@ def _update(t: int, solved: np.ndarray, label: np.ndarray, cfg: PenaltyConfig,
 
 def update_left(t: int, left: np.ndarray, right: np.ndarray,
                 video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
-    """Closed-form minimizer of frame t's majorized surrogate in the left factor."""
-    filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
-    return _update(t, left, _label(t, filled, right, aux, cfg, flip=False), cfg,
-                   _systems(right, cfg))
+    """Frame t's closed-form left-factor step; forms every frame's label, as the sweep does."""
+    labels = _labels(video, aux, left, right, cfg, flip=False)
+    return _update(t, left, labels[t], cfg, _systems(right, cfg))
 
 
 def update_right(t: int, left: np.ndarray, right: np.ndarray,
                  video: MaskedVideo, aux, cfg: PenaltyConfig) -> np.ndarray:
-    """Closed-form minimizer of frame t's majorized surrogate in the right factor."""
-    filled = np.where(video.masks[t], video.frames[t], left[t] @ right[t].T)
-    return _update(t, right, _label(t, filled, left, aux, cfg, flip=True), cfg,
-                   _systems(left, cfg))
+    """Frame t's closed-form right-factor step; forms every frame's label, as the sweep does."""
+    labels = _labels(video, aux, left, right, cfg, flip=True)
+    return _update(t, right, labels[t], cfg, _systems(left, cfg))
 
 
 @_one_blas_thread()
@@ -238,7 +228,7 @@ def sweep(state: SolverState, video: MaskedVideo, aux, cfg: PenaltyConfig,
     for solved, basis, flip in ((factors.left, factors.right, False),
                                 (factors.right, factors.left, True)):
         systems = _systems(basis, cfg)
-        labels = _labels(video, aux, factors, cfg, flip)
+        labels = _labels(video, aux, factors.left, factors.right, cfg, flip)
         for t in range(video.dims.T):
             solved[t] = _update(t, solved, labels[t], cfg, systems)
         if record_phases and not flip:

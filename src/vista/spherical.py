@@ -138,8 +138,7 @@ class _Tables(NamedTuple):
 
 
 def _tables(grid: SphericalGrid, l_max: int) -> _Tables:
-    if l_max < 0:
-        raise ValueError(f"spherical-harmonics degree cap must be non-negative, got {l_max!r}")
+    _check_fit(l_max)
     legendre = _norm_assoc_legendre(l_max, np.cos(grid.theta))
     orders = range(-l_max, l_max + 1)
     lon = np.empty((len(grid.phi), len(orders)))
@@ -172,7 +171,7 @@ def basis_matrix(grid: SphericalGrid, l_max: int) -> np.ndarray:
 def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
               l_max: int, v: float) -> ShModel:
     """Ridge least-squares fit of the observed pixels of one frame."""
-    _check_ridge(v)
+    _check_fit(l_max, v)
     frame = np.asarray(frame, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if frame.shape != mask.shape:
@@ -185,9 +184,12 @@ def fit_frame(frame: np.ndarray, mask: np.ndarray, grid: SphericalGrid,
     return ShModel(l_max=l_max, coeffs=coeffs)
 
 
-def _check_ridge(v: float) -> None:
+def _check_fit(l_max: int, v: float = 0.0) -> None:
+    "The ridge weight, then the degree cap, of a fit; ``_tables`` checks the degree alone."
     if not (math.isfinite(v) and v >= 0):
         raise ValueError(f"ridge weight v must be finite and non-negative, got {v!r}")
+    if l_max < 0:
+        raise ValueError(f"spherical-harmonics degree cap must be non-negative, got {l_max!r}")
 
 
 def _fit(tables: _Tables, frames: np.ndarray, masks: np.ndarray, v: float) -> np.ndarray:
@@ -246,7 +248,7 @@ def build_auxiliary(video: MaskedVideo, l_max: int = 11, v: float = 0.1) -> Auxi
     so the work does not depend on how many pixels are missing and the
     temporaries do not grow with T.
     """
-    _check_ridge(v)
+    _check_fit(l_max, v)
     m, n, T = video.dims
     tables = _tables(SphericalGrid.from_shape(m, n), l_max)
     frames = np.empty((T, m, n))

@@ -42,6 +42,13 @@ def _power(values: np.ndarray, lam: float) -> None:
         values /= lam
 
 
+def _check_power(lam: float, offset: float) -> None:
+    if not (offset > 0 and math.isfinite(offset)):
+        raise ValueError(f"power-transform offset must be finite and positive, got {offset!r}")
+    if not math.isfinite(lam):
+        raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
+
+
 def fit_transform(video: MaskedVideo, aux, lam: float,
                   offset: float = 1e-3):
     """Transform a video (and optional auxiliary) and fit the pooled standardization.
@@ -54,10 +61,7 @@ def fit_transform(video: MaskedVideo, aux, lam: float,
     unless the input's holder gave it up (``vista.video._give_up``): then it
     is built in the frames' own buffer, which the input lets go.
     """
-    if not (offset > 0 and math.isfinite(offset)):
-        raise ValueError(f"power-transform offset must be finite and positive, got {offset!r}")
-    if not math.isfinite(lam):
-        raise ValueError(f"power-transform exponent must be finite, got {lam!r}")
+    _check_power(lam, offset)
     if aux is not None:
         aux.check_matches(video)
     # Each output is built in place, a frame at a time. A missing pixel holds

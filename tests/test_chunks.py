@@ -2,10 +2,15 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from vista import chunks
-from vista.video import Dims
+from vista.missingness import MissingnessSpec, generate
+from vista.solver import solve
+from vista.spherical import build_auxiliary
+from vista.synthetic import make_demo_video
+from vista.video import Dims, MaskedVideo, PenaltyConfig
 
 
 def test_frame_chunks_raise_only_after_every_chunk_returned(monkeypatch):
@@ -48,3 +53,30 @@ def test_chunk_count_follows_cores_frames_and_frame_size(monkeypatch):
     monkeypatch.setattr(chunks, "_blas_threads", lambda: None)
     assert counted() == 1
     assert counted(blas=False) == 3
+
+
+def test_without_numpy_openblas_blas_passes_run_in_one_chunk(monkeypatch):
+    # Where numpy's bundled OpenBLAS is not found, _one_blas_thread pins
+    # nothing and every pass that calls BLAS runs in one chunk, never asking
+    # for a chunk count; the random draw, which calls no BLAS, still splits.
+    # The imputation is that of a normal run to rounding.
+    frames = make_demo_video(12, 20, 6, seed=4)
+    masks = np.random.default_rng(0).random(frames.shape) > 0.3
+    video = MaskedVideo(frames, masks)
+    cfg = PenaltyConfig(lambda1=0.9, lambda2=0.05, lambda3=0.01, rank=3, max_iter=20)
+    spec = MissingnessSpec("random", 0.4, rng_seed=5)
+    expected = solve(video, build_auxiliary(video, l_max=3), cfg)[0].frames
+    expected_draw, _ = generate(spec, (12, 20, 6))
+
+    monkeypatch.setattr(chunks.os.path, "isdir", lambda path: False)
+    assert chunks._blas_threads.__wrapped__() is None  # no numpy.libs to look in
+    monkeypatch.undo()
+    asked = []
+    monkeypatch.setattr(chunks, "_blas_threads", lambda: None)
+    monkeypatch.setattr(chunks, "_chunks", lambda dims: asked.append(dims) or 3)
+    imputed = solve(video, build_auxiliary(video, l_max=3), cfg)[0].frames
+    assert asked == []
+    draw, _ = generate(spec, (12, 20, 6))
+    assert asked == [Dims(12, 20, 6)]
+    assert np.array_equal(draw, expected_draw)
+    assert np.linalg.norm(imputed - expected) <= 1e-12 * np.linalg.norm(expected)

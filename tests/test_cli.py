@@ -479,6 +479,28 @@ def test_impute_peak_memory_in_video_arrays(tmp_path, keep, bound):
     assert peak / (8 * T * m * n) < bound
 
 
+def test_gridsearch_peak_memory_in_video_arrays(tmp_path):
+    # One (T, m, n) float array is the unit. Through a stage-3 solve
+    # gridsearch holds the read video, the training copy, the cached
+    # transformed pair (the auxiliary in its render buffer) and the
+    # imputation, with masks and factors: 6.2 units at the peak. Each point's
+    # frames go once scored, and stage 3 drops the transform without the
+    # auxiliary when its grid has no lambda3 = 0. One more array held passes
+    # the bound.
+    T, m, n = 24, 60, 90
+    vio.write_frames(tmp_path / "truth.vmc", make_demo_video(m, n, T, seed=3))
+    run(["simulate", "--input", tmp_path / "truth.vmc", "--output-dir", tmp_path / "sim",
+         "--pattern", "temporal-patch", "--patch-size", "20", "--seed", "1"])
+    tracemalloc.start()
+    try:
+        run(["gridsearch", "--input", tmp_path / "sim" / "masked.vmc",
+             "--output-dir", tmp_path / "grid", "--rank", "8", "--sh-lmax", "6", "--max-iter", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * T * m * n) < 6.7
+
+
 # At the edges of the shape: a dimension of 1, and rank = min(m, n).
 _edge_shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)).filter(
     lambda shape: 1 in shape)
@@ -629,6 +651,30 @@ def test_gridsearch_fits_the_transform_once_per_variant(tmp_path, truth_file, mo
     run(["gridsearch", "--input", truth_file, "--output-dir", tmp_path / "grid",
          "--rank", "4", "--max-iter", "10", "--sh-lmax", "4", "--seed", "2"])
     assert with_aux == [False, True]
+
+
+def test_gridsearch_zero_lambda3_point_repeats_stage_one(tmp_path, truth_file, monkeypatch):
+    # A lambda3 grid with 0 keeps the transform without the auxiliary through
+    # stage 3, where lambda3 = 0 reruns stage 1's point at the chosen lambda1
+    # to the same bits.
+    real = cli.fit_transform
+    with_aux = []
+
+    def counted(video, aux, *args):
+        with_aux.append(aux is not None)
+        return real(video, aux, *args)
+
+    monkeypatch.setattr(cli, "fit_transform", counted)
+    out = tmp_path / "grid"
+    run(["gridsearch", "--input", truth_file, "--output-dir", out, "--lambda3-grid", "0,0.01",
+         "--rank", "4", "--max-iter", "10", "--sh-lmax", "4", "--seed", "2"])
+    assert with_aux == [False, True]
+    with open(out / "gridsearch.csv") as handle:
+        rows = list(csv.reader(handle))[1:]
+    best1 = vio.read_manifest(out / "best.txt")["lambda1"]
+    stage1 = {float(r[1]): r[4] for r in rows if r[0] == "lambda1"}
+    zero, = [r for r in rows if r[0] == "lambda3" and float(r[3]) == 0.0]
+    assert zero[4] == stage1[float(best1)]
 
 
 @pytest.mark.parametrize("grids, calls", [
@@ -1229,6 +1275,23 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
      "--seed must be a non-negative integer, got -1$"),
     (["gridsearch", "--input", "MISSING", "--seed", "-1"],
      "--seed must be a non-negative integer, got -1$"),
+    # So are the fit options: the spherical-harmonics ones where lambda3 > 0.
+    (["impute", "--input", "MISSING", "--sh-lmax", "-1"],
+     "spherical-harmonics degree cap must be non-negative, got -1$"),
+    (["gridsearch", "--input", "MISSING", "--sh-lmax", "-1"],
+     "spherical-harmonics degree cap must be non-negative, got -1$"),
+    (["impute", "--input", "MISSING", "--sh-v", "nan"],
+     "ridge weight v must be finite and non-negative, got nan$"),
+    (["gridsearch", "--input", "MISSING", "--sh-v", "nan"],
+     "ridge weight v must be finite and non-negative, got nan$"),
+    (["impute", "--input", "MISSING", "--boxcox-offset", "0"],
+     "power-transform offset must be finite and positive, got 0.0$"),
+    (["gridsearch", "--input", "MISSING", "--boxcox-offset", "0"],
+     "power-transform offset must be finite and positive, got 0.0$"),
+    (["impute", "--input", "MISSING", "--boxcox-lambda", "inf"],
+     "power-transform exponent must be finite, got inf$"),
+    (["gridsearch", "--input", "MISSING", "--boxcox-lambda", "inf"],
+     "power-transform exponent must be finite, got inf$"),
 ], ids=["gridsearch-max-iter-0", "gridsearch-rank-0", "gridsearch-tol-0", "gridsearch-rank-100",
         "gridsearch-sh-v-negative", "impute-sh-v-negative", "impute-rank-100",
         "impute-singular-sh-fit", "evaluate-wrong-shape", "evaluate-header-only-imputation",
@@ -1237,7 +1300,11 @@ def test_every_command_replays_from_its_manifest(tmp_path, truth_file, command):
         "impute-reserved-header-word", "evaluate-truncated-imputation", "evaluate-long-mask",
         "evaluate-half-mask-value", "evaluate-infinite-imputation", "simulate-truncated-input",
         "simulate-infinite-last-frame", "impute-seed-negative", "simulate-pattern-seed-negative",
-        "simulate-holdout-seed-negative", "gridsearch-seed-negative"])
+        "simulate-holdout-seed-negative", "gridsearch-seed-negative",
+        "impute-sh-lmax-negative-missing-input", "gridsearch-sh-lmax-negative-missing-input",
+        "impute-sh-v-nan-missing-input", "gridsearch-sh-v-nan-missing-input",
+        "impute-boxcox-offset-0-missing-input", "gridsearch-boxcox-offset-0-missing-input",
+        "impute-boxcox-lambda-inf-missing-input", "gridsearch-boxcox-lambda-inf-missing-input"])
 def test_failure_after_reading_leaves_no_output_directory(tmp_path, truth_file, capsys,
                                                           argv, named):
     # 20 observed pixels a frame cannot fix 25 unridged coefficients.
