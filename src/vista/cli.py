@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from . import io as vio
-from .evaluation import compare_models, write_frame_metrics, write_margins, write_summary
+from .evaluation import _mean_rse, compare_models, write_frame_metrics, write_margins, write_summary
 from .missingness import PATTERNS, MissingnessSpec, check_fraction, default_bbox, generate, holdout
 from .solver import check_rank, solve
 from .spherical import _check_fit, build_auxiliary
@@ -267,8 +267,8 @@ def _complete(video, aux, cfg: RunConfig, lams, cache: dict = None) -> tuple:
     """Transform, solve and invert at one penalty triple.
 
     Returns (frames, auxiliary frames or None, SolverState, clamp count). The
-    transform pools ``aux`` in only when lambda3 > 0. ``cache`` keeps each of
-    those two variants, so a caller that solves many triples fits each once.
+    transform pools ``aux`` in only when lambda3 > 0. ``cache`` keeps the variant
+    of the latest fit alone, so a caller that groups its triples by variant fits each once.
     A transform that no cache keeps is used up: the imputation is built in
     its video's buffer, and its auxiliary, the one the solver used, is mapped
     back by the same ``invert`` in its own buffer and returned too. The clamp
@@ -282,6 +282,7 @@ def _complete(video, aux, cfg: RunConfig, lams, cache: dict = None) -> tuple:
         if cache is None:
             _give_up(transform[0])
         else:
+            cache.clear()
             cache[with_aux] = transform
     transformed, aux_t, params = transform
     del transform
@@ -366,6 +367,7 @@ def cmd_evaluate(args) -> int:
     write_margins(out / "margins.csv", report, level=cfg.level)
     entries = _config_entries(cfg, args)
     entries["result_models"] = ",".join(report.models)
+    entries["result_skipped_frames"] = str(sum(map(math.isnan, report.frame_rse[report.models[0]])))
     for name in report.models:
         entries[f"result_rse_{name}"] = repr(report.mean_rse[name])
     _finish_manifest(out / "manifest.txt", entries)
@@ -404,25 +406,27 @@ def cmd_gridsearch(args) -> int:
     video = vio.read_video(cfg.input)
     check_rank(cfg.rank, *video.dims[:2])
     test = holdout(video.masks, cfg.holdout, cfg.seed)
-    train = MaskedVideo(video.frames, video.masks & ~test)
+    # The truth is kept at the test pixels alone, and train adopts the read buffer.
+    truth = video.frames[test]
+    train = MaskedVideo._adopt(_writable(_give_up(video)), video.masks & ~test)
+    del video
     aux_raw = (_give_up(build_auxiliary(train, l_max=cfg.sh_lmax, v=cfg.sh_v))
                if max(grids[2]) > 0 else None)
     # Stage k varies lambda_k, holding lambda1 at stage 1's best value and the
-    # other penalty at 0; a transform or frames that no later point uses go.
+    # other penalty at 0; a triple met again (a 0, a repeated value) is not re-solved.
     entries = _config_entries(cfg, args, () if aux_raw is not None else ("sh_lmax", "sh_v"))
-    rows, best, fitted, unconverged = [], [], {}, 0
+    rows, best, fitted, solved, unconverged = [], [], {}, {}, 0
     for k, (stage, grid) in enumerate(zip(stages, grids)):
         entries[f"timestamp_stage_{stage}"] = f"{time.time():.6f}"
         scores = []
-        if k == 2 and 0.0 not in grid:
-            fitted.pop(False, None)
         for value in grid:
-            lams = [best[0] if best else 0.0, 0.0, 0.0]
-            lams[k] = value
-            frames, _, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
-            unconverged += not state.converged
-            scores.append(compare_models({"point": frames}, video.frames, test).mean_rse["point"])
-            del frames
+            lams = tuple(value if i == k else best[0] if i == 0 else 0.0 for i in range(3))
+            if lams not in solved:
+                frames, _, state, _ = _complete(train, aux_raw, cfg, lams, fitted)
+                solved[lams] = _mean_rse(frames, truth, test), state.converged
+                del frames
+            scores.append(solved[lams][0])
+            unconverged += not solved[lams][1]
             rows.append((stage, *lams, scores[-1]))
         best.append(grid[int(np.argmin(scores))])
 

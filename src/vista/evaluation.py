@@ -97,10 +97,13 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
     reading all inputs together, one frame at a time; with a reader that
     cannot seek, such as a pipe, in one chunk. Of failing frames, the
     lowest frame's error is raised.
-    Margins are taken against the ``BASELINE`` model (positive means better
-    than the baseline); ties count as "not better". Win counts against the
-    baseline and loss counts against ``FULL_MODEL`` are only filled in when
-    those models are present; a non-finite value on the masks is an error.
+    A frame whose evaluation mask is empty is skipped: its per-frame scores
+    and margins are NaN for every model, and the means, margin intervals and
+    counts are taken over the other frames. A mask empty in every frame is an
+    error. Margins are taken against the ``BASELINE`` model (positive means
+    better than the baseline); ties count as "not better". Win counts against
+    the baseline and loss counts against ``FULL_MODEL`` are only filled in
+    when those models are present; a non-finite value on the masks is an error.
     """
     if truth.shape != eval_masks.shape:
         raise ValueError("truth and evaluation masks must share one shape")
@@ -110,8 +113,9 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
         if frames.shape != truth.shape:
             raise ValueError(f"model {name!r} frames have shape {frames.shape}, "
                              f"expected {truth.shape}")
-        report.frame_rse[name] = np.empty(T)
-        report.frame_mse[name] = np.empty(T)
+        report.frame_rse[name] = np.full(T, math.nan)
+        report.frame_mse[name] = np.full(T, math.nan)
+    kept = np.ones(T, dtype=bool)
     sources = [truth, eval_masks, *results.values()]
     readers = [source for source in sources if not isinstance(source, np.ndarray)]
 
@@ -129,7 +133,8 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
             for t, (truth_frame, mask, *model_frames) in enumerate(zip(*ranges), lo):
                 pixels = np.flatnonzero(mask)
                 if not pixels.size:
-                    raise ValueError(f"evaluation mask is empty at frame {t}")
+                    kept[t] = False
+                    continue
                 truth_values = truth_frame.take(pixels, out=truth_gather[:pixels.size], mode="clip")
                 values = model_gather[:pixels.size]
                 truth_norm = _truth_norm(truth_values, values, f"frame {t} of the truth")
@@ -139,15 +144,18 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
                         f"frame {t} of model {name!r}")
 
     _in_chunks(work, truth.shape, readers, (m * n,), (m * n,), *[(m, n)] * len(readers))
+    if not kept.any():
+        raise ValueError("evaluation mask is empty")
+    # A skipped frame's NaN compares false, so the counts below leave it out.
     for name in results:
-        report.mean_rse[name] = float(report.frame_rse[name].mean())
-        report.mean_mse[name] = float(report.frame_mse[name].mean())
+        report.mean_rse[name] = float(report.frame_rse[name][kept].mean())
+        report.mean_mse[name] = float(report.frame_mse[name][kept].mean())
     if BASELINE in results:
         base = report.frame_rse[BASELINE]
         for name in results:
             margins = base - report.frame_rse[name]
             report.margins[name] = margins
-            report.margin_ci[name] = margin_confidence(margins)
+            report.margin_ci[name] = margin_confidence(margins[kept])
             report.better_than_baseline[name] = int(np.count_nonzero(margins > 0))
     if FULL_MODEL in results:
         full = report.frame_rse[FULL_MODEL]
@@ -157,11 +165,27 @@ def compare_models(results: dict, truth, eval_masks) -> EvalReport:
     return report
 
 
+def _mean_rse(imputed: np.ndarray, truth_values: np.ndarray, masks: np.ndarray) -> float:
+    """``compare_models({"point": imputed}, truth, masks).mean_rse["point"]``, bit for bit, from
+    ``truth_values = truth[masks]`` alone: its C order puts each frame's evaluation pixels in one
+    segment, in the order the flat indices gather them. Every frame of ``masks`` holds a pixel."""
+    frame_rse, end = np.empty(len(masks)), 0
+    with np.errstate(over="ignore"):
+        for t, (frame, mask) in enumerate(zip(imputed, masks)):
+            pixels = np.flatnonzero(mask)
+            values, end = truth_values[end:end + pixels.size], end + pixels.size
+            truth_norm = _truth_norm(values, np.empty_like(values), f"frame {t} of the truth")
+            frame_rse[t] = _scores(values, frame.take(pixels), truth_norm,
+                                   f"frame {t} of model 'point'")[0]
+    return float(frame_rse.mean())
+
+
 def write_frame_metrics(path, report: EvalReport) -> None:
-    """One CSV row per (model, frame): model, t, rse_pct, mse."""
+    """One CSV row per (model, scored frame): model, t, rse_pct, mse; skipped frames have none."""
     write_table(path, ["model", "t", "rse_pct", "mse"], (
         [name, t, format(r, ".17g"), format(e, ".17g")] for name in report.models
-        for t, (r, e) in enumerate(zip(report.frame_rse[name], report.frame_mse[name]))))
+        for t, (r, e) in enumerate(zip(report.frame_rse[name], report.frame_mse[name]))
+        if not math.isnan(r)))
 
 
 def write_summary(path, report: EvalReport) -> None:

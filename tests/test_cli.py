@@ -257,6 +257,28 @@ def test_impute_reads_its_input_from_a_pipe(tmp_path, truth_file, chunk_count):
         assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_gridsearch_reads_its_input_from_a_pipe(tmp_path, truth_file):
+    # The input is read once: the truth at the test pixels is gathered from
+    # the read frames before the training video takes them over.
+    argv = ["--lambda1-grid", "0.5,0.9", "--lambda2-grid", "0,0.05", "--lambda3-grid", "0.01",
+            "--rank", "3", "--sh-lmax", "3", "--max-iter", "10", "--seed", "2"]
+    run(["gridsearch", "--input", truth_file, "--output-dir", tmp_path / "file", *argv])
+    fifo = tmp_path / "truth.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(truth_file.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    run(["gridsearch", "--input", fifo, "--output-dir", tmp_path / "pipe", *argv])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    for name in ("gridsearch.csv", "best.txt"):
+        assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    assert (manifest_without_timestamps(tmp_path / "pipe" / "manifest.txt")
+            == {**manifest_without_timestamps(tmp_path / "file" / "manifest.txt"),
+                "input": str(fifo)})
+
+
 @pytest.mark.parametrize("source", ["file", "own-output"])
 def test_simulate_holdout_writes_one_nan_whatever_nan_its_input_holds(tmp_path, truth_file,
                                                                      chunk_count, source):
@@ -479,14 +501,17 @@ def test_impute_peak_memory_in_video_arrays(tmp_path, keep, bound):
     assert peak / (8 * T * m * n) < bound
 
 
-def test_gridsearch_peak_memory_in_video_arrays(tmp_path):
+@pytest.mark.parametrize("grids", [[], ["--lambda3-grid", "0,0.01"]],
+                         ids=["default-grids", "lambda3-grid-0-0.01"])
+def test_gridsearch_peak_memory_in_video_arrays(tmp_path, grids):
     # One (T, m, n) float array is the unit. Through a stage-3 solve
-    # gridsearch holds the read video, the training copy, the cached
+    # gridsearch holds the training video in the read buffer, the cached
     # transformed pair (the auxiliary in its render buffer) and the
-    # imputation, with masks and factors: 6.2 units at the peak. Each point's
-    # frames go once scored, and stage 3 drops the transform without the
-    # auxiliary when its grid has no lambda3 = 0. One more array held passes
-    # the bound.
+    # imputation, with masks, the truth at the test pixels and factors: 5.3
+    # units at the peak. Each point's frames go once scored, a lambda3 = 0
+    # point reuses stage 1's score, and the cache keeps one transform. The
+    # read video held beside the training one, or the transform without the
+    # auxiliary held through stage 3, passes the bound.
     T, m, n = 24, 60, 90
     vio.write_frames(tmp_path / "truth.vmc", make_demo_video(m, n, T, seed=3))
     run(["simulate", "--input", tmp_path / "truth.vmc", "--output-dir", tmp_path / "sim",
@@ -494,11 +519,12 @@ def test_gridsearch_peak_memory_in_video_arrays(tmp_path):
     tracemalloc.start()
     try:
         run(["gridsearch", "--input", tmp_path / "sim" / "masked.vmc",
-             "--output-dir", tmp_path / "grid", "--rank", "8", "--sh-lmax", "6", "--max-iter", "10"])
+             "--output-dir", tmp_path / "grid", "--rank", "8", "--sh-lmax", "6", "--max-iter", "10",
+             *grids])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * T * m * n) < 6.7
+    assert peak / (8 * T * m * n) < 5.7
 
 
 # At the edges of the shape: a dimension of 1, and rank = min(m, n).
@@ -654,9 +680,9 @@ def test_gridsearch_fits_the_transform_once_per_variant(tmp_path, truth_file, mo
 
 
 def test_gridsearch_zero_lambda3_point_repeats_stage_one(tmp_path, truth_file, monkeypatch):
-    # A lambda3 grid with 0 keeps the transform without the auxiliary through
-    # stage 3, where lambda3 = 0 reruns stage 1's point at the chosen lambda1
-    # to the same bits.
+    # Stage 3's lambda3 = 0 point is stage 1's point at the chosen lambda1:
+    # its row reuses that score, which is not solved again, so no transform
+    # without the auxiliary is fitted for it.
     real = cli.fit_transform
     with_aux = []
 
@@ -678,13 +704,16 @@ def test_gridsearch_zero_lambda3_point_repeats_stage_one(tmp_path, truth_file, m
 
 
 @pytest.mark.parametrize("grids, calls", [
-    (["--lambda3-grid", "0"], ["solve"] * 7),
+    (["--lambda3-grid", "0"], ["solve"] * 6),
     ([], ["build_auxiliary"] + ["solve"] * 9),
-], ids=["lambda3-grid-0", "default-grids"])
+    (["--lambda1-grid", "0.9,0.5,0.9"], ["build_auxiliary"] + ["solve"] * 8),
+], ids=["lambda3-grid-0", "default-grids", "repeated-lambda1"])
 def test_gridsearch_builds_the_auxiliary_video_once_before_any_solve(tmp_path, truth_file,
                                                                      monkeypatch, grids, calls):
     # A singular SH fit must fail before the first solve; with no lambda3 > 0
-    # the auxiliary video is never built.
+    # the auxiliary video is never built. Each distinct triple is solved once:
+    # stage 3's lambda3 = 0 repeats stage 1's point, and a repeated lambda1
+    # value its first.
     seen = []
     for name in ("build_auxiliary", "solve"):
         def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
@@ -1090,6 +1119,35 @@ def test_evaluate_reads_its_inputs_from_pipes(tmp_path):
         assert not writer.is_alive()
     for name in ("frame_metrics.csv", "summary.csv", "margins.csv"):
         assert (tmp_path / "pipes" / name).read_bytes() == (tmp_path / "files" / name).read_bytes()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_evaluate_skips_a_frame_with_no_evaluation_pixel(tmp_path, chunk_count, count):
+    # Frame 2 of 5 has an empty evaluation mask: it has no frame_metrics.csv
+    # rows, the manifest counts it, and the summary and margins are those of
+    # the other four frames alone.
+    chunk_count(count)
+    paths = _evaluate_inputs(tmp_path, (5, 7, 9), seed=10)
+    frames = {name: vio.read_frames(path) for name, path in paths.items()}
+    frames["mask"][2] = 0.0
+    vio.write_mask(paths["mask"], frames["mask"] == 1.0)
+    kept = [0, 1, 3, 4]
+    (tmp_path / "kept").mkdir()
+    for name, values in frames.items():
+        vio._write_payload(tmp_path / "kept" / f"{name}.vmc", values[kept])
+    for directory in (tmp_path, tmp_path / "kept"):
+        run(["evaluate", "--truth", directory / "truth.vmc", "--eval-mask", directory / "mask.vmc",
+             "--imputed", f"soft={directory / 'soft.vmc'}",
+             "--imputed", f"full={directory / 'full.vmc'}", "--output-dir", directory / "ev"])
+    for name in ("summary.csv", "margins.csv"):
+        assert (tmp_path / "ev" / name).read_bytes() == (tmp_path / "kept" / "ev" / name).read_bytes()
+    with open(tmp_path / "ev" / "frame_metrics.csv") as handle:
+        rows = list(csv.reader(handle))
+    with open(tmp_path / "kept" / "ev" / "frame_metrics.csv") as handle:
+        alone = list(csv.reader(handle))
+    assert rows == [alone[0], *([r[0], str(kept[int(r[1])]), *r[2:]] for r in alone[1:])]
+    assert vio.read_manifest(tmp_path / "ev" / "manifest.txt")["result_skipped_frames"] == "1"
+    assert vio.read_manifest(tmp_path / "kept" / "ev" / "manifest.txt")["result_skipped_frames"] == "0"
 
 
 def test_evaluate_holds_a_few_frames_not_its_inputs(tmp_path):

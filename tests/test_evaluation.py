@@ -8,6 +8,7 @@ import pytest
 from vista import io as vio
 from vista.evaluation import (
     Z95,
+    _mean_rse,
     compare_models,
     margin_confidence,
     rse,
@@ -136,11 +137,70 @@ def test_compare_models_frames_equal_rse_and_mse_exactly(rng):
             assert report.frame_mse[name][t] == np.mean(residual * residual)
 
 
-def test_compare_models_rejects_empty_evaluation_frame(rng):
+def test_compare_models_skips_an_empty_evaluation_frame(rng, chunk_count):
+    # Frame 2 has no evaluation pixel: its scores and margins are NaN, and
+    # every aggregate is, bit for bit, that of the other frames alone.
     truth, masks = make_inputs(rng)
+    results = {name: truth + rng.normal(size=truth.shape, scale=0.1 * (k + 1))
+               for k, name in enumerate(("soft", "ts", "full"))}
     masks[2] = False
-    with pytest.raises(ValueError, match="evaluation mask is empty"):
-        compare_models({"soft": truth, "full": truth}, truth, masks)
+    kept = [0, 1, 3, 4]
+    alone = compare_models({name: frames[kept] for name, frames in results.items()},
+                           truth[kept], masks[kept])
+    # Up to more chunks than frames, switching threads as often as the
+    # interpreter allows, as the chunks mark their skipped frames.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 3, 8):
+            chunk_count(count)
+            report = compare_models(results, truth, masks)
+            for name in results:
+                for per_frame in (report.frame_rse, report.frame_mse, report.margins):
+                    assert np.isnan(per_frame[name][2])
+                for per_frame in ("frame_rse", "frame_mse", "margins"):
+                    assert (getattr(report, per_frame)[name][kept].tobytes()
+                            == getattr(alone, per_frame)[name].tobytes())
+            assert _numbers(report)[:-1] == _numbers(alone)[:-1]
+    finally:
+        sys.setswitchinterval(interval)
+    masks[:] = False
+    with pytest.raises(ValueError, match="^evaluation mask is empty$"):
+        compare_models(results, truth, masks)
+
+
+@pytest.mark.parametrize("T, m, n, one_pixel", [(5, 6, 7, False), (1, 6, 7, False),
+                                                (4, 6, 7, True), (3, 1, 1, True)],
+                         ids=["frames", "one-frame", "one-pixel-masks", "one-pixel-frames"])
+def test_mean_rse_from_the_gathered_truth_is_compare_models_mean(rng, T, m, n, one_pixel):
+    truth = rng.normal(size=(T, m, n))
+    masks = rng.random((T, m, n)) > 0.5
+    if one_pixel:
+        masks[:] = False
+        masks[np.arange(T), rng.integers(m, size=T), rng.integers(n, size=T)] = True
+    masks[:, 0, 0] |= ~masks.reshape(T, -1).any(axis=1)
+    imputed = truth + rng.normal(size=truth.shape, scale=0.1)
+    expected = compare_models({"point": imputed}, truth, masks).mean_rse["point"]
+    assert _mean_rse(imputed, truth[masks], masks).hex() == expected.hex()
+
+
+def test_mean_rse_fails_as_compare_models_does(rng):
+    truth, masks = make_inputs(rng)
+    at = (2, *np.argwhere(masks[2])[0])
+    cases = []
+    for value in (np.nan, np.inf, 1e200):
+        bad = truth.copy()
+        bad[at] = value
+        cases += [(bad, truth), (truth, bad)]
+    zero = truth.copy()
+    zero[3][masks[3]] = 0.0
+    cases.append((truth, zero))
+    for imputed, reference in cases:
+        with pytest.raises(ValueError) as expected:
+            compare_models({"point": imputed}, reference, masks)
+        with pytest.raises(ValueError) as got:
+            _mean_rse(imputed, reference[masks], masks)
+        assert str(got.value) == str(expected.value)
 
 
 def test_non_finite_values_on_the_mask_are_named_and_nan_off_it_is_allowed(rng):
@@ -242,8 +302,9 @@ def test_compare_models_is_the_same_in_any_chunk_count_over_arrays_and_readers(
 def test_compare_models_raises_the_lowest_failing_frame_in_any_chunk_count(
         tmp_path, rng, chunk_count, mask_value_at):
     # Six frames in chunks [0, 2), [2, 4) and [4, 6). Model frame 3 is not
-    # finite and the evaluation mask of frame 5 is empty; a 0.5 in a mask
-    # frame fails at frame 2, before them, or at frame 4, after them.
+    # finite, and the evaluation mask of frame 5 is empty, which is skipped,
+    # not an error; a 0.5 in a mask frame fails at frame 2, before frame 3, or
+    # at frame 4, after it.
     truth, masks = make_inputs(rng, T=6)
     full = truth.copy()
     full[(3, *np.argwhere(masks[3])[0])] = np.inf
