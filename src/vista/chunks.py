@@ -95,16 +95,18 @@ def _frame_chunks(work, dims, *scratch, blas=True, split=True) -> None:
     OpenBLAS cannot be held at one thread. Each chunk but the last runs on
     a plain thread, in a copy of the caller's context, which holds numpy's
     floating-point error state (``np.errstate``); the calling thread runs
-    the last. Each chunk gets its own buffers of the ``scratch`` shapes,
-    allocated here by the calling thread, so no worker allocates a
-    frame-sized array. Once every chunk has returned, the error of the
-    lowest failing chunk is raised; a chunk stops at its first failing
-    frame, so that is the error of the lowest failing frame.
+    the last. Each chunk gets its own buffers of the ``scratch`` specs, a
+    float64 shape or a ``(shape, dtype)`` pair, allocated here by the
+    calling thread, so no worker allocates a frame-sized array. Once every
+    chunk has returned, the error of the lowest failing chunk is raised; a
+    chunk stops at its first failing frame, so that is the error of the
+    lowest failing frame.
     """
     one = not split or (blas and _blas_threads() is None)
     T, count = dims.T, 1 if one else _chunks(dims)
     bounds = [T * i // count for i in range(count + 1)]
-    buffers = [[np.empty(shape) for shape in scratch] for _ in range(count)]
+    buffers = [[np.empty(*spec) if isinstance(spec[0], tuple) else np.empty(spec)
+                for spec in scratch] for _ in range(count)]
     errors = [None] * count
 
     def run(i):

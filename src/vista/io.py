@@ -193,10 +193,19 @@ def _in_chunks(work, shape, files, *scratch) -> None:
                   split=all(file._positional for file in files))
 
 
-def _write_payload(path, frames: np.ndarray, dropped=None) -> None:
-    "Write ``frames`` (T, m, n) whole, NaN at the ``dropped`` masks if given, in one chunk."
+def _write_payload(path, frames: np.ndarray, masks=None) -> None:
+    """Write ``frames`` (T, m, n) whole in frame chunks (``_in_chunks``), NaN wherever the
+    boolean (T, m, n) ``masks``, if given, are false; each mask frame is negated as it is
+    written, into a buffer of its chunk."""
+    m, n = frames.shape[1:]
     with FrameWriter(path, frames.shape) as writer:
-        writer._write(0, frames, np.empty(frames.shape[1:]), dropped)
+
+        def work(lo, hi, scratch, dropped):
+            drops = None if masks is None else (np.logical_not(mask, out=dropped)
+                                                for mask in masks[lo:hi])
+            writer._write(lo, frames[lo:hi], scratch, drops)
+
+        _in_chunks(work, frames.shape, [writer], (m, n), ((m, n), bool))
 
 
 def _read_all(reader: FrameReader, frames=None, observed=None) -> None:
@@ -204,22 +213,23 @@ def _read_all(reader: FrameReader, frames=None, observed=None) -> None:
     buffer per chunk. Given a boolean (T, m, n) ``observed``, record each frame's non-NaN
     pixels there as it arrives, then raise the content rule's error, naming the file."""
     T, m, n = reader.shape
-    infinite = None if observed is None else np.zeros(T, bool)
+    seen, infinite = np.zeros(T, bool), np.zeros(T, bool)
 
     def work(lo, hi, *buffer):
         targets = frames[lo:hi] if frames is not None else repeat(buffer[0], hi - lo)
         for t, frame in enumerate(reader._read(lo, targets), lo):
             if observed is not None:
                 np.logical_not(np.isnan(frame, out=observed[t]), out=observed[t])
+                seen[t] = observed[t].any()
                 infinite[t] = np.isinf(frame).any()
 
     _in_chunks(work, reader.shape, [reader], *([(m, n)] if frames is None else []))
     if observed is not None:
-        _check_content(observed, not infinite.any(), reader.path)
+        _check_content(seen, not infinite.any(), reader.path)
 
 
 def write_video(path, video: MaskedVideo) -> None:
-    _write_payload(path, video.frames, map(np.logical_not, video.masks))
+    _write_payload(path, video.frames, video.masks)
 
 
 def read_video(path) -> MaskedVideo:
@@ -231,10 +241,10 @@ def read_video(path) -> MaskedVideo:
 
 
 def write_frames(path, frames: np.ndarray) -> None:
-    "Write a fully observed (T, m, n) array."
+    "Write a fully observed (T, m, n) array; each frame is checked finite before the file opens."
     frames = np.asarray(frames, dtype=float)
     check_shape(frames)
-    if not np.isfinite(frames).all():
+    if not all(np.isfinite(frame).all() for frame in frames):
         raise ValueError("observed entries must be finite")
     _write_payload(path, frames)
 

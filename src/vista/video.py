@@ -8,6 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .chunks import _frame_chunks
+
 
 class Dims(NamedTuple):
     m: int
@@ -23,11 +25,11 @@ def check_shape(frames: np.ndarray) -> None:
         raise ValueError(f"all dimensions must be positive, got {frames.shape}")
 
 
-def _check_content(masks: np.ndarray, finite: bool, path=None) -> None:
-    """Raise for the lowest frame of the (T, m, n) ``masks`` with no observed entry, else
-    unless the observed entries are ``finite``; a given ``path`` starts the message."""
+def _check_content(seen: np.ndarray, finite: bool, path=None) -> None:
+    """Raise for the lowest frame whose ``seen`` flag (any observed entry, one per frame) is
+    false, else unless the observed entries are ``finite``; a given ``path`` starts the message."""
     named = "" if path is None else f"{path}: "
-    empty = np.flatnonzero(~masks.reshape(masks.shape[0], -1).any(axis=1))
+    empty = np.flatnonzero(~seen)
     if empty.size:
         raise ValueError(f"{named}frame {empty[0]} has no observed entries")
     if not finite:
@@ -68,9 +70,18 @@ class MaskedVideo(_Frames):
         check_shape(frames)
         if frames.shape != masks.shape:
             raise ValueError(f"frames shape {frames.shape} does not match masks shape {masks.shape}")
-        # Missing entries become 0, so the finiteness check covers exactly the observed ones.
-        np.copyto(frames, 0.0, where=~masks)
-        _check_content(masks, np.isfinite(frames).all())
+        T, m, n = frames.shape
+        seen, finite = np.empty(T, bool), np.empty(T, bool)
+
+        def work(lo, hi, flags):
+            # Missing entries become 0, so the finiteness check covers exactly the observed ones.
+            for t in range(lo, hi):
+                np.copyto(frames[t], 0.0, where=np.logical_not(masks[t], out=flags))
+                seen[t] = masks[t].any()
+                finite[t] = np.isfinite(frames[t], out=flags).all()
+
+        _frame_chunks(work, Dims(m, n, T), ((m, n), bool), blas=False)
+        _check_content(seen, finite.all())
         self.frames = frames
         self.masks = masks
         self.frames.flags.writeable = False

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written as a literal, loop-heavy
 transcription of the quantities under test and shares no code with the
-package beyond numpy/scipy primitives.
+package beyond numpy/scipy primitives; ``demo_video_einsum`` alone calls the
+package's profile projection and bump-path helpers, since it checks how the
+demo video's frames are assembled from them.
 """
 
 import math
@@ -314,3 +316,48 @@ def boxcox_inverse(values, lam):
     clamped = int(np.sum(argument <= 0))
     floor = 0.0 if lam > 0 else np.finfo(float).tiny
     return np.power(np.where(argument > floor, argument, floor), 1.0 / lam), clamped
+
+
+def demo_video_einsum(m, n, frames, seed, bump_amplitude=16.0, bump_sigma=8.0, degree_cap=6):
+    """``synthetic.make_demo_video`` as one three-operand ``einsum`` over the whole video,
+    then the bump added frame by frame; no parameter check."""
+    from vista.missingness import default_bbox, perimeter_path
+    from vista.synthetic import _bandlimited
+
+    rng = np.random.default_rng(seed)
+    lat = 90.0 - 180.0 * (np.arange(m) + 0.5) / m
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    azimuth = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    row_profiles = np.stack([
+        _bandlimited(np.exp(-(lat / 38.0) ** 2), theta, 0, degree_cap),
+        _bandlimited(np.exp(-((lat - 8.0) / 22.0) ** 2), theta, 1, degree_cap),
+        _bandlimited(np.exp(-((lat - 55.0) / 14.0) ** 2)
+                     + np.exp(-((lat + 55.0) / 14.0) ** 2), theta, 2, degree_cap),
+        np.ones(m),
+    ])
+    col_profiles = np.stack([
+        np.ones(n),
+        np.cos(azimuth - 2.0 * np.pi * 13.0 / 24.0),
+        np.cos(2.0 * (azimuth - 2.0 * np.pi * 12.0 / 24.0)),
+        np.ones(n),
+    ])
+    t_grid = np.arange(frames)
+    weights = np.stack([
+        22.0 * (1.0 + 0.15 * np.sin(2.0 * np.pi * t_grid / frames)),
+        13.0 * (1.0 + 0.20 * np.cos(2.0 * np.pi * t_grid / frames + 0.7)),
+        4.0 * np.ones(frames),
+        10.0 * np.ones(frames),
+    ])
+    video = np.einsum("kt,km,kn->tmn", weights, row_profiles, col_profiles)
+    r0, r1, c0, c1 = default_bbox(m, n)
+    inset = max(0, min(6, (r1 - r0 - 1) // 2, (c1 - c0 - 1) // 2))
+    path = perimeter_path((r0 + inset, r1 - inset, c0 + inset, c1 - inset))
+    start = int(rng.integers(len(path)))
+    rows = np.arange(m)[:, None]
+    cols = np.arange(n)[None, :]
+    for t in range(frames):
+        ci, cj = path[(start + 6 * t) % len(path)]
+        col_dist = np.minimum(np.abs(cols - cj), n - np.abs(cols - cj))
+        dist2 = (rows - ci) ** 2 + col_dist ** 2
+        video[t] += bump_amplitude * np.exp(-dist2 / (2.0 * bump_sigma ** 2))
+    return video

@@ -33,6 +33,20 @@ def test_frame_chunks_raise_only_after_every_chunk_returned(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_each_chunk_gets_its_own_buffers_of_the_scratch_specs(monkeypatch):
+    monkeypatch.setattr(chunks, "_chunks", lambda dims: 3)
+    given = {}
+
+    def work(lo, hi, floats, flags):
+        given[lo] = floats, flags
+
+    chunks._frame_chunks(work, Dims(4, 5, 6), (4, 5), ((4, 5), bool), blas=False)
+    assert sorted(given) == [0, 2, 4]
+    for floats, flags in given.values():
+        assert (floats.shape, floats.dtype, flags.shape, flags.dtype) == ((4, 5), float, (4, 5), bool)
+    assert len({id(buffer) for pair in given.values() for buffer in pair}) == 6
+
+
 def test_chunk_count_follows_cores_frames_and_frame_size(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

@@ -340,6 +340,49 @@ def test_write_to_a_pipe(tmp_path, rng):
     assert received == [(tmp_path / "frames.vmc").read_bytes()]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_whole_writes_are_the_same_in_any_chunk_count_and_through_a_pipe(tmp_path, rng,
+                                                                         chunk_count):
+    T, m, n = 7, 5, 6
+    frames = rng.normal(size=(T, m, n))
+    frames[2, 1, 1] = -0.0
+    masks = rng.random((T, m, n)) < 0.6
+    masks[:, 0, 0] = True
+    video = MaskedVideo(frames, masks)
+    header = b"VMC1" + b"".join(v.to_bytes(4, "little") for v in (m, n, T, 0))
+    writes = {
+        "frames": (lambda path: vio.write_frames(path, frames), frames),
+        "video": (lambda path: vio.write_video(path, video), np.where(masks, frames, np.nan)),
+        "mask": (lambda path: vio.write_mask(path, masks), masks),
+    }
+    fifo = tmp_path / "pipe.vmc"
+    os.mkfifo(fifo)
+    for count in (1, 2, 3):
+        chunk_count(count)
+        for name, (write, payload) in writes.items():
+            expected = header + np.asarray(payload, "<f8").tobytes()
+            write(tmp_path / f"{name}.vmc")
+            assert (tmp_path / f"{name}.vmc").read_bytes() == expected, (name, count)
+            received = []
+            reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                      daemon=True)
+            reader.start()
+            write(fifo)
+            reader.join(timeout=10)
+            assert received == [expected], (name, count)
+
+
+def test_write_frames_checks_every_frame_before_the_file_opens(tmp_path, chunk_count):
+    chunk_count(3)
+    path = tmp_path / "kept.vmc"
+    path.write_bytes(b"old")
+    frames = np.ones((5, 3, 4))
+    frames[4, 2, 3] = np.inf
+    with pytest.raises(ValueError, match="^observed entries must be finite$"):
+        vio.write_frames(path, frames)
+    assert path.read_bytes() == b"old"
+
+
 def test_whole_reads_are_the_same_in_any_chunk_count(tmp_path, rng, chunk_count):
     T, m, n = 7, 5, 6
     frames = rng.normal(size=(T, m, n))

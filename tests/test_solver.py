@@ -888,9 +888,10 @@ def test_solve_restores_the_blas_thread_count(rng, blas, monkeypatch):
         seen.append(get())
         return count(dims)
 
+    # Built before the spy: MaskedVideo runs a chunked pass that calls no BLAS.
+    video = random_video(rng, 6, 7, 3)
     monkeypatch.setattr(chunks, "_chunks", counting)
     set_(2)
-    video = random_video(rng, 6, 7, 3)
     solve(video, None, PenaltyConfig(lambda1=0.9, rank=2, max_iter=3))
     assert get() == 2 and seen and set(seen) == {1}
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,47 @@ def test_every_public_name_resolves():
     import vista
 
     assert [name for name in vista.__all__ if not hasattr(vista, name)] == []
+
+
+def _message(frames, masks):
+    with pytest.raises(ValueError) as exc:
+        MaskedVideo(frames, masks)
+    return str(exc.value)
+
+
+def test_masked_video_zeroes_and_checks_each_frame_in_any_chunk_count(rng, chunk_count):
+    T, m, n = 7, 5, 6
+    frames = rng.normal(size=(T, m, n))
+    masks = rng.random((T, m, n)) < 0.6
+    masks[:, 0, 0] = True
+    frames[~masks] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=np.count_nonzero(~masks))
+    expected = np.where(masks, frames, 0.0).view(np.uint64)
+    hollow = masks.copy()
+    hollow[[2, 5]] = False  # in two chunks of three
+    infinite = frames.copy()
+    infinite[1, 0, 0] = np.inf  # observed, and in a lower frame than either empty one
+    for count in (1, 2, 3):
+        chunk_count(count)
+        video = MaskedVideo(frames, masks)
+        np.testing.assert_array_equal(video.frames.view(np.uint64), expected)
+        np.testing.assert_array_equal(video.masks, masks)
+        assert _message(infinite, hollow) == "frame 2 has no observed entries"
+        assert _message(infinite, masks) == "observed entries must be finite"
+
+
+def test_masked_video_holds_no_whole_boolean_temporary(rng, chunk_count):
+    # Beyond its own copies of the frames and masks it holds (m, n) buffers only;
+    # a whole negated mask or finiteness array would add masks.nbytes.
+    T, m, n = 120, 40, 60
+    frames = rng.normal(size=(T, m, n))
+    masks = rng.random((T, m, n)) < 0.5
+    masks[:, 0, 0] = True
+    for count in (1, 3):
+        chunk_count(count)
+        tracemalloc.start()
+        try:
+            MaskedVideo(frames, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - frames.nbytes - masks.nbytes < 0.25 * masks.nbytes
