@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import stat
 import struct
 from itertools import repeat
 
@@ -130,24 +131,44 @@ class FrameReader(_File):
 class FrameWriter(_File):
     """A ``.vmc`` file of ``shape`` (T, m, n) written one (m, n) frame at a time, in frame ranges.
 
-    Opening creates the file and writes the header. A file that can seek is
-    written by position, frame t at payload byte 8·m·n·t, so threads may
-    write disjoint frame ranges of it at once; one that cannot, such as a
-    pipe, is written in order through its handle.
+    Opening creates the file, or opens an existing one without truncating
+    it: truncation would drop its cached pages and free its blocks before a
+    byte is written. A regular file gets 20 zero bytes where the header
+    goes, and only a clean exit from the ``with`` block cuts it to the
+    payload's end and writes the header, so a write that fails or is never
+    finished leaves a file the reader rejects ("bad magic"). Anything else,
+    such as a pipe or ``/dev/null``, gets the header first and no cut. A
+    file that can seek is written by position, frame t at payload byte
+    8·m·n·t, so threads may write disjoint frame ranges of it at once; one
+    that cannot, such as a pipe, is written in order through its handle.
     """
 
     def __init__(self, path, shape):
         T, m, n = shape
         self.path = path
         self._frame_bytes = 8 * m * n
-        self._handle = open(path, "wb")
+        self._header = _HEADER.pack(_MAGIC, m, n, T, 0)
+        self._handle = open(path, "wb",
+                            opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666))
         try:
-            self._handle.write(_HEADER.pack(_MAGIC, m, n, T, 0))
+            regular = stat.S_ISREG(os.fstat(self._handle.fileno()).st_mode)
+            self._end = _HEADER.size + self._frame_bytes * T if regular else None
+            self._handle.write(bytes(_HEADER.size) if regular else self._header)
             self._handle.flush()
             self._positional = self._handle.seekable() and hasattr(os, "pwrite")
         except BaseException:
             self._handle.close()
             raise
+
+    def __exit__(self, exc_type, *exc_info):
+        # No chunk writes after this: _frame_chunks joins every chunk before it raises.
+        try:
+            if exc_type is None and self._end is not None:
+                self._handle.truncate(self._end)
+                self._handle.seek(0)
+                self._handle.write(self._header)
+        finally:
+            self.close()
 
     def _write(self, lo: int, frames, scratch: np.ndarray, dropped=None) -> None:
         """Write the (m, n) frames of ``frames`` as payload frames lo, lo + 1, ... in ``<f8``.

@@ -200,17 +200,24 @@ def test_failed_simulate_leaves_an_existing_output_directory_untouched(tmp_path,
 
 @pytest.mark.parametrize("name", ["masked.vmc", "test_mask.vmc"])
 def test_simulate_can_read_one_of_the_files_it_writes(tmp_path, truth_file, chunk_count, name):
-    # The input is held whole, not read again while its own file is rewritten.
+    # The input is held whole, not read again while its own file is rewritten
+    # in place: given as the output's name, or under a name hard-linked to it.
     chunk_count(2)
     for mode in (["--pattern", "random", "--fraction", "0.3"], ["--holdout", "0.2"]):
-        out, copy = tmp_path / mode[0] / "out", tmp_path / mode[0] / "copy"
-        out.mkdir(parents=True)
-        (out / name).write_bytes(truth_file.read_bytes())
         argv = [*mode, "--seed", "4"]
+        copy = tmp_path / mode[0] / "copy"
         run(["simulate", "--input", truth_file, "--output-dir", copy, *argv])
-        run(["simulate", "--input", out / name, "--output-dir", out, *argv])
-        for written in ("masked.vmc", "test_mask.vmc"):
-            assert (out / written).read_bytes() == (copy / written).read_bytes(), (mode, written)
+        for link in (False, True):
+            out = tmp_path / mode[0] / ("link" if link else "same")
+            out.mkdir()
+            source = tmp_path / mode[0] / "input.vmc" if link else out / name
+            source.write_bytes(truth_file.read_bytes())
+            if link:
+                os.link(source, out / name)
+            run(["simulate", "--input", source, "--output-dir", out, *argv])
+            for written in ("masked.vmc", "test_mask.vmc"):
+                assert (out / written).read_bytes() == (copy / written).read_bytes(), (
+                    mode, link, written)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

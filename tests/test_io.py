@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import stat
 import threading
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vista import io as vio
+from vista.cli import main
 from vista.video import MaskedVideo
 
 from conftest import observed_video, random_video
@@ -381,6 +383,124 @@ def test_write_frames_checks_every_frame_before_the_file_opens(tmp_path, chunk_c
     with pytest.raises(ValueError, match="^observed entries must be finite$"):
         vio.write_frames(path, frames)
     assert path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("over", [None, "an older complete file"])
+def test_a_failed_write_leaves_a_file_the_reader_rejects(tmp_path, rng, monkeypatch,
+                                                        chunk_count, count, over):
+    # Chunk 0 fails after its first frame, once every later chunk has written
+    # its frames: the file may have its full length, but no header.
+    T, m, n = 6, 130, 130
+    path = tmp_path / "frames.vmc"
+    if over:
+        vio.write_frames(path, rng.normal(size=(T, m, n)))
+    chunk_count(count)
+    write, others_done = vio.FrameWriter._write, threading.Semaphore(0)
+
+    def fail_in_chunk_0(writer, lo, frames, scratch, dropped=None):
+        if lo:
+            write(writer, lo, frames, scratch, dropped)
+            others_done.release()
+            return
+        write(writer, lo, frames[:1], scratch, dropped)
+        for _ in range(count - 1):
+            assert others_done.acquire(timeout=10)
+        raise OSError("no space left")
+
+    monkeypatch.setattr(vio.FrameWriter, "_write", fail_in_chunk_0)
+    with pytest.raises(OSError, match="^no space left$"):
+        vio.write_frames(path, rng.normal(size=(T, m, n)))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad magic {bytes(4)!r}, ")):
+        vio.read_frames(path)
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+def test_an_overwrite_is_in_place_and_gives_the_fresh_file(tmp_path, rng, chunk_count, old):
+    T, m, n = 5, 6, 7
+    frames, masks = rng.normal(size=(T, m, n)), rng.random((T, m, n)) < 0.6
+    masks[:, 0, 0] = True
+    writes = {
+        "frames": lambda path: vio.write_frames(path, frames),
+        "video": lambda path: vio.write_video(path, MaskedVideo(frames, masks)),
+        "mask": lambda path: vio.write_mask(path, masks),
+    }
+    chunk_count(2)
+    (tmp_path / "plain").write_bytes(b"")
+    for name, write in writes.items():
+        fresh, path = tmp_path / f"{name}-fresh.vmc", tmp_path / f"{name}.vmc"
+        write(fresh)
+        assert fresh.stat().st_mode == (tmp_path / "plain").stat().st_mode, name
+        path.write_bytes(rng.bytes(len(fresh.read_bytes()) + 8 * m * n + 3 if old == "longer"
+                                   else 11))
+        path.chmod(0o640)
+        before = path.stat()
+        write(path)
+        after = path.stat()
+        assert path.read_bytes() == fresh.read_bytes(), name
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode), name
+
+
+def test_writes_to_dev_null(rng):
+    frames = rng.normal(size=(3, 4, 5))
+    vio.write_frames(os.devnull, frames)
+    vio.write_video(os.devnull, MaskedVideo(frames, frames > 0))
+    vio.write_mask(os.devnull, frames > 0)
+
+
+def test_a_writer_left_without_a_clean_exit_leaves_an_unreadable_file(tmp_path, rng):
+    frames = rng.normal(size=(3, 4, 5))
+    for path in tmp_path / "closed.vmc", tmp_path / "raised.vmc":
+        vio.write_frames(path, frames + 1.0)  # an older complete file
+    writer = vio.FrameWriter(tmp_path / "closed.vmc", frames.shape)
+    writer._write(0, frames, np.empty((4, 5)))
+    writer.close()
+    with pytest.raises(KeyboardInterrupt):
+        with vio.FrameWriter(tmp_path / "raised.vmc", frames.shape) as writer:
+            writer._write(0, frames, np.empty((4, 5)))
+            raise KeyboardInterrupt
+    for path in tmp_path / "closed.vmc", tmp_path / "raised.vmc":
+        with pytest.raises(ValueError, match="bad magic"):
+            vio.read_frames(path)
+
+
+def test_a_read_only_output_is_an_error_and_is_left_as_it_was(tmp_path, rng, capsys):
+    truth, out = tmp_path / "truth.vmc", tmp_path / "out"
+    vio.write_frames(truth, rng.random((3, 20, 30)))
+    argv = ["simulate", "--input", str(truth), "--output-dir", str(out), "--pattern", "random"]
+    assert main(argv) == 0
+    masked = out / "masked.vmc"
+    masked.chmod(0o444)
+    if os.access(masked, os.W_OK):
+        pytest.skip("this user may write to a read-only file")
+    before = masked.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vista: error: ") and err.count("\n") == 1, err
+    assert "Permission denied" in err and str(masked) in err, err
+    assert masked.read_bytes() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_writers_leak_no_descriptor(tmp_path, rng, monkeypatch, chunk_count):
+    frames = rng.normal(size=(4, 5, 6))
+    path = tmp_path / "frames.vmc"
+    chunk_count(2)
+    before = len(os.listdir("/proc/self/fd"))
+    vio.write_frames(path, frames)
+    vio.write_frames(path, frames)
+    with monkeypatch.context() as patch:  # a step of opening after the descriptor is open
+        patch.setattr(stat, "S_ISREG", lambda mode: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            vio.FrameWriter(path, frames.shape)
+    with pytest.raises(IsADirectoryError):
+        vio.write_frames(tmp_path, frames)
+    with monkeypatch.context() as patch:
+        patch.setattr(vio.FrameWriter, "_write", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            vio.write_frames(path, frames)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_whole_reads_are_the_same_in_any_chunk_count(tmp_path, rng, chunk_count):
